@@ -11,9 +11,9 @@
 // The cache is a concurrency-safe in-memory LRU (bounded by entry count and
 // approximate bytes) with an optional on-disk store under $JPG_CACHE_DIR
 // (atomic rename writes, corruption-tolerant reads that degrade to a miss).
-// Lookups are single-flighted: when two workers request the same missing key
-// concurrently, one computes and the other waits for the result, so a warm
-// pool never duplicates in-flight work.
+// Lookups are single-flighted through a Group: when two workers request the
+// same missing key concurrently, one computes and the other waits for the
+// result, so a warm pool never duplicates in-flight work.
 //
 // Correctness contract: a cache must never change results, only wall-clock.
 // Keys therefore cover every input a stage consumes, and the flow's
@@ -25,6 +25,7 @@ package cache
 
 import (
 	"container/list"
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -178,20 +179,10 @@ var (
 )
 
 type entry struct {
-	key   Key
-	data  []byte // nil for object entries
-	obj   any
-	size  int64
-	elem  *list.Element
-	stage string
-}
-
-// flight is one in-progress computation other goroutines can wait on.
-type flight struct {
-	done chan struct{}
-	data []byte
-	obj  any
-	err  error
+	key  Key
+	val  any // []byte for GetOrCompute entries, a shared object otherwise
+	size int64
+	elem *list.Element
 }
 
 // stageCounters tracks one stage's hits and misses for Stats reporting
@@ -202,12 +193,12 @@ type stageCounters struct {
 
 // Cache is a bounded, concurrency-safe, content-addressed store.
 type Cache struct {
-	mu      sync.Mutex
-	entries map[Key]*entry
-	lru     *list.List // front = most recently used
-	bytes   int64
-	flights map[Key]*flight
-	stages  map[string]*stageCounters
+	mu       sync.Mutex
+	entries  map[Key]*entry
+	lru      *list.List // front = most recently used
+	bytes    int64
+	stages   map[string]*stageCounters
+	inflight Group
 
 	maxEntries int
 	maxBytes   int64
@@ -230,7 +221,6 @@ func New(o Options) *Cache {
 	c := &Cache{
 		entries:    map[Key]*entry{},
 		lru:        list.New(),
-		flights:    map[Key]*flight{},
 		stages:     map[string]*stageCounters{},
 		maxEntries: o.MaxEntries,
 		maxBytes:   o.MaxBytes,
@@ -249,38 +239,52 @@ func (c *Cache) Dir() string {
 	return c.disk.root
 }
 
-// countHit/countMiss update both the per-cache stage counters and the
-// process-wide obs registry. Callers hold c.mu.
-func (c *Cache) countHit(stage string) {
-	c.stage(stage).hits++
-	mHit.Inc()
-	obs.GetCounter("cache.hit." + stage).Inc()
-}
-
-func (c *Cache) countMiss(stage string) {
-	c.stage(stage).misses++
-	mMiss.Inc()
-	obs.GetCounter("cache.miss." + stage).Inc()
-}
-
-func (c *Cache) stage(stage string) *stageCounters {
+// count records one lookup outcome in both the per-cache stage counters and
+// the process-wide obs registry.
+func (c *Cache) count(stage string, hit bool) {
+	c.mu.Lock()
 	sc := c.stages[stage]
 	if sc == nil {
 		sc = &stageCounters{}
 		c.stages[stage] = sc
 	}
-	return sc
+	if hit {
+		sc.hits++
+	} else {
+		sc.misses++
+	}
+	c.mu.Unlock()
+	if hit {
+		mHit.Inc()
+		obs.GetCounter("cache.hit." + stage).Inc()
+	} else {
+		mMiss.Inc()
+		obs.GetCounter("cache.miss." + stage).Inc()
+	}
 }
 
-// insertLocked adds an entry and evicts from the LRU tail while over bounds.
-// Callers hold c.mu.
-func (c *Cache) insertLocked(stage string, k Key, data []byte, obj any, size int64) {
+// get returns the resident value under k, bumping its LRU position.
+func (c *Cache) get(k Key) (any, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e := c.entries[k]
+	if e == nil {
+		return nil, false
+	}
+	c.lru.MoveToFront(e.elem)
+	return e.val, true
+}
+
+// insert adds an entry and evicts from the LRU tail while over bounds.
+func (c *Cache) insert(k Key, val any, size int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if old := c.entries[k]; old != nil {
 		c.lru.Remove(old.elem)
 		c.bytes -= old.size
 		delete(c.entries, k)
 	}
-	e := &entry{key: k, data: data, obj: obj, size: size, stage: stage}
+	e := &entry{key: k, val: val, size: size}
 	e.elem = c.lru.PushFront(e)
 	c.entries[k] = e
 	c.bytes += size
@@ -331,131 +335,30 @@ func clone(b []byte) []byte {
 
 // GetOrCompute returns the bytes stored under (stage, key), computing and
 // storing them on a miss. Concurrent callers of the same missing key are
-// single-flighted: exactly one runs compute, the rest wait for its result.
-// hit reports whether this caller's value came from the cache (or another
-// caller's flight) rather than its own compute call. Compute errors are
-// returned to every waiter and nothing is stored. On a nil cache the
-// computation runs directly.
-func (c *Cache) GetOrCompute(stage string, k Key, compute func() ([]byte, error)) (val []byte, hit bool, err error) {
+// single-flighted: exactly one runs compute, the rest wait for its result
+// (or until their ctx ends). hit reports whether this caller's value came
+// from the cache (or another caller's flight) rather than its own compute
+// call. A compute error is returned to the caller that ran it and nothing
+// is stored; a waiter then takes over as the next leader. On a nil cache
+// the computation runs directly.
+func (c *Cache) GetOrCompute(ctx context.Context, stage string, k Key, compute func() ([]byte, error)) (val []byte, hit bool, err error) {
 	if c == nil {
 		v, err := compute()
 		return v, false, err
 	}
-	for {
-		c.mu.Lock()
-		if e := c.entries[k]; e != nil && e.data != nil {
-			c.lru.MoveToFront(e.elem)
-			c.countHit(stage)
-			data := e.data
-			c.mu.Unlock()
-			return clone(data), true, nil
+	var own []byte
+	v, hit, err := c.lookup(ctx, stage, k, true, func() (any, int64, error) {
+		var err error
+		if own, err = compute(); err != nil {
+			return nil, 0, err
 		}
-		if f := c.flights[k]; f != nil {
-			c.mu.Unlock()
-			mWaits.Inc()
-			<-f.done
-			if f.err != nil {
-				// The computing flight failed; this caller retries (the
-				// failure may have been its sibling's context, and the
-				// entry may have been stored by a later success).
-				return c.retryAfterFailedFlight(stage, k, compute)
-			}
-			c.mu.Lock()
-			c.countHit(stage)
-			c.mu.Unlock()
-			return clone(f.data), true, nil
-		}
-		f := &flight{done: make(chan struct{})}
-		c.flights[k] = f
-		c.mu.Unlock()
-
-		// Disk tier: a hit fills memory and resolves the flight.
-		if c.disk != nil {
-			if data, ok := c.disk.get(stage, k); ok {
-				c.mu.Lock()
-				c.insertLocked(stage, k, data, nil, int64(len(data)))
-				c.countHit(stage)
-				mDiskHit.Inc()
-				delete(c.flights, k)
-				c.mu.Unlock()
-				f.data = data
-				close(f.done)
-				return clone(data), true, nil
-			}
-		}
-
-		val, err = compute()
-		c.mu.Lock()
-		c.countMiss(stage)
-		if err == nil {
-			stored := clone(val)
-			c.insertLocked(stage, k, stored, nil, int64(len(stored)))
-			f.data = stored
-		}
-		f.err = err
-		delete(c.flights, k)
-		c.mu.Unlock()
-		close(f.done)
-		if err == nil && c.disk != nil {
-			c.disk.put(stage, k, val)
-		}
-		return val, false, err
+		stored := clone(own)
+		return stored, int64(len(stored)), nil
+	})
+	if err != nil || !hit {
+		return own, false, err
 	}
-}
-
-// Touch probes for (stage, key) without computing. A memory hit bumps the
-// entry's LRU position; a memory miss falls through to the disk tier and
-// promotes the bytes on success. The probe counts toward the stage's
-// hit/miss statistics exactly like a GetOrCompute lookup, so a warm path
-// satisfied by a downstream stage's entry (e.g. a route hit short-circuiting
-// the nested place lookup) can still account for the upstream stage
-// truthfully instead of reporting nothing — the accounting hole behind the
-// historical "place stage: 0% hit rate" in the perf records. Nil caches
-// report a miss without counting.
-func (c *Cache) Touch(stage string, k Key) bool {
-	if c == nil {
-		return false
-	}
-	c.mu.Lock()
-	if e := c.entries[k]; e != nil {
-		c.lru.MoveToFront(e.elem)
-		c.countHit(stage)
-		c.mu.Unlock()
-		return true
-	}
-	disk := c.disk
-	c.mu.Unlock()
-	if disk != nil {
-		if data, ok := disk.get(stage, k); ok {
-			c.mu.Lock()
-			c.insertLocked(stage, k, data, nil, int64(len(data)))
-			c.countHit(stage)
-			mDiskHit.Inc()
-			c.mu.Unlock()
-			return true
-		}
-	}
-	c.mu.Lock()
-	c.countMiss(stage)
-	c.mu.Unlock()
-	return false
-}
-
-// retryAfterFailedFlight re-runs the lookup after waiting on a flight that
-// errored, computing directly if the entry is still absent.
-func (c *Cache) retryAfterFailedFlight(stage string, k Key, compute func() ([]byte, error)) ([]byte, bool, error) {
-	c.mu.Lock()
-	if e := c.entries[k]; e != nil && e.data != nil {
-		c.lru.MoveToFront(e.elem)
-		c.countHit(stage)
-		data := e.data
-		c.mu.Unlock()
-		return clone(data), true, nil
-	}
-	c.countMiss(stage)
-	c.mu.Unlock()
-	v, err := compute()
-	return v, false, err
+	return clone(v.([]byte)), true, nil
 }
 
 // GetOrComputeValue is GetOrCompute for live objects that cannot round-trip
@@ -463,48 +366,58 @@ func (c *Cache) retryAfterFailedFlight(stage string, k Key, compute func() ([]by
 // Values live in the memory tier only; size is the caller's estimate for the
 // byte bound. The stored object is returned shared, so it must be treated as
 // immutable by every consumer.
-func (c *Cache) GetOrComputeValue(stage string, k Key, compute func() (any, int64, error)) (val any, hit bool, err error) {
+func (c *Cache) GetOrComputeValue(ctx context.Context, stage string, k Key, compute func() (any, int64, error)) (val any, hit bool, err error) {
 	if c == nil {
 		v, _, err := compute()
 		return v, false, err
 	}
-	c.mu.Lock()
-	if e := c.entries[k]; e != nil && e.obj != nil {
-		c.lru.MoveToFront(e.elem)
-		c.countHit(stage)
-		obj := e.obj
-		c.mu.Unlock()
-		return obj, true, nil
-	}
-	if f := c.flights[k]; f != nil {
-		c.mu.Unlock()
-		mWaits.Inc()
-		<-f.done
-		if f.err != nil {
-			v, _, err := compute()
-			return v, false, err
-		}
-		c.mu.Lock()
-		c.countHit(stage)
-		c.mu.Unlock()
-		return f.obj, true, nil
-	}
-	f := &flight{done: make(chan struct{})}
-	c.flights[k] = f
-	c.mu.Unlock()
+	return c.lookup(ctx, stage, k, false, compute)
+}
 
-	v, size, err := compute()
-	c.mu.Lock()
-	c.countMiss(stage)
-	if err == nil {
-		c.insertLocked(stage, k, nil, v, size)
-		f.obj = v
+// lookup is the one path behind GetOrCompute and GetOrComputeValue. A
+// memory hit returns at once. Otherwise the key's flight elects one leader,
+// which checks memory again (a flight that ended while this caller queued
+// has stored its value), then the disk tier for byte entries, and only then
+// computes. Followers share the leader's value and count as hits.
+func (c *Cache) lookup(ctx context.Context, stage string, k Key, onDisk bool, compute func() (any, int64, error)) (any, bool, error) {
+	if v, ok := c.get(k); ok {
+		c.count(stage, true)
+		return v, true, nil
 	}
-	f.err = err
-	delete(c.flights, k)
-	c.mu.Unlock()
-	close(f.done)
-	return v, false, err
+	computed := false
+	v, shared, err := c.inflight.Do(ctx, k, func() (any, error) {
+		if v, ok := c.get(k); ok {
+			c.count(stage, true)
+			return v, nil
+		}
+		if onDisk && c.disk != nil {
+			if data, ok := c.disk.get(stage, k); ok {
+				c.insert(k, data, int64(len(data)))
+				c.count(stage, true)
+				mDiskHit.Inc()
+				return data, nil
+			}
+		}
+		computed = true
+		v, size, err := compute()
+		c.count(stage, false)
+		if err != nil {
+			return nil, err
+		}
+		c.insert(k, v, size)
+		return v, nil
+	})
+	if shared {
+		c.count(stage, true)
+		mWaits.Inc()
+	}
+	if err != nil {
+		return nil, false, err
+	}
+	if computed && onDisk && c.disk != nil {
+		c.disk.put(stage, k, v.([]byte))
+	}
+	return v, !computed, nil
 }
 
 // StageStats is one stage's hit/miss record.

@@ -72,13 +72,13 @@ func TestGetOrComputeMemoizes(t *testing.T) {
 		calls++
 		return []byte("value"), nil
 	}
-	v, hit, err := c.GetOrCompute("s", key("a"), compute)
+	v, hit, err := c.GetOrCompute(context.Background(), "s", key("a"), compute)
 	if err != nil || hit || string(v) != "value" {
 		t.Fatalf("first call: v=%q hit=%v err=%v", v, hit, err)
 	}
 	// Mutating the returned slice must not poison the store.
 	v[0] = 'X'
-	v2, hit, err := c.GetOrCompute("s", key("a"), compute)
+	v2, hit, err := c.GetOrCompute(context.Background(), "s", key("a"), compute)
 	if err != nil || !hit || string(v2) != "value" {
 		t.Fatalf("second call: v=%q hit=%v err=%v", v2, hit, err)
 	}
@@ -94,11 +94,11 @@ func TestGetOrComputeMemoizes(t *testing.T) {
 func TestGetOrComputeErrorNotStored(t *testing.T) {
 	c := New(Options{NoDisk: true})
 	boom := errors.New("boom")
-	_, _, err := c.GetOrCompute("s", key("a"), func() ([]byte, error) { return nil, boom })
+	_, _, err := c.GetOrCompute(context.Background(), "s", key("a"), func() ([]byte, error) { return nil, boom })
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
-	v, hit, err := c.GetOrCompute("s", key("a"), func() ([]byte, error) { return []byte("ok"), nil })
+	v, hit, err := c.GetOrCompute(context.Background(), "s", key("a"), func() ([]byte, error) { return []byte("ok"), nil })
 	if err != nil || hit || string(v) != "ok" {
 		t.Fatalf("after error: v=%q hit=%v err=%v", v, hit, err)
 	}
@@ -107,16 +107,16 @@ func TestGetOrComputeErrorNotStored(t *testing.T) {
 func TestLRUEvictionByEntries(t *testing.T) {
 	c := New(Options{MaxEntries: 2, NoDisk: true})
 	put := func(s string) {
-		c.GetOrCompute("s", key(s), func() ([]byte, error) { return []byte(s), nil })
+		c.GetOrCompute(context.Background(), "s", key(s), func() ([]byte, error) { return []byte(s), nil })
 	}
 	put("a")
 	put("b")
 	// Touch "a" so "b" is the LRU victim.
-	if _, hit, _ := c.GetOrCompute("s", key("a"), func() ([]byte, error) { return []byte("a"), nil }); !hit {
+	if _, hit, _ := c.GetOrCompute(context.Background(), "s", key("a"), func() ([]byte, error) { return []byte("a"), nil }); !hit {
 		t.Fatal("a evicted early")
 	}
 	put("c")
-	if _, hit, _ := c.GetOrCompute("s", key("b"), func() ([]byte, error) { return []byte("b"), nil }); hit {
+	if _, hit, _ := c.GetOrCompute(context.Background(), "s", key("b"), func() ([]byte, error) { return []byte("b"), nil }); hit {
 		t.Fatal("b survived past the entry bound")
 	}
 	if st := c.Stats(); st.Evictions == 0 {
@@ -127,8 +127,8 @@ func TestLRUEvictionByEntries(t *testing.T) {
 func TestLRUEvictionByBytes(t *testing.T) {
 	c := New(Options{MaxBytes: 100, NoDisk: true})
 	big := bytes.Repeat([]byte("x"), 60)
-	c.GetOrCompute("s", key("a"), func() ([]byte, error) { return big, nil })
-	c.GetOrCompute("s", key("b"), func() ([]byte, error) { return big, nil })
+	c.GetOrCompute(context.Background(), "s", key("a"), func() ([]byte, error) { return big, nil })
+	c.GetOrCompute(context.Background(), "s", key("b"), func() ([]byte, error) { return big, nil })
 	st := c.Stats()
 	if st.Bytes > 100 {
 		t.Fatalf("resident bytes %d exceed bound", st.Bytes)
@@ -153,7 +153,7 @@ func TestSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, _, err := c.GetOrCompute("stage", key("shared"), func() ([]byte, error) {
+			v, _, err := c.GetOrCompute(context.Background(), "stage", key("shared"), func() ([]byte, error) {
 				calls.Add(1)
 				<-release // hold the flight open until all workers have piled in
 				return []byte("result"), nil
@@ -192,7 +192,7 @@ func TestSingleFlightErrorRetries(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, _, err := c.GetOrCompute("s", key("k"), func() ([]byte, error) {
+			_, _, err := c.GetOrCompute(context.Background(), "s", key("k"), func() ([]byte, error) {
 				calls.Add(1)
 				<-release
 				return nil, boom
@@ -219,7 +219,7 @@ func TestGetOrComputeValue(t *testing.T) {
 	type obj struct{ n int }
 	calls := 0
 	get := func() (any, bool, error) {
-		return c.GetOrComputeValue("map", key("o"), func() (any, int64, error) {
+		return c.GetOrComputeValue(context.Background(), "map", key("o"), func() (any, int64, error) {
 			calls++
 			return &obj{n: 42}, 100, nil
 		})
@@ -239,9 +239,9 @@ func TestGetOrComputeValue(t *testing.T) {
 
 func TestRemove(t *testing.T) {
 	c := New(Options{NoDisk: true})
-	c.GetOrCompute("s", key("a"), func() ([]byte, error) { return []byte("v"), nil })
+	c.GetOrCompute(context.Background(), "s", key("a"), func() ([]byte, error) { return []byte("v"), nil })
 	c.Remove("s", key("a"))
-	_, hit, _ := c.GetOrCompute("s", key("a"), func() ([]byte, error) { return []byte("v"), nil })
+	_, hit, _ := c.GetOrCompute(context.Background(), "s", key("a"), func() ([]byte, error) { return []byte("v"), nil })
 	if hit {
 		t.Fatal("entry survived Remove")
 	}
@@ -249,11 +249,11 @@ func TestRemove(t *testing.T) {
 
 func TestNilCacheDegradesToCompute(t *testing.T) {
 	var c *Cache
-	v, hit, err := c.GetOrCompute("s", key("a"), func() ([]byte, error) { return []byte("v"), nil })
+	v, hit, err := c.GetOrCompute(context.Background(), "s", key("a"), func() ([]byte, error) { return []byte("v"), nil })
 	if err != nil || hit || string(v) != "v" {
 		t.Fatalf("nil GetOrCompute: v=%q hit=%v err=%v", v, hit, err)
 	}
-	o, hit, err := c.GetOrComputeValue("s", key("a"), func() (any, int64, error) { return 7, 1, nil })
+	o, hit, err := c.GetOrComputeValue(context.Background(), "s", key("a"), func() (any, int64, error) { return 7, 1, nil })
 	if err != nil || hit || o != 7 {
 		t.Fatalf("nil GetOrComputeValue: o=%v hit=%v err=%v", o, hit, err)
 	}

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -14,11 +15,11 @@ func TestDiskRoundTripAcrossCaches(t *testing.T) {
 	payload := []byte("routed ncd bytes")
 
 	c1 := New(Options{Dir: dir})
-	c1.GetOrCompute("route", k, func() ([]byte, error) { return payload, nil })
+	c1.GetOrCompute(context.Background(), "route", k, func() ([]byte, error) { return payload, nil })
 
 	// A fresh cache over the same directory must hit without computing.
 	c2 := New(Options{Dir: dir})
-	v, hit, err := c2.GetOrCompute("route", k, func() ([]byte, error) {
+	v, hit, err := c2.GetOrCompute(context.Background(), "route", k, func() ([]byte, error) {
 		t.Fatal("compute ran despite a disk entry")
 		return nil, nil
 	})
@@ -34,7 +35,7 @@ func TestDiskEntryLayout(t *testing.T) {
 	dir := t.TempDir()
 	k := key("layout")
 	c := New(Options{Dir: dir})
-	c.GetOrCompute("place", k, func() ([]byte, error) { return []byte("x"), nil })
+	c.GetOrCompute(context.Background(), "place", k, func() ([]byte, error) { return []byte("x"), nil })
 
 	hexk := k.String()
 	path := filepath.Join(dir, "place", hexk[:2], hexk)
@@ -75,7 +76,7 @@ func TestDiskCorruptionDegradesToMiss(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			c1 := New(Options{Dir: dir})
-			c1.GetOrCompute("s", k, func() ([]byte, error) { return payload, nil })
+			c1.GetOrCompute(context.Background(), "s", k, func() ([]byte, error) { return payload, nil })
 
 			hexk := k.String()
 			path := filepath.Join(dir, "s", hexk[:2], hexk)
@@ -89,7 +90,7 @@ func TestDiskCorruptionDegradesToMiss(t *testing.T) {
 
 			c2 := New(Options{Dir: dir})
 			calls := 0
-			v, hit, err := c2.GetOrCompute("s", k, func() ([]byte, error) {
+			v, hit, err := c2.GetOrCompute(context.Background(), "s", k, func() ([]byte, error) {
 				calls++
 				return payload, nil
 			})
@@ -98,7 +99,7 @@ func TestDiskCorruptionDegradesToMiss(t *testing.T) {
 			}
 			// The recompute rewrites a valid entry.
 			c3 := New(Options{Dir: dir})
-			if _, hit, _ := c3.GetOrCompute("s", k, func() ([]byte, error) { return payload, nil }); !hit {
+			if _, hit, _ := c3.GetOrCompute(context.Background(), "s", k, func() ([]byte, error) { return payload, nil }); !hit {
 				t.Fatal("slot not rewritten after corruption recovery")
 			}
 		})

@@ -7,11 +7,11 @@ import (
 
 // Group is an exported, context-aware single-flight keyed by Key: concurrent
 // Do calls with the same key run the function once and share its value. It is
-// the request-coalescing primitive behind the jpgd serving layer, where N
-// identical in-flight HTTP requests must cost one flow execution.
+// the repository's only single-flight: Cache lookups coalesce through one,
+// and the jpgd serving layer uses another to make N identical in-flight HTTP
+// requests cost one flow execution.
 //
-// It differs from the cache's internal flight table in two ways that matter
-// at a service boundary:
+// Two properties matter at a service boundary:
 //
 //   - Waiting is cancellable. A follower whose context ends while the leader
 //     is still computing unblocks immediately with ctx.Err() instead of
@@ -30,9 +30,10 @@ type Group struct {
 }
 
 type groupFlight struct {
-	done chan struct{}
-	val  any
-	err  error
+	done    chan struct{}
+	val     any
+	err     error
+	waiters int // followers blocked on done (guarded by Group.mu)
 }
 
 // Do returns the value of fn for key k, coalescing concurrent calls: one
@@ -47,10 +48,14 @@ func (g *Group) Do(ctx context.Context, k Key, fn func() (any, error)) (val any,
 			g.flights = map[Key]*groupFlight{}
 		}
 		if f := g.flights[k]; f != nil {
+			f.waiters++
 			g.mu.Unlock()
 			select {
 			case <-f.done:
 			case <-ctx.Done():
+				g.mu.Lock()
+				f.waiters--
+				g.mu.Unlock()
 				return nil, false, ctx.Err()
 			}
 			if f.err != nil {
@@ -73,10 +78,14 @@ func (g *Group) Do(ctx context.Context, k Key, fn func() (any, error)) (val any,
 	}
 }
 
-// Pending reports whether a flight for k is currently executing (a probe for
-// metrics and tests; the answer can be stale by the time it is used).
-func (g *Group) Pending(k Key) bool {
+// Waiters reports how many callers are waiting on the flight for k (0 when
+// none is executing). It is a probe for tests; the answer can be stale by
+// the time it is used.
+func (g *Group) Waiters(k Key) int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.flights[k] != nil
+	if f := g.flights[k]; f != nil {
+		return f.waiters
+	}
+	return 0
 }

@@ -37,12 +37,15 @@ func TestGroupCoalescesConcurrentCalls(t *testing.T) {
 			})
 		}(i)
 	}
-	// Let the leader start and the followers pile up, then release.
-	deadline := time.Now().Add(2 * time.Second)
-	for execs.Load() == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	for !g.Pending(testKey("a")) && time.Now().Before(deadline) {
+	// Release the leader only once every other caller waits on its flight;
+	// a caller that arrives after the flight ends would run fn again.
+	deadline := time.Now().Add(10 * time.Second)
+	for joined := 0; joined < n-1; joined = g.Waiters(testKey("a")) {
+		if time.Now().After(deadline) {
+			close(release)
+			wg.Wait()
+			t.Fatalf("only %d of %d followers joined the flight", joined, n-1)
+		}
 		time.Sleep(time.Millisecond)
 	}
 	close(release)

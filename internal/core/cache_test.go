@@ -2,6 +2,9 @@ package core
 
 import (
 	"bytes"
+	"context"
+	"encoding/hex"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/cache"
@@ -145,5 +148,66 @@ func TestWriteBackInvalidatesCache(t *testing.T) {
 	}
 	if before.FramesChanged == 0 {
 		t.Fatal("sanity: the first partial should change frames")
+	}
+}
+
+// TestUnusablePartialEntryRecomputes plants an undecodable entry — a valid
+// disk container around a payload that is no encoded result — under a
+// module's real partial key. Generation must drop it and generate directly,
+// byte-identical to the uncached result, and the entry must not be served
+// again.
+func TestUnusablePartialEntryRecomputes(t *testing.T) {
+	base, variant := setup(t)
+	generate := func(c *cache.Cache) *Result {
+		t.Helper()
+		proj, err := NewProject(base.Bitstream)
+		if err != nil {
+			t.Fatal(err)
+		}
+		proj.Cache = c
+		m, err := proj.AddModule("u1_lfsr", variant.XDL, variant.UCF)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := proj.GeneratePartial(m, GenerateOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	plain := generate(nil)
+
+	// A disk-backed run stores the real entry; its file name is its key.
+	dir := t.TempDir()
+	generate(cache.New(cache.Options{Dir: dir}))
+	paths, err := filepath.Glob(filepath.Join(dir, "partial", "*", "*"))
+	if err != nil || len(paths) != 1 {
+		t.Fatalf("want one partial entry on disk, got %v (%v)", paths, err)
+	}
+	raw, err := hex.DecodeString(filepath.Base(paths[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var k cache.Key
+	copy(k[:], raw)
+	garbage := []byte("not an encoded partial result")
+	seed := cache.New(cache.Options{Dir: dir})
+	seed.Remove("partial", k)
+	seed.GetOrCompute(context.Background(), "partial", k, func() ([]byte, error) { return garbage, nil })
+
+	c := cache.New(cache.Options{Dir: dir})
+	got := generate(c)
+	if !bytes.Equal(got.Bitstream, plain.Bitstream) || len(got.FARs) != len(plain.FARs) ||
+		got.FramesChanged != plain.FramesChanged || got.Region != plain.Region {
+		t.Error("partial generated past an undecodable entry differs from the uncached one")
+	}
+	if s := c.Stats().Stages["partial"]; s.Hits != 1 {
+		t.Errorf("partial stage stats %+v: the planted entry was not looked up", s)
+	}
+	for _, probe := range []*cache.Cache{c, cache.New(cache.Options{Dir: dir})} {
+		v, _, _ := probe.GetOrCompute(context.Background(), "partial", k, func() ([]byte, error) { return nil, nil })
+		if bytes.Equal(v, garbage) {
+			t.Error("the undecodable partial entry is still served")
+		}
 	}
 }

@@ -273,7 +273,7 @@ func (p *Project) generatePartial(ctx context.Context, m *Module, opts GenerateO
 	h.Bool("compress", opts.Compress)
 	h.Bool("delta", opts.Delta)
 	k := h.Sum()
-	data, hit, err := c.GetOrCompute("partial", k, func() ([]byte, error) {
+	data, hit, err := c.GetOrCompute(ctx, "partial", k, func() ([]byte, error) {
 		res, err := p.computePartial(m, opts)
 		if err != nil {
 			return nil, err

@@ -1,39 +1,35 @@
 package flow
 
 import (
-	"context"
-	"fmt"
 	"sort"
-	"time"
 
-	"repro/internal/bitgen"
 	"repro/internal/cache"
-	"repro/internal/designs"
 	"repro/internal/device"
 	"repro/internal/frames"
 	"repro/internal/ncd"
 	"repro/internal/netlist"
-	"repro/internal/obs"
 	"repro/internal/phys"
-	"repro/internal/place"
-	"repro/internal/route"
 	"repro/internal/ucf"
-	"repro/internal/xdl"
 )
 
 // Content-addressed stage memoization. Each stage's key is a hash of
 // everything its output depends on, and keys chain: a route key contains its
 // place key, a bitgen key its route key, so invalidation is automatic — any
 // changed input changes every downstream key. The cache is consulted only
-// when one is attached to the context (cache.With); with no cache the flow
-// runs the exact uncached stage sequence, so results are byte-identical with
-// caching on, off, cold or warm.
+// when one is attached to the context (cache.With). The stage runner
+// (stages.go) then looks every stage up once, in order; with no cache it
+// runs the same stages without hashing a key, so results are byte-identical
+// with caching on, off, cold or warm.
 //
 // Stage values are the flow's own serialised artifacts: placements and
 // routed designs as NCD bytes (rehydrated onto the caller's live netlist
-// with phys.Bind), bitstreams and XDL as raw bytes. Generated netlists are
-// memoized as shared live objects (memory tier only) — the placer and
-// router treat netlists as read-only, so concurrent runs may share one.
+// with phys.Bind), bitstreams and XDL as raw bytes. A warm run binds one
+// NCD, the routed design; a cached placement is bound only when route has
+// to run. An entry that fails to bind is removed and its stage recomputed,
+// so a damaged cache can cost time but never correctness. Generated
+// netlists are memoized as shared live objects (memory tier only) — the
+// placer and router treat netlists as read-only, so concurrent runs may
+// share one.
 
 // Fingerprint returns a stable content hash of the options, for use as a
 // CAD cache key component. Effort is normalised the way the placer
@@ -119,206 +115,6 @@ func hitStr(hit bool) string {
 		return "hit"
 	}
 	return "miss"
-}
-
-// mapBaseDesign memoizes designs.BaseDesign when a cache is attached. The
-// generator list is keyed on %#v, which spells out every exported parameter
-// field — Generator.Name() may omit some (e.g. a seed) and must not be
-// trusted as an identity.
-func mapBaseDesign(ctx context.Context, name string, insts []designs.Instance) (*netlist.Design, error) {
-	c := cache.FromContext(ctx)
-	if c == nil {
-		return designs.BaseDesign(name, insts)
-	}
-	h := cache.NewHasher("flow.map/v1")
-	h.Str("fn", "base")
-	h.Str("name", name)
-	h.Int("insts", int64(len(insts)))
-	for _, inst := range insts {
-		h.Str("prefix", inst.Prefix)
-		h.Str("gen", fmt.Sprintf("%#v", inst.Gen))
-	}
-	v, _, err := c.GetOrComputeValue("map", h.Sum(), func() (any, int64, error) {
-		nl, err := designs.BaseDesign(name, insts)
-		if err != nil {
-			return nil, 0, err
-		}
-		return nl, netlistSizeEstimate(nl), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*netlist.Design), nil
-}
-
-// mapStandalone memoizes designs.Standalone when a cache is attached.
-func mapStandalone(ctx context.Context, gen designs.Generator, designName, prefix string) (*netlist.Design, error) {
-	c := cache.FromContext(ctx)
-	if c == nil {
-		return designs.Standalone(gen, designName, prefix)
-	}
-	h := cache.NewHasher("flow.map/v1")
-	h.Str("fn", "standalone")
-	h.Str("name", designName)
-	h.Str("prefix", prefix)
-	h.Str("gen", fmt.Sprintf("%#v", gen))
-	v, _, err := c.GetOrComputeValue("map", h.Sum(), func() (any, int64, error) {
-		nl, err := designs.Standalone(gen, designName, prefix)
-		if err != nil {
-			return nil, 0, err
-		}
-		return nl, netlistSizeEstimate(nl), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*netlist.Design), nil
-}
-
-// netlistSizeEstimate approximates a live netlist's memory footprint for the
-// cache's byte bound.
-func netlistSizeEstimate(nl *netlist.Design) int64 {
-	return int64(len(nl.Cells))*256 + int64(len(nl.Nets))*128 + int64(len(nl.Ports))*64 + 1024
-}
-
-// runCached is run with a cache attached: the same stage sequence, with
-// each stage's result fetched by content address when available. Cached
-// placements and routings rehydrate onto the live netlist via phys.Bind; an
-// entry that fails to bind (a stale or colliding record) is dropped and the
-// stages recompute, so a damaged cache can cost time but never correctness.
-func runCached(ctx context.Context, c *cache.Cache, p *device.Part, nl *netlist.Design, cons *ucf.Constraints,
-	rfn func(*netlist.Net) *frames.Region, regionFP string, opts Options, synthTime time.Duration) (Artifacts, error) {
-
-	a := Artifacts{Part: p, Netlist: nl}
-	a.Times.Synthesis = synthTime
-	mMapNS.Observe(synthTime.Nanoseconds())
-
-	kPlace := PlaceKey(p, nl, cons, opts)
-	kRoute := RouteKey(kPlace, regionFP)
-
-	// pd is set when this goroutine ran the stages itself; on a hit (or
-	// after waiting out another worker's in-flight computation) it stays nil
-	// and the cached NCD bytes are bound onto the netlist below.
-	var pd *phys.Design
-	placeOpts := opts.placeOptions(cons)
-
-	routeStart := time.Now()
-	ncdBytes, routeHit, err := c.GetOrCompute("route", kRoute, func() ([]byte, error) {
-		t0 := time.Now()
-		pctx, sp := obs.Start(ctx, "place")
-		placedNCD, placeHit, err := c.GetOrCompute("place", kPlace, func() ([]byte, error) {
-			d, err := place.PlaceCtx(pctx, p, nl, placeOpts)
-			if err != nil {
-				return nil, err
-			}
-			pd = d
-			return ncd.Marshal(d)
-		})
-		if err == nil && pd == nil {
-			// The placement came from the cache; rebind it. A bind failure
-			// drops the entry and places from scratch.
-			var bindErr error
-			pd, bindErr = bindNCD(placedNCD, p, nl)
-			if bindErr != nil {
-				c.Remove("place", kPlace)
-				pd, err = place.PlaceCtx(pctx, p, nl, placeOpts)
-				placeHit = false
-			}
-		}
-		sp.SetStr("cache", hitStr(placeHit))
-		sp.EndErr(err)
-		logCache(ctx, "place", placeHit)
-		if err != nil {
-			obs.CountError("place")
-			return nil, err
-		}
-		a.Times.Place = time.Since(t0)
-		mPlaceNS.Observe(a.Times.Place.Nanoseconds())
-		logStage(ctx, "place", a.Times.Place)
-
-		t0 = time.Now()
-		rctx, rsp := obs.Start(ctx, "route")
-		err = route.RouteCtx(rctx, pd, route.Options{RegionForNet: rfn})
-		rsp.SetStr("cache", "miss")
-		rsp.EndErr(err)
-		logCache(ctx, "route", false)
-		if err != nil {
-			obs.CountError("route")
-			return nil, err
-		}
-		a.Times.Route = time.Since(t0)
-		logStage(ctx, "route", a.Times.Route)
-		return ncd.Marshal(pd)
-	})
-	if err != nil {
-		return a, err
-	}
-	if pd == nil {
-		// Warm hit: rehydrate the routed design from its NCD bytes.
-		pd, err = bindNCD(ncdBytes, p, nl)
-		if err != nil {
-			// Unusable entries: drop both and run the stages for real.
-			c.Remove("route", kRoute)
-			c.Remove("place", kPlace)
-			return runStages(ctx, p, nl, cons, rfn, opts, synthTime)
-		}
-		a.Times.Route = time.Since(routeStart)
-		// The route hit short-circuited the nested place lookup; probe the
-		// place entry for real so the stage's hit/miss accounting reflects
-		// this run (and the entry's LRU position tracks its use).
-		placeHit := c.Touch("place", kPlace)
-		_, sp := obs.Start(ctx, "place")
-		sp.SetStr("cache", hitStr(placeHit))
-		sp.End()
-		logCache(ctx, "place", placeHit)
-		_, sp = obs.Start(ctx, "route")
-		sp.SetStr("cache", hitStr(routeHit))
-		sp.End()
-		logCache(ctx, "route", routeHit)
-		mPlaceNS.Observe(a.Times.Place.Nanoseconds())
-		mRouteNS.Observe(a.Times.Route.Nanoseconds())
-	} else {
-		mRouteNS.Observe(a.Times.Route.Nanoseconds())
-	}
-	a.Phys = pd
-
-	t0 := time.Now()
-	_, sp := obs.Start(ctx, "bitgen")
-	bs, bgHit, err := c.GetOrCompute("bitgen", BitgenKey(kRoute), func() ([]byte, error) {
-		return bitgen.FullBitstream(pd)
-	})
-	sp.SetStr("cache", hitStr(bgHit))
-	sp.EndErr(err)
-	logCache(ctx, "bitgen", bgHit)
-	if err != nil {
-		obs.CountError("bitgen")
-		return a, err
-	}
-	a.Times.Bitgen = time.Since(t0)
-	a.Bitstream = bs
-	mBitgenNS.Observe(a.Times.Bitgen.Nanoseconds())
-	logStage(ctx, "bitgen", a.Times.Bitgen)
-	// Verification covers cached bitstreams too: a corrupted cache entry must
-	// not reach a device just because bitgen was skipped.
-	if err := verifyBitstream(ctx, opts, bs); err != nil {
-		return a, err
-	}
-
-	_, sp = obs.Start(ctx, "emit")
-	defer sp.End()
-	xdlBytes, _, err := c.GetOrCompute("xdl", XDLKey(kRoute), func() ([]byte, error) {
-		s, err := xdl.Emit(pd)
-		return []byte(s), err
-	})
-	if err != nil {
-		return a, err
-	}
-	a.XDL = string(xdlBytes)
-	a.NCD = ncdBytes
-	if cons != nil {
-		a.UCF = cons.Emit()
-	}
-	return a, nil
 }
 
 // bindNCD rehydrates serialised NCD bytes onto a live netlist.

@@ -150,11 +150,10 @@ func TestCachedBuildByteIdentical(t *testing.T) {
 			t.Errorf("stage %q never hit on the warm run (stats %+v)", stage, st)
 		}
 	}
-	// The place stage is keyed inside the route compute; a warm route hit
-	// short-circuits the nested lookup, but the warm path probes the place
-	// entry directly (cache.Touch) so the stage still reports this run: the
-	// cold run's single miss plus a hit per warm rerun — a 0% place hit rate
-	// on a warm cache was the regression this pins down.
+	// The stage runner looks the place stage up once per run, before route,
+	// even when the route entry will hit, so the stage reports the cold
+	// run's single miss plus a hit per warm rerun — a 0% place hit rate on a
+	// warm cache was the regression this pins down.
 	if s := st.Stages["place"]; s.Misses != 1 || s.Hits == 0 {
 		t.Errorf("place stage: %+v, want exactly 1 miss and >= 1 hit", s)
 	}
@@ -227,5 +226,60 @@ func TestCacheDistinguishesBuilds(t *testing.T) {
 	}
 	if !bytes.Equal(a2.Bitstream, uncached.Bitstream) {
 		t.Fatal("cached seed-2 build differs from uncached seed-2 build")
+	}
+}
+
+// TestUnusableStageEntriesRecompute plants valid-container disk entries
+// holding another design's NCD under a build's real place and route keys.
+// The cached build must reject them at bind time and recompute, ending
+// byte-identical to the uncached build, and the bad entries must not be
+// served again from memory or disk.
+func TestUnusableStageEntriesRecompute(t *testing.T) {
+	ctx := context.Background()
+	p := device.MustByName("XCV50")
+	opts := Options{Seed: 13}
+	nl, err := designs.Standalone(designs.Counter{Bits: 5}, "victim", "u1/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	otherNL, err := designs.Standalone(designs.LFSR{Bits: 5}, "other", "u1/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := Implement(ctx, p, otherNL, nil, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := Implement(ctx, p, nl, nil, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Implement without constraints routes unconfined ("none").
+	kPlace := PlaceKey(p, nl, nil, opts)
+	keys := map[string]cache.Key{"place": kPlace, "route": RouteKey(kPlace, "none")}
+
+	for _, planted := range [][]string{{"place"}, {"route"}, {"place", "route"}} {
+		dir := t.TempDir()
+		seed := cache.New(cache.Options{Dir: dir})
+		for _, stage := range planted {
+			seed.GetOrCompute(ctx, stage, keys[stage], func() ([]byte, error) { return other.NCD, nil })
+		}
+		// A fresh cache over the same directory reads the entries from disk.
+		c := cache.New(cache.Options{Dir: dir})
+		got, err := Implement(cache.With(ctx, c), p, nl, nil, opts)
+		if err != nil {
+			t.Fatalf("planted %v: %v", planted, err)
+		}
+		if !bytes.Equal(got.Bitstream, plain.Bitstream) || got.XDL != plain.XDL || !bytes.Equal(got.NCD, plain.NCD) {
+			t.Errorf("planted %v: cached build differs from the uncached one", planted)
+		}
+		for _, probe := range []*cache.Cache{c, cache.New(cache.Options{Dir: dir})} {
+			for _, stage := range planted {
+				v, _, _ := probe.GetOrCompute(ctx, stage, keys[stage], func() ([]byte, error) { return nil, nil })
+				if bytes.Equal(v, other.NCD) {
+					t.Errorf("planted %v: the bad %s entry is still served", planted, stage)
+				}
+			}
+		}
 	}
 }

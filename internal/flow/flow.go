@@ -13,21 +13,16 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/bitgen"
-	"repro/internal/cache"
 	"repro/internal/designs"
 	"repro/internal/device"
 	"repro/internal/frames"
-	"repro/internal/ncd"
 	"repro/internal/netlist"
 	"repro/internal/obs"
 	jpglog "repro/internal/obs/log"
 	"repro/internal/parallel"
 	"repro/internal/phys"
 	"repro/internal/place"
-	"repro/internal/route"
 	"repro/internal/ucf"
-	"repro/internal/xdl"
 )
 
 // Stage metrics (always on; see internal/obs): per-stage latency
@@ -38,6 +33,7 @@ var (
 	mPlaceNS  = obs.GetHistogram("flow.place_ns")
 	mRouteNS  = obs.GetHistogram("flow.route_ns")
 	mBitgenNS = obs.GetHistogram("flow.bitgen_ns")
+	mEmitNS   = obs.GetHistogram("flow.emit_ns")
 
 	mBaseBuilds    = obs.GetCounter("flow.base_builds")
 	mVariantBuilds = obs.GetCounter("flow.variant_builds")
@@ -286,92 +282,6 @@ func regionForNet(regions map[string]frames.Region) func(*netlist.Net) *frames.R
 	}
 }
 
-// run executes place -> route -> bitgen with timing and file emission.
-// regionFP canonically describes rfn's region constraints for the stage
-// cache; it is unused when no cache is attached to the context.
-func run(ctx context.Context, p *device.Part, nl *netlist.Design, cons *ucf.Constraints,
-	rfn func(*netlist.Net) *frames.Region, regionFP string, opts Options, synthTime time.Duration) (Artifacts, error) {
-	if err := ctx.Err(); err != nil {
-		return Artifacts{Part: p, Netlist: nl}, err
-	}
-	if c := cache.FromContext(ctx); c != nil {
-		return runCached(ctx, c, p, nl, cons, rfn, regionFP, opts, synthTime)
-	}
-	return runStages(ctx, p, nl, cons, rfn, opts, synthTime)
-}
-
-// runStages is the uncached stage sequence.
-func runStages(ctx context.Context, p *device.Part, nl *netlist.Design, cons *ucf.Constraints,
-	rfn func(*netlist.Net) *frames.Region, opts Options, synthTime time.Duration) (Artifacts, error) {
-
-	a := Artifacts{Part: p, Netlist: nl}
-	a.Times.Synthesis = synthTime
-	mMapNS.Observe(synthTime.Nanoseconds())
-
-	t0 := time.Now()
-	pctx, sp := obs.Start(ctx, "place")
-	pd, err := place.PlaceCtx(pctx, p, nl, opts.placeOptions(cons))
-	sp.EndErr(err)
-	if err != nil {
-		obs.CountError("place")
-		return a, err
-	}
-	a.Times.Place = time.Since(t0)
-	mPlaceNS.Observe(a.Times.Place.Nanoseconds())
-	logStage(ctx, "place", a.Times.Place)
-
-	// A cancelled build stops at the next stage boundary: in-flight stages
-	// are CPU-bound and uninterruptible, but no new stage starts once the
-	// context dies.
-	if err := ctx.Err(); err != nil {
-		return a, err
-	}
-	t0 = time.Now()
-	rctx, sp := obs.Start(ctx, "route")
-	err = route.RouteCtx(rctx, pd, route.Options{RegionForNet: rfn})
-	sp.EndErr(err)
-	if err != nil {
-		obs.CountError("route")
-		return a, err
-	}
-	a.Times.Route = time.Since(t0)
-	a.Phys = pd
-	logStage(ctx, "route", a.Times.Route)
-
-	if err := ctx.Err(); err != nil {
-		return a, err
-	}
-	t0 = time.Now()
-	_, sp = obs.Start(ctx, "bitgen")
-	bs, err := bitgen.FullBitstream(pd)
-	sp.EndErr(err)
-	if err != nil {
-		obs.CountError("bitgen")
-		return a, err
-	}
-	a.Times.Bitgen = time.Since(t0)
-	a.Bitstream = bs
-	mRouteNS.Observe(a.Times.Route.Nanoseconds())
-	mBitgenNS.Observe(a.Times.Bitgen.Nanoseconds())
-	logStage(ctx, "bitgen", a.Times.Bitgen)
-	if err := verifyBitstream(ctx, opts, bs); err != nil {
-		return a, err
-	}
-
-	_, sp = obs.Start(ctx, "emit")
-	defer sp.End()
-	if a.XDL, err = xdl.Emit(pd); err != nil {
-		return a, err
-	}
-	if a.NCD, err = ncd.Marshal(pd); err != nil {
-		return a, err
-	}
-	if cons != nil {
-		a.UCF = cons.Emit()
-	}
-	return a, nil
-}
-
 // BuildBase runs Phase 1: floorplan the instances, build the partitioned
 // base design, and implement it with region-constrained place and route.
 func BuildBase(ctx context.Context, p *device.Part, insts []designs.Instance, opts Options) (*BaseBuild, error) {
@@ -390,23 +300,15 @@ func BuildBaseWith(ctx context.Context, p *device.Part, insts []designs.Instance
 	ctx, sp := obs.Start(ctx, "flow.base")
 	defer func() { sp.EndErr(err) }()
 	mBaseBuilds.Inc()
-	t0 := time.Now()
-	_, ms := obs.Start(ctx, "map")
-	nl, err := mapBaseDesign(ctx, "base", insts)
-	ms.EndErr(err)
-	if err != nil {
-		obs.CountError("map")
-		return nil, err
-	}
-	synthTime := time.Since(t0)
-	logStage(ctx, "map", synthTime)
-
-	a, err := run(ctx, p, nl, cons, regionForNet(regions), regionsFingerprint(regions), opts, synthTime)
+	a, err := job{
+		part: p, mapping: &mapping{name: "base", insts: insts}, cons: cons,
+		rfn: regionForNet(regions), regionFP: regionsFingerprint(regions), opts: opts,
+	}.run(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("flow: base build: %w", err)
 	}
 	pads := map[string]string{}
-	for _, port := range nl.Ports {
+	for _, port := range a.Netlist.Ports {
 		pads[port.Name] = a.Phys.Ports[port].Name()
 	}
 	return &BaseBuild{Artifacts: a, Regions: regions, Pads: pads, Cons: cons}, nil
@@ -477,14 +379,6 @@ func buildVariant(ctx context.Context, part *device.Part, rg frames.Region, base
 	defer func() { sp.EndErr(err) }()
 	mVariantBuilds.Inc()
 
-	t0 := time.Now()
-	_, ms := obs.Start(ctx, "map")
-	nl, err := mapStandalone(ctx, gen, instBase+"_"+gen.Name(), prefix)
-	ms.EndErr(err)
-	if err != nil {
-		obs.CountError("map")
-		return nil, err
-	}
 	cons := ucf.New()
 	cons.AddGroup(prefix+"*", "AG_"+instBase, rg)
 	// Inherit the base design's pads: clk plus the instance's data ports.
@@ -509,21 +403,25 @@ func buildVariant(ctx context.Context, part *device.Part, rg frames.Region, base
 			return nil, err
 		}
 	}
-	synthTime := time.Since(t0)
-	logStage(ctx, "map", synthTime)
+	rfn, regionFP := confineTo(rg)
+	m := &mapping{name: instBase + "_" + gen.Name(), insts: []designs.Instance{{Prefix: prefix, Gen: gen}}, standalone: true}
+	a, err := job{part: part, mapping: m, cons: cons, rfn: rfn, regionFP: regionFP, opts: opts}.run(ctx)
+	if err != nil {
+		return nil, fmt.Errorf("flow: variant %s%s: %w", prefix, gen.Name(), err)
+	}
+	return &a, nil
+}
 
-	rfn := func(n *netlist.Net) *frames.Region {
+// confineTo is a Phase 2 variant's router constraint, with its route-key
+// fingerprint: every non-clock net stays in the instance region.
+func confineTo(rg frames.Region) (func(*netlist.Net) *frames.Region, string) {
+	return func(n *netlist.Net) *frames.Region {
 		if n.IsClock {
 			return nil
 		}
 		r := rg
 		return &r
-	}
-	a, err := run(ctx, part, nl, cons, rfn, "all:"+rg.String(), opts, synthTime)
-	if err != nil {
-		return nil, fmt.Errorf("flow: variant %s%s: %w", prefix, gen.Name(), err)
-	}
-	return &a, nil
+	}, "all:" + rg.String()
 }
 
 // Implement runs the implementation pipeline (place, route, bitgen) on an
@@ -536,7 +434,7 @@ func Implement(ctx context.Context, p *device.Part, nl *netlist.Design, cons *uc
 	rfn, regionFP := implementRegionFn(cons)
 	ctx, sp := obs.Start(ctx, "flow.implement")
 	defer func() { sp.EndErr(err) }()
-	a, err := run(ctx, p, nl, cons, rfn, regionFP, opts, 0)
+	a, err := job{part: p, nl: nl, cons: cons, rfn: rfn, regionFP: regionFP, opts: opts}.run(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("flow: implement: %w", err)
 	}
@@ -549,17 +447,7 @@ func BuildFull(ctx context.Context, p *device.Part, insts []designs.Instance, op
 	ctx, sp := obs.Start(ctx, "flow.full")
 	defer func() { sp.EndErr(err) }()
 	mFullBuilds.Inc()
-	t0 := time.Now()
-	_, ms := obs.Start(ctx, "map")
-	nl, err := mapBaseDesign(ctx, "full", insts)
-	ms.EndErr(err)
-	if err != nil {
-		obs.CountError("map")
-		return nil, err
-	}
-	synthTime := time.Since(t0)
-	logStage(ctx, "map", synthTime)
-	a, err := run(ctx, p, nl, nil, nil, "none", opts, synthTime)
+	a, err := job{part: p, mapping: &mapping{name: "full", insts: insts}, regionFP: "none", opts: opts}.run(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("flow: full build: %w", err)
 	}

@@ -86,11 +86,8 @@ type EditSession struct {
 	// takes the live physical design — and identity tests set it true.
 	EmitFiles bool
 
-	part     *device.Part
-	cons     *ucf.Constraints
-	rfn      func(*netlist.Net) *frames.Region
-	regionFP string
-	opts     Options
+	// job is what a structural edit is rebuilt with (its netlist aside).
+	job
 
 	prev *Artifacts
 	// mem is the bitgen output for prev.Phys, tracked so splices record
@@ -122,14 +119,8 @@ func NewVariantEditSession(prev *Artifacts, rg frames.Region, opts Options) (*Ed
 	if err != nil {
 		return nil, fmt.Errorf("flow: edit session: recover UCF: %w", err)
 	}
-	rfn := func(n *netlist.Net) *frames.Region {
-		if n.IsClock {
-			return nil
-		}
-		r := rg
-		return &r
-	}
-	return newEditSession(prev, cons, rfn, "all:"+rg.String(), opts)
+	rfn, regionFP := confineTo(rg)
+	return newEditSession(prev, cons, rfn, regionFP, opts)
 }
 
 func newEditSession(prev *Artifacts, cons *ucf.Constraints, rfn func(*netlist.Net) *frames.Region,
@@ -138,12 +129,8 @@ func newEditSession(prev *Artifacts, cons *ucf.Constraints, rfn func(*netlist.Ne
 		return nil, fmt.Errorf("flow: edit session needs implemented artifacts")
 	}
 	s := &EditSession{
-		part:     prev.Part,
-		cons:     cons,
-		rfn:      rfn,
-		regionFP: regionFP,
-		opts:     opts,
-		prev:     prev,
+		job:  job{part: prev.Part, cons: cons, rfn: rfn, regionFP: regionFP, opts: opts},
+		prev: prev,
 	}
 	if err := s.rebind(prev); err != nil {
 		return nil, err
@@ -328,7 +315,7 @@ func (s *EditSession) applyEdits(ctx context.Context, pd *phys.Design, next *net
 	sort.Ints(cols)
 	for _, col := range cols {
 		key := s.columnKey(next, col)
-		payload, hit, err := c.GetOrCompute("col", key, func() ([]byte, error) {
+		payload, hit, err := c.GetOrCompute(ctx, "col", key, func() ([]byte, error) {
 			if err := bitgen.ReprogramInitEdits(s.mem, pd, byCol[col]); err != nil {
 				return nil, err
 			}
@@ -409,7 +396,9 @@ func (s *EditSession) rebuild(ctx context.Context, next *netlist.Design, diff *n
 	defer sp.End()
 	mIncrRebuilds.Inc()
 
-	a, err := run(ctx, s.part, next, s.cons, s.rfn, s.regionFP, s.opts, 0)
+	j := s.job
+	j.nl = next
+	a, err := j.run(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("flow: incremental rebuild: %w", err)
 	}

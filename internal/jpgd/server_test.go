@@ -303,7 +303,7 @@ func TestConcurrentGenerates(t *testing.T) {
 func TestLogCorrelation(t *testing.T) {
 	f := buildFixture(t)
 	var logs syncBuffer
-	_, ts := newTestServer(t, jpgd.Config{
+	srv, ts := newTestServer(t, jpgd.Config{
 		Logger: jpglog.New(&logs, slog.LevelDebug),
 		Cache:  cache.New(cache.Options{NoDisk: true}),
 	})
@@ -341,6 +341,11 @@ func TestLogCorrelation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != 200 {
 		t.Fatalf("generate status %d", resp.StatusCode)
+	}
+	// The access log line is written after the response is flushed; wait
+	// for both handlers to return before reading the logs.
+	if err := srv.Drain(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 
 	byID := map[string]map[string]bool{} // request_id -> set of msg
