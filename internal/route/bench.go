@@ -3,7 +3,6 @@ package route
 import (
 	"fmt"
 
-	"repro/internal/device"
 	"repro/internal/phys"
 )
 
@@ -25,11 +24,7 @@ type NetBencher struct {
 // (warm scratch, stable tree capacities). Call Close when done to return the
 // scratch to the pool.
 func NewNetBencher(d *phys.Design) (*NetBencher, error) {
-	r := &router{
-		d:    d,
-		g:    device.NewGraph(d.Part),
-		opts: Options{MaxIters: 48, PresentFactor: 0.6, HistoryFactor: 0.35},
-	}
+	r := newRouter(d, Options{})
 	r.s = getScratch(d.Part.NumNodes())
 	nets, err := r.collectNets()
 	if err != nil {

@@ -1,13 +1,16 @@
 package route
 
 import (
+	"context"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/designs"
 	"repro/internal/device"
 	"repro/internal/frames"
 	"repro/internal/netlist"
+	"repro/internal/obs"
 	"repro/internal/phys"
 	"repro/internal/place"
 	"repro/internal/ucf"
@@ -225,4 +228,122 @@ func TestRegionConstrainedRoutingFailsWhenPadsFar(t *testing.T) {
 	if err := Route(d, opts); err == nil {
 		t.Fatal("routing escaped its region to reach a far pad")
 	}
+}
+
+// TestRerouteOnlyCongestedNets drives PathFinder one net turn at a time.
+// Iteration 0 routes every net. After it, a net is ripped up only if its
+// tree holds an overused node when its turn comes, judged here from every
+// net's tree rather than the router's occupancy counts, and a skipped net
+// keeps its tree. Route must end with the same trees, every run.
+func TestRerouteOnlyCongestedNets(t *testing.T) {
+	nl, err := designs.Standalone(designs.SBoxBank{N: 24, Seed: 9}, "sb", "u1/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := placeDesign(t, "XCV50", nl, nil, 5)
+	r := newRouter(d, Options{})
+	r.s = getScratch(d.Part.NumNodes())
+	defer putScratch(r.s)
+	nets, err := r.collectNets()
+	if err != nil {
+		t.Fatal(err)
+	}
+	overused := func(fn *fabricNet) bool {
+		claims := map[device.NodeID]int{}
+		for _, other := range nets {
+			for _, te := range other.tree {
+				claims[te.node]++
+			}
+		}
+		for _, te := range fn.tree {
+			if claims[te.node] > 1 {
+				return true
+			}
+		}
+		return false
+	}
+
+	presentFac := r.opts.PresentFactor
+	iters, rerouted, skipped := 0, 0, 0
+	for {
+		if iters == r.opts.MaxIters {
+			t.Fatalf("no convergence in %d iterations", iters)
+		}
+		for _, fn := range nets {
+			before := append([]treeEdge(nil), fn.tree...)
+			want := iters == 0 || overused(fn)
+			routed, err := r.turn(fn, iters, presentFac)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if routed != want {
+				t.Fatalf("iteration %d net %q: routed %v, want %v", iters, fn.net.Name, routed, want)
+			}
+			switch {
+			case iters == 0:
+			case routed:
+				rerouted++
+			default:
+				skipped++
+				if !slices.Equal(before, fn.tree) {
+					t.Fatalf("iteration %d: skipped net %q changed its tree", iters, fn.net.Name)
+				}
+			}
+		}
+		iters++
+		if r.overusedNodes() == 0 {
+			break
+		}
+		presentFac = r.negotiate(presentFac)
+	}
+	if iters < 2 || rerouted == 0 || skipped == 0 {
+		t.Fatalf("%d iterations, %d reroutes, %d skips: the design does not exercise the schedule",
+			iters, rerouted, skipped)
+	}
+
+	reroutes := obs.GetCounter("route.reroutes")
+	for run := 0; run < 2; run++ {
+		rd := placeDesign(t, "XCV50", nl, nil, 5)
+		before := reroutes.Value()
+		col := obs.New()
+		if err := RouteCtx(col.Attach(context.Background()), rd, Options{}); err != nil {
+			t.Fatal(err)
+		}
+		if got := reroutes.Value() - before; got != int64(rerouted) {
+			t.Errorf("run %d: route.reroutes rose by %d, want %d", run, got, rerouted)
+		}
+		// Each route.iter span counts the nets it routed: all of them
+		// first, then the reroutes.
+		var perIter []int64
+		for _, sp := range col.Spans() {
+			for _, a := range sp.Attrs {
+				if sp.Name == "route.iter" && a.Key == "rerouted" {
+					perIter = append(perIter, a.Value.(int64))
+				}
+			}
+		}
+		if len(perIter) != iters || perIter[0] != int64(len(nets)) {
+			t.Fatalf("run %d: route.iter rerouted attrs %v, want %d iterations starting at %d",
+				run, perIter, iters, len(nets))
+		}
+		later := int64(0)
+		for _, n := range perIter[1:] {
+			later += n
+		}
+		if later != int64(rerouted) {
+			t.Errorf("run %d: route.iter spans report %d reroutes after iteration 0, want %d", run, later, rerouted)
+		}
+		for _, fn := range nets {
+			got := rd.Routes[fn.net].PIPs
+			if len(got) != len(fn.tree) {
+				t.Fatalf("run %d net %q: %d pips, want %d", run, fn.net.Name, len(got), len(fn.tree))
+			}
+			for i, te := range fn.tree {
+				if got[i] != te.pip {
+					t.Fatalf("run %d net %q pip %d: %+v, want %+v", run, fn.net.Name, i, got[i], te.pip)
+				}
+			}
+		}
+	}
+	t.Logf("%d iterations, %d reroutes after iteration 0, %d nets kept their trees", iters, rerouted, skipped)
 }
