@@ -95,7 +95,8 @@ type EditSession struct {
 	mem *frames.Memory
 	// colIndex maps each CLB column to the names of the cells placed in it
 	// (sorted); colBase keys the per-column sub-stage cache. Both are
-	// functions of the placement and are rebuilt after a structural rebuild.
+	// functions of the routed design and are rebuilt after a structural
+	// rebuild.
 	colIndex map[int][]string
 	colBase  cache.Key
 	valid    bool
@@ -145,10 +146,32 @@ func (s *EditSession) rebind(a *Artifacts) error {
 	if err != nil {
 		return fmt.Errorf("flow: edit session: regenerate frames: %w", err)
 	}
+	// A column payload carries routing bits, so the key base hashes the
+	// routed design itself (as NCD, Init values masked: the column sub-keys
+	// carry those). A payload is then only replayed onto the placement and
+	// routes it was generated from, whichever placer or router made them.
+	f, err := a.Phys.Flatten()
+	if err != nil {
+		return fmt.Errorf("flow: edit session: %w", err)
+	}
+	for i := range f.Cells {
+		f.Cells[i].Init = 0
+	}
+	routed, err := ncd.MarshalFlat(f)
+	if err != nil {
+		return fmt.Errorf("flow: edit session: %w", err)
+	}
+	h := cache.NewHasher("flow.incremental/v2")
+	h.Str("part", s.part.Name)
+	h.Str("struct", a.Netlist.StructuralFingerprint())
+	h.Str("ucf", s.cons.Fingerprint())
+	h.Str("opts", s.opts.Fingerprint())
+	h.Str("regions", s.regionFP)
+	h.Bytes("routed", routed)
+
 	mem.StartTracking()
 	s.prev = a
 	s.mem = mem
-
 	s.colIndex = map[int][]string{}
 	for c, site := range a.Phys.Cells {
 		s.colIndex[site.Col] = append(s.colIndex[site.Col], c.Name)
@@ -156,12 +179,6 @@ func (s *EditSession) rebind(a *Artifacts) error {
 	for _, names := range s.colIndex {
 		sort.Strings(names)
 	}
-	h := cache.NewHasher("flow.incremental/v1")
-	h.Str("part", s.part.Name)
-	h.Str("struct", a.Netlist.StructuralFingerprint())
-	h.Str("ucf", s.cons.Fingerprint())
-	h.Str("opts", s.opts.Fingerprint())
-	h.Str("regions", s.regionFP)
 	s.colBase = h.Sum()
 	s.valid = true
 	return nil
@@ -286,9 +303,9 @@ func (s *EditSession) splice(ctx context.Context, next *netlist.Design, diff *ne
 
 // applyEdits writes the INIT edits into the session memory, one affected
 // column at a time. With a cache attached, each column's complete frame
-// payload is memoized under a sub-stage key covering the structure and the
-// column's Init values, so revisiting a configuration in a warm edit storm
-// replays the column's frames instead of reprogramming cells.
+// payload is memoized under a sub-stage key covering the routed design and
+// the column's Init values, so revisiting a configuration in a warm edit
+// storm replays the column's frames instead of reprogramming cells.
 func (s *EditSession) applyEdits(ctx context.Context, pd *phys.Design, next *netlist.Design,
 	edits []netlist.InitEdit) (colHits int, err error) {
 	c := cache.FromContext(ctx)
@@ -336,8 +353,8 @@ func (s *EditSession) applyEdits(ctx context.Context, pd *phys.Design, next *net
 }
 
 // columnKey is the sub-stage cache key of one CLB column's frame payload:
-// the session's structural base key plus the Init values of every cell
-// placed in the column.
+// the session's base key (the routed design) plus the Init values of every
+// cell placed in the column.
 func (s *EditSession) columnKey(nl *netlist.Design, col int) cache.Key {
 	fields := make([]string, 0, 1+len(s.colIndex[col]))
 	fields = append(fields, fmt.Sprintf("col=%d", col))
