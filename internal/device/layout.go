@@ -82,6 +82,17 @@ func (p *Part) CLBBit(row, col, localBit int) BitCoord {
 	}
 }
 
+// CLBRowBits returns the frame bit range [lo, hi) that CLB rows r1..r2
+// (0-based, inclusive) occupy in every frame of a CLB column: their
+// stripes are adjacent, so the bits of a CLB block are one range per frame.
+// It panics on out-of-range rows, as CLBBit does.
+func (p *Part) CLBRowBits(r1, r2 int) (lo, hi int) {
+	if r1 < 0 || r1 > r2 || r2 >= p.Rows {
+		panic(fmt.Sprintf("device: CLB rows %d..%d out of range for %s", r1+1, r2+1, p.Name))
+	}
+	return stripeOfRow(r1) * 18, (stripeOfRow(r2) + 1) * 18
+}
+
 // LUTBit returns the coordinate of truth-table bit i (0..15) of the given
 // LUT. slice is 0 or 1; lut is LUTF or LUTG.
 func (p *Part) LUTBit(row, col, slice, lut, i int) BitCoord {

@@ -12,11 +12,12 @@ import (
 // small edit without diffing the whole memory against a snapshot — the same
 // granularity the Virtex configuration port itself works at.
 //
-// Tracking is maintained by the setter APIs (SetBit, SetFrame, Clear,
-// CopyFrames), which mark a frame only when its content actually changes; an
-// idempotent rewrite leaves it clean. Writes through the aliasing slice
-// returned by Frame bypass tracking — the JBits layer and bitgen write
-// exclusively through SetBit, so the CAD flow is fully covered.
+// Tracking is maintained by the setter APIs (SetBit, ClearBits, SetFrame,
+// Clear, CopyFrames), which mark a frame only when its content actually
+// changes; an idempotent rewrite leaves it clean. Writes through the
+// aliasing slice returned by Frame bypass tracking — the JBits layer writes
+// exclusively through SetBit and ClearBits, and bitgen through JBits, so the
+// CAD flow is fully covered.
 
 // StartTracking enables dirty-frame tracking with an empty dirty set. It is
 // idempotent on an already-tracking memory except that the dirty set is

@@ -18,8 +18,8 @@ type Memory struct {
 	data []uint32
 	// dirty, when non-nil, is a per-frame bitset of frames whose content has
 	// changed since tracking started (see dirty.go). Only the setter APIs
-	// (SetBit, SetFrame, Clear, CopyFrames) maintain it; writes through the
-	// aliasing Frame slice are invisible to tracking.
+	// (SetBit, ClearBits, SetFrame, Clear, CopyFrames) maintain it; writes
+	// through the aliasing Frame slice are invisible to tracking.
 	dirty []uint64
 }
 
@@ -81,6 +81,30 @@ func (m *Memory) SetBit(bc device.BitCoord, v bool) {
 		*word &^= mask
 	}
 	if m.dirty != nil && *word != old {
+		m.markDirty(i)
+	}
+}
+
+// ClearBits zeroes bits [lo, hi) of the addressed frame, numbered as in
+// device.BitCoord, a word at a time. Like SetBit, it marks the frame dirty
+// only if a bit changed.
+func (m *Memory) ClearBits(f device.FAR, lo, hi int) {
+	i := m.Part.FrameIndex(f)
+	fw := m.Part.FrameWords()
+	if lo < 0 || lo > hi || hi > fw*32 {
+		panic(fmt.Sprintf("frames: bit range [%d, %d) outside a %d-word frame", lo, hi, fw))
+	}
+	w := m.data[i*fw : (i+1)*fw]
+	var changed uint32
+	for k := lo / 32; 32*k < hi; k++ {
+		// Frame bits run from each word's MSB down (bit b is bit 31-b%32
+		// of word b/32): keep the word's bits from lo on, drop those from
+		// hi on.
+		mask := (^uint32(0) >> max(lo-32*k, 0)) &^ (^uint32(0) >> min(hi-32*k, 32))
+		changed |= w[k] & mask
+		w[k] &^= mask
+	}
+	if m.dirty != nil && changed != 0 {
 		m.markDirty(i)
 	}
 }

@@ -30,6 +30,35 @@ func TestBitRoundTrip(t *testing.T) {
 	}
 }
 
+// TestClearBitsMatchesSetBit pins the word-level ClearBits to one SetBit per
+// bit, dirty marking included, over arbitrary ranges of a random frame.
+func TestClearBitsMatchesSetBit(t *testing.T) {
+	p := xcv50()
+	far := device.MakeFAR(device.BlockCLB, p.CLBMajor(2), 7)
+	f := func(fill []uint32, a, b uint16) bool {
+		words := make([]uint32, p.FrameWords())
+		copy(words, fill)
+		lo, hi := int(a)%(p.FrameBits()+1), int(b)%(p.FrameBits()+1)
+		if lo > hi {
+			lo, hi = hi, lo
+		}
+		got, want := New(p), New(p)
+		if got.SetFrame(far, words) != nil || want.SetFrame(far, words) != nil {
+			return false
+		}
+		got.StartTracking()
+		want.StartTracking()
+		got.ClearBits(far, lo, hi)
+		for bit := lo; bit < hi; bit++ {
+			want.SetBit(device.BitCoord{FAR: far, Bit: bit}, false)
+		}
+		return got.Equal(want) && got.FrameDirty(far) == want.FrameDirty(far)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestSetFrameLengthCheck(t *testing.T) {
 	p := xcv50()
 	m := New(p)

@@ -1,6 +1,8 @@
 package jbits
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -140,6 +142,74 @@ func TestClearCLBAndRegion(t *testing.T) {
 	}
 	if v, _ := j.GetLUT(5, 5, 0, device.LUTF); v != 1 {
 		t.Fatal("region clear leaked outside the region")
+	}
+}
+
+// clearRegionBitwise is the reference ClearRegion: one SetBit per bit of
+// every CLB in the region.
+func clearRegionBitwise(j *JBits, rg frames.Region) {
+	for r := rg.R1; r <= rg.R2; r++ {
+		for c := rg.C1; c <= rg.C2; c++ {
+			for b := 0; b < device.CLBLocalBits; b++ {
+				j.Mem.SetBit(j.Part.CLBBit(r, c, b), false)
+			}
+		}
+	}
+}
+
+// TestClearRegionMatchesBitwise pins the word-level ClearRegion to the
+// per-bit reference on every part: the same memory and the same dirty set,
+// from a random fill in which a quarter of the frames are blank (so some
+// region frames stay clean). Clearing a clear region dirties nothing.
+func TestClearRegionMatchesBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	for _, p := range device.All() {
+		base := frames.New(p)
+		words := make([]uint32, p.FrameWords())
+		for f, ok := p.FirstFAR(), true; ok; f, ok = p.NextFAR(f) {
+			blank := rng.Intn(4) == 0
+			for i := range words {
+				words[i] = 0
+				if !blank {
+					words[i] = rng.Uint32()
+				}
+			}
+			if err := base.SetFrame(f, words); err != nil {
+				t.Fatal(err)
+			}
+		}
+		regions := []struct {
+			name string
+			rg   frames.Region
+		}{
+			{"full device", frames.FullRegion(p)},
+			{"column band", frames.Region{R1: 0, C1: 3, R2: p.Rows - 1, C2: 8}},
+			{"interior block", frames.Region{R1: 2, C1: 5, R2: p.Rows - 4, C2: p.Cols / 2}},
+			{"single tile", frames.Region{R1: p.Rows / 2, C1: p.Cols / 3, R2: p.Rows / 2, C2: p.Cols / 3}},
+			{"bottom-right tile", frames.Region{R1: p.Rows - 1, C1: p.Cols - 1, R2: p.Rows - 1, C2: p.Cols - 1}},
+		}
+		for _, tc := range regions {
+			got, want := base.Clone(), base.Clone()
+			got.StartTracking()
+			want.StartTracking()
+			if err := New(got).ClearRegion(tc.rg); err != nil {
+				t.Fatalf("%s %s: %v", p.Name, tc.name, err)
+			}
+			clearRegionBitwise(New(want), tc.rg)
+			if !got.Equal(want) {
+				t.Fatalf("%s %s: memory differs from the per-bit clear", p.Name, tc.name)
+			}
+			if g, w := got.DirtyFARs(), want.DirtyFARs(); !reflect.DeepEqual(g, w) {
+				t.Fatalf("%s %s: dirty set %d frames, per-bit clear %d", p.Name, tc.name, len(g), len(w))
+			}
+			got.ResetDirty()
+			if err := New(got).ClearRegion(tc.rg); err != nil {
+				t.Fatal(err)
+			}
+			if n := got.DirtyCount(); n != 0 {
+				t.Fatalf("%s %s: clearing a clear region dirtied %d frames", p.Name, tc.name, n)
+			}
+		}
 	}
 }
 
