@@ -231,9 +231,7 @@ func (d *decoder) writeReg(off, reg int, data []uint32) {
 	// CRC, register address first — mirroring the device's configuration
 	// logic with bitlint's own CRC implementation.
 	if reg != bitstream.RegCRC {
-		for _, w := range data {
-			d.crc = crcWord(d.crc, reg, w)
-		}
+		d.crc = crcWords(d.crc, reg, data)
 	}
 
 	switch reg {

@@ -129,9 +129,7 @@ func (pt *Port) Feed(words []uint32) error {
 
 func (pt *Port) writeReg(reg int, data []uint32) error {
 	if reg != RegCRC {
-		for _, w := range data {
-			pt.crc = crcUpdate(pt.crc, reg, w)
-		}
+		pt.crc = crcFold(pt.crc, reg, data)
 	}
 	switch reg {
 	case RegCRC:

@@ -124,17 +124,11 @@ func (b *builder) finish() []byte {
 
 func (b *builder) raw(w uint32) { b.words = append(b.words, w) }
 
-func (b *builder) fold(reg int, data ...uint32) {
-	for _, w := range data {
-		b.crc = crcUpdate(b.crc, reg, w)
-	}
-}
-
 // t1 emits a type-1 write packet.
 func (b *builder) t1(reg int, data ...uint32) {
 	b.raw(type1Header(OpWrite, reg, len(data)))
 	b.words = append(b.words, data...)
-	b.fold(reg, data...)
+	b.crc = crcFold(b.crc, reg, data)
 	b.lastReg = reg
 }
 
@@ -199,17 +193,14 @@ func (b *builder) fdri(mem *frames.Memory, run FrameRun) error {
 		b.raw(type2Header(OpWrite, count))
 	}
 	b.lastReg = RegFDRI
+	start := len(b.words)
 	for _, f := range b.fars {
-		frame := mem.Frame(f)
-		b.words = append(b.words, frame...)
-		for _, w := range frame {
-			b.crc = crcUpdate(b.crc, RegFDRI, w)
-		}
+		b.words = append(b.words, mem.Frame(f)...)
 	}
 	for i := 0; i < fw; i++ { // pad frame
 		b.words = append(b.words, 0)
-		b.crc = crcUpdate(b.crc, RegFDRI, 0)
 	}
+	b.crc = crcFold(b.crc, RegFDRI, b.words[start:])
 	return nil
 }
 
