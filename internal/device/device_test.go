@@ -42,31 +42,50 @@ func TestFrameWords(t *testing.T) {
 }
 
 func TestFARRoundTrip(t *testing.T) {
-	p := MustByName("XCV50")
-	// Walk all frames via NextFAR and confirm FrameIndex/FARAt agree.
-	f := p.FirstFAR()
-	for i := 0; ; i++ {
-		if !p.ValidFAR(f) {
-			t.Fatalf("NextFAR produced invalid %v at step %d", f, i)
-		}
-		if got := p.FrameIndex(f); got != i {
-			t.Fatalf("FrameIndex(%v) = %d, want %d", f, got, i)
-		}
-		back, err := p.FARAt(i)
-		if err != nil || back != f {
-			t.Fatalf("FARAt(%d) = %v, %v; want %v", i, back, err, f)
-		}
-		next, ok := p.NextFAR(f)
-		if !ok {
-			if i != p.TotalFrames()-1 {
-				t.Fatalf("walk ended at %d frames, want %d", i+1, p.TotalFrames())
+	for _, p := range All() {
+		// Walk all frames via NextFAR and confirm FrameIndex/FARAt agree.
+		f := p.FirstFAR()
+		for i := 0; ; i++ {
+			if !p.ValidFAR(f) {
+				t.Fatalf("%s: NextFAR produced invalid %v at step %d", p.Name, f, i)
 			}
-			break
+			if got := p.FrameIndex(f); got != i {
+				t.Fatalf("%s: FrameIndex(%v) = %d, want %d", p.Name, f, got, i)
+			}
+			back, err := p.FARAt(i)
+			if err != nil || back != f {
+				t.Fatalf("%s: FARAt(%d) = %v, %v; want %v", p.Name, i, back, err, f)
+			}
+			next, ok := p.NextFAR(f)
+			if !ok {
+				if i != p.TotalFrames()-1 {
+					t.Fatalf("%s: walk ended at %d frames, want %d", p.Name, i+1, p.TotalFrames())
+				}
+				break
+			}
+			f = next
 		}
-		f = next
-	}
-	if _, err := p.FARAt(p.TotalFrames()); err == nil {
-		t.Fatal("FARAt past end should error")
+		if _, err := p.FARAt(p.TotalFrames()); err == nil {
+			t.Fatalf("%s: FARAt past end should error", p.Name)
+		}
+		if _, err := p.FARAt(-1); err == nil {
+			t.Fatalf("%s: FARAt(-1) should error", p.Name)
+		}
+		for _, bad := range []FAR{
+			MakeFAR(BlockCLB, p.NumMajors(BlockCLB), 0),
+			MakeFAR(BlockCLB, p.CLBMajor(0), FramesCLBCol),
+			MakeFAR(BlockBRAM, 2, 0),
+			MakeFAR(NumBlockTypes, 0, 0),
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: FrameIndex(%v) did not panic", p.Name, bad)
+					}
+				}()
+				p.FrameIndex(bad)
+			}()
+		}
 	}
 }
 

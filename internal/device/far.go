@@ -157,32 +157,55 @@ func (p *Part) FrameIndex(f FAR) int {
 	if !p.ValidFAR(f) {
 		panic(fmt.Sprintf("device: invalid %v for %s", f, p.Name))
 	}
-	idx := 0
-	for bt := 0; bt < f.BlockType(); bt++ {
-		for maj := 0; maj < p.NumMajors(bt); maj++ {
-			idx += p.FramesInMajor(bt, maj)
-		}
+	clb, iob, bramInt, bram, _ := p.frameStarts()
+	maj, c := f.Major(), p.Cols
+	switch {
+	case f.BlockType() == BlockBRAM:
+		return bram + maj*FramesBRAMCol + f.Minor()
+	case maj == 0:
+		return f.Minor()
+	case maj <= c:
+		return clb + (maj-1)*FramesCLBCol + f.Minor()
+	case maj <= c+2:
+		return iob + (maj-c-1)*FramesIOBCol + f.Minor()
+	default:
+		return bramInt + (maj-c-3)*FramesBRAMIntCol + f.Minor()
 	}
-	for maj := 0; maj < f.Major(); maj++ {
-		idx += p.FramesInMajor(f.BlockType(), maj)
-	}
-	return idx + f.Minor()
 }
 
 // FARAt is the inverse of FrameIndex.
 func (p *Part) FARAt(index int) (FAR, error) {
-	if index < 0 {
+	clb, iob, bramInt, bram, total := p.frameStarts()
+	c := p.Cols
+	switch {
+	case index < 0:
 		return 0, fmt.Errorf("device: negative frame index %d", index)
+	case index < clb:
+		return MakeFAR(BlockCLB, 0, index), nil
+	case index < iob:
+		i := index - clb
+		return MakeFAR(BlockCLB, 1+i/FramesCLBCol, i%FramesCLBCol), nil
+	case index < bramInt:
+		i := index - iob
+		return MakeFAR(BlockCLB, c+1+i/FramesIOBCol, i%FramesIOBCol), nil
+	case index < bram:
+		i := index - bramInt
+		return MakeFAR(BlockCLB, c+3+i/FramesBRAMIntCol, i%FramesBRAMIntCol), nil
+	case index < total:
+		i := index - bram
+		return MakeFAR(BlockBRAM, i/FramesBRAMCol, i%FramesBRAMCol), nil
 	}
-	rem := index
-	for bt := 0; bt < NumBlockTypes; bt++ {
-		for maj := 0; maj < p.NumMajors(bt); maj++ {
-			n := p.FramesInMajor(bt, maj)
-			if rem < n {
-				return MakeFAR(bt, maj, rem), nil
-			}
-			rem -= n
-		}
-	}
-	return 0, fmt.Errorf("device: frame index %d out of range (%d frames)", index, p.TotalFrames())
+	return 0, fmt.Errorf("device: frame index %d out of range (%d frames)", index, total)
+}
+
+// frameStarts returns the linear index of the first frame of the CLB
+// columns, the IOB columns, the BRAM interconnect columns and the BRAM
+// content columns (block type 1), and the total frame count: the column
+// order described at the top of this file, in closed form.
+func (p *Part) frameStarts() (clb, iob, bramInt, bram, total int) {
+	clb = FramesClockCol
+	iob = clb + p.Cols*FramesCLBCol
+	bramInt = iob + 2*FramesIOBCol
+	bram = bramInt + 2*FramesBRAMIntCol
+	return clb, iob, bramInt, bram, bram + 2*FramesBRAMCol
 }

@@ -117,13 +117,8 @@ func (p *Part) NumLUTs() int { return 4 * p.NumCLBs() }
 // TotalFrames returns the number of configuration frames across all block
 // types and columns.
 func (p *Part) TotalFrames() int {
-	n := 0
-	for bt := 0; bt < NumBlockTypes; bt++ {
-		for maj := 0; maj < p.NumMajors(bt); maj++ {
-			n += p.FramesInMajor(bt, maj)
-		}
-	}
-	return n
+	_, _, _, _, total := p.frameStarts()
+	return total
 }
 
 // ConfigBits returns the total configuration payload in bits under our frame
