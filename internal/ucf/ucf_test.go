@@ -181,3 +181,12 @@ func TestParseNeverPanicsOnMutations(t *testing.T) {
 		}()
 	}
 }
+
+// FuzzParse: UCF text, as a /v1/generate request carries it, either parses
+// or fails with an error. It never panics.
+func FuzzParse(f *testing.F) {
+	f.Add(sample)
+	f.Fuzz(func(t *testing.T, text string) {
+		_, _ = Parse(text)
+	})
+}

@@ -10,10 +10,10 @@ import (
 	"repro/internal/route"
 )
 
-// TestParseNeverPanicsOnMutations feeds randomly mutated valid XDL into the
-// parser and loader: every outcome must be a clean error or a valid design,
-// never a panic. This guards the JPG tool's main untrusted input path.
-func TestParseNeverPanicsOnMutations(t *testing.T) {
+// counterXDL is the XDL of a placed and routed 4-bit counter: the valid
+// input the mutation test and the fuzz target start from.
+func counterXDL(t testing.TB) string {
+	t.Helper()
 	nl, err := designs.Standalone(designs.Counter{Bits: 4}, "cnt", "u1/")
 	if err != nil {
 		t.Fatal(err)
@@ -29,7 +29,14 @@ func TestParseNeverPanicsOnMutations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return valid
+}
 
+// TestParseNeverPanicsOnMutations feeds randomly mutated valid XDL into the
+// parser and loader: every outcome must be a clean error or a valid design,
+// never a panic. This guards the JPG tool's main untrusted input path.
+func TestParseNeverPanicsOnMutations(t *testing.T) {
+	valid := counterXDL(t)
 	rng := rand.New(rand.NewSource(99))
 	mutate := func(s string) string {
 		b := []byte(s)
@@ -77,4 +84,20 @@ func TestParseNeverPanicsOnMutations(t *testing.T) {
 			}
 		}()
 	}
+}
+
+// FuzzLoad extends the mutation test to coverage-guided input: XDL text, as
+// a /v1/generate request carries it, either fails to load or loads into a
+// design that passes the placement check. It never panics.
+func FuzzLoad(f *testing.F) {
+	f.Add(counterXDL(f))
+	f.Fuzz(func(t *testing.T, text string) {
+		loaded, err := Load(text)
+		if err != nil {
+			return
+		}
+		if err := loaded.CheckPlacement(); err != nil {
+			t.Fatalf("loaded design fails placement check: %v", err)
+		}
+	})
 }
