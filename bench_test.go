@@ -175,7 +175,7 @@ func BenchmarkPlaceCounter(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := place.Place(p, nl, place.Options{Seed: int64(i)}); err != nil {
+		if _, err := place.PlaceCtx(context.Background(), p, nl, place.Options{Seed: int64(i)}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -190,12 +190,12 @@ func BenchmarkRouteCounter(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		pd, err := place.Place(p, nl, place.Options{Seed: int64(i)})
+		pd, err := place.PlaceCtx(context.Background(), p, nl, place.Options{Seed: int64(i)})
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		if err := route.Route(pd, route.Options{}); err != nil {
+		if err := route.RouteCtx(context.Background(), pd, route.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -233,7 +233,7 @@ func BenchmarkRouteNet(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pd, err := place.Place(p, nl, place.Options{Seed: 2})
+	pd, err := place.PlaceCtx(context.Background(), p, nl, place.Options{Seed: 2})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func BenchmarkMultiStartPlace(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				_, err = place.Place(p, nl, place.Options{Seed: 7, Starts: 8, Workers: workers})
+				_, err = place.PlaceCtx(context.Background(), p, nl, place.Options{Seed: 7, Starts: 8, Workers: workers})
 				if err != nil {
 					b.Fatal(err)
 				}

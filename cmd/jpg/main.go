@@ -11,11 +11,8 @@
 //	jpg -base base.bit -xdl variant.xdl -ucf variant.ucf -o partial.bit \
 //	    [-writeback rewritten.bit] [-floorplan] [-strict] [-incremental] \
 //	    [-verify] [-download] [-v] [-faults spec] [-retries n] [-download-timeout d]
-//	jpg -serve :8080 [-log-level debug] [-cache] [-cache-dir DIR]
 //
-// -serve switches the binary into the jpgd HTTP service (see cmd/jpgd):
-// the same generation engine behind POST /v1/generate, with /metrics,
-// health probes, structured logs and a flight recorder.
+// The same generation engine runs as an HTTP service in cmd/jpgd.
 //
 // -incremental uses the flow's dirty-frame tracking to emit only the frames
 // whose content actually differs from the base — the smallest partial that
@@ -36,8 +33,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"repro/internal/bitfile"
@@ -45,9 +40,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/faults"
-	"repro/internal/jpgd"
 	"repro/internal/obs"
-	jpglog "repro/internal/obs/log"
 	"repro/internal/xhwif"
 )
 
@@ -77,13 +70,8 @@ func run() error {
 		faultSpec = flag.String("faults", os.Getenv(faults.Env), "inject deterministic download faults (e.g. \"nth=2,mode=error,seed=7\"; default $JPG_FAULTS)")
 		retries   = flag.Int("retries", 0, "max download attempts through the reliability layer (0 = xhwif default; implies the layer when > 0)")
 		dlTimeout = flag.Duration("download-timeout", 0, "deadline for one download including retries (implies the reliability layer when > 0)")
-		serve     = flag.String("serve", "", "run as the jpgd HTTP service on this address (e.g. :8080) instead of a one-shot generation")
-		logLevel  = flag.String("log-level", "info", "service log level with -serve: debug, info, warn, error")
 	)
 	flag.Parse()
-	if *serve != "" {
-		return serveDaemon(*serve, *logLevel, *useCache, *cacheDir)
-	}
 	ctx := context.Background()
 	var col *obs.Collector
 	if *verbose {
@@ -137,8 +125,8 @@ func run() error {
 		fmt.Print(m.FloorplanASCII(proj.Part))
 	}
 
-	_, sp = obs.Start(ctx, "generate.partial")
-	res, err := proj.GeneratePartial(m, core.GenerateOptions{
+	gctx, sp := obs.Start(ctx, "generate.partial")
+	res, err := proj.GeneratePartialCtx(gctx, m, core.GenerateOptions{
 		WriteBack: *writeBack != "",
 		Strict:    *strict,
 		Compress:  *compress,
@@ -188,13 +176,13 @@ func run() error {
 			})
 			hw = reliable
 		}
-		_, sp = obs.Start(ctx, "download")
-		dsFull, err := hw.Download(baseBS)
+		dctx, sp := obs.Start(ctx, "download")
+		dsFull, err := hw.DownloadCtx(dctx, baseBS)
 		if err != nil {
 			sp.End()
 			return err
 		}
-		ds, err := hw.Download(res.Bitstream)
+		ds, err := hw.DownloadCtx(dctx, res.Bitstream)
 		sp.End()
 		if err != nil {
 			return err
@@ -220,26 +208,6 @@ func run() error {
 		fmt.Print(obs.Default.Snapshot().Render())
 	}
 	return nil
-}
-
-// serveDaemon runs the tool as the jpgd service (see cmd/jpgd and
-// internal/jpgd) — the same binary, switched into a long-lived server.
-func serveDaemon(addr, logLevel string, useCache bool, cacheDir string) error {
-	level, err := jpglog.ParseLevel(logLevel)
-	if err != nil {
-		return err
-	}
-	cfg := jpgd.Config{
-		Logger: jpglog.New(os.Stderr, level),
-		Serve:  jpgd.ServeOptionsFromEnv(),
-	}
-	if useCache || cacheDir != "" {
-		cfg.Cache = cache.New(cache.Options{Dir: cacheDir, NoDisk: cacheDir == ""})
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	fmt.Printf("jpg serving on %s\n", addr)
-	return jpgd.New(cfg).ListenAndServe(ctx, addr)
 }
 
 func plural(n int64, one, many string) string {

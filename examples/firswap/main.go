@@ -56,7 +56,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, ds, err := proj.GenerateAndDownload(module, board, jpg.GenerateOptions{Strict: true})
+	res, ds, err := proj.GenerateAndDownload(ctx, module, board, jpg.GenerateOptions{Strict: true})
 	if err != nil {
 		log.Fatal(err)
 	}

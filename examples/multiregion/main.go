@@ -93,7 +93,7 @@ func main() {
 		}
 		mods[i] = m
 	}
-	results, err := proj.GeneratePartialAll(mods, jpg.GenerateOptions{Strict: true})
+	results, err := proj.GeneratePartialAll(ctx, mods, jpg.GenerateOptions{Strict: true})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -63,7 +63,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, dsPartial, err := proj.GenerateAndDownload(module, board, jpg.GenerateOptions{Strict: true})
+	res, dsPartial, err := proj.GenerateAndDownload(ctx, module, board, jpg.GenerateOptions{Strict: true})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package bitgen
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/bitstream"
@@ -20,11 +21,11 @@ func routed(t *testing.T, gen designs.Generator, seed int64) *phys.Design {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := place.Place(device.MustByName("XCV50"), nl, place.Options{Seed: seed})
+	d, err := place.PlaceCtx(context.Background(), device.MustByName("XCV50"), nl, place.Options{Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := route.Route(d, route.Options{}); err != nil {
+	if err := route.RouteCtx(context.Background(), d, route.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	return d
@@ -165,7 +166,7 @@ func TestGenerateRejectsUnroutedDesign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := place.Place(device.MustByName("XCV50"), nl, place.Options{Seed: 1})
+	d, err := place.PlaceCtx(context.Background(), device.MustByName("XCV50"), nl, place.Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

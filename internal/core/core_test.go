@@ -196,7 +196,7 @@ func TestGenerateAndDownload(t *testing.T) {
 	if _, err := board.Download(base.Bitstream); err != nil {
 		t.Fatal(err)
 	}
-	res, ds, err := proj.GenerateAndDownload(m, board, GenerateOptions{})
+	res, ds, err := proj.GenerateAndDownload(context.Background(), m, board, GenerateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestVerifyRegionAfterDownload(t *testing.T) {
 	if _, err := board.Download(base.Bitstream); err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := proj.GenerateAndDownload(m, board, GenerateOptions{Strict: true})
+	res, _, err := proj.GenerateAndDownload(context.Background(), m, board, GenerateOptions{Strict: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,7 +441,7 @@ func TestEndToEndOnXCV300(t *testing.T) {
 	if _, err := board.Download(base.Bitstream); err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := proj.GenerateAndDownload(m, board, GenerateOptions{Strict: true})
+	res, _, err := proj.GenerateAndDownload(context.Background(), m, board, GenerateOptions{Strict: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -487,7 +487,7 @@ func TestGeneratePartialAll(t *testing.T) {
 	}
 	before := proj.Base.Clone()
 	for _, workers := range []int{1, 4} {
-		got, err := proj.GeneratePartialAll(mods, GenerateOptions{Strict: true}, parallel.WithWorkers(workers))
+		got, err := proj.GeneratePartialAll(context.Background(), mods, GenerateOptions{Strict: true}, parallel.WithWorkers(workers))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -503,23 +503,17 @@ func TestGeneratePartialAll(t *testing.T) {
 	if !proj.Base.Equal(before) {
 		t.Fatal("GeneratePartialAll modified the base configuration")
 	}
-	if _, err := proj.GeneratePartialAll(mods, GenerateOptions{WriteBack: true}); err == nil {
+	if _, err := proj.GeneratePartialAll(context.Background(), mods, GenerateOptions{WriteBack: true}); err == nil {
 		t.Fatal("GeneratePartialAll accepted WriteBack")
 	}
 }
 
 // alwaysFail simulates a dead configuration link: every download errors and
 // the device keeps its state.
-type alwaysFail struct{ *xhwif.Board }
+type alwaysFail struct{ xhwif.HWIF }
 
-func (alwaysFail) Download([]byte) (xhwif.DownloadStats, error) {
+func (alwaysFail) DownloadCtx(context.Context, []byte) (xhwif.DownloadStats, error) {
 	return xhwif.DownloadStats{}, context.DeadlineExceeded
-}
-
-// DownloadCtx overrides the method promoted from the embedded Board so the
-// link stays dead on the context-aware path too.
-func (a alwaysFail) DownloadCtx(context.Context, []byte) (xhwif.DownloadStats, error) {
-	return a.Download(nil)
 }
 
 // TestGenerateAndDownloadCtxCancellation checks the context plumbing and the
@@ -545,7 +539,7 @@ func TestGenerateAndDownloadCtxCancellation(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := proj.GenerateAndDownloadCtx(ctx, m, board, GenerateOptions{}); !errors.Is(err, context.Canceled) {
+	if _, _, err := proj.GenerateAndDownload(ctx, m, board, GenerateOptions{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if !board.Readback().Equal(pre) {
@@ -553,7 +547,7 @@ func TestGenerateAndDownloadCtxCancellation(t *testing.T) {
 	}
 
 	// Failed download: project Base must not advance past the device.
-	if _, _, err := proj.GenerateAndDownloadCtx(context.Background(), m, alwaysFail{board}, GenerateOptions{}); err == nil {
+	if _, _, err := proj.GenerateAndDownload(context.Background(), m, alwaysFail{board}, GenerateOptions{}); err == nil {
 		t.Fatal("dead link reported success")
 	}
 	if !proj.Base.Equal(preBase) {
@@ -578,7 +572,7 @@ func TestGeneratePartialAllCtxCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := proj.GeneratePartialAllCtx(ctx, []*Module{m}, GenerateOptions{}); !errors.Is(err, context.Canceled) {
+	if _, err := proj.GeneratePartialAll(ctx, []*Module{m}, GenerateOptions{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

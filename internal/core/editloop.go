@@ -75,12 +75,12 @@ func (l *EditLoop) Edit(ctx context.Context, next *netlist.Design) (*EditResult,
 	if l.Board == nil {
 		opts := l.Opts
 		opts.WriteBack = false
-		if out.Partial, err = l.Project.GeneratePartial(m, opts); err != nil {
+		if out.Partial, err = l.Project.GeneratePartialCtx(ctx, m, opts); err != nil {
 			return nil, err
 		}
 		return out, nil
 	}
-	res, ds, err := l.Project.GenerateAndDownloadCtx(ctx, m, l.Board, l.Opts)
+	res, ds, err := l.Project.GenerateAndDownload(ctx, m, l.Board, l.Opts)
 	if err != nil {
 		return out, err
 	}

@@ -13,6 +13,7 @@ import (
 	"repro/internal/flow"
 	"repro/internal/frames"
 	"repro/internal/netlist"
+	"repro/internal/obs"
 )
 
 // editedGen wraps a generator and applies INIT edits after building, so a
@@ -169,5 +170,51 @@ func TestGeneratePartialDelta(t *testing.T) {
 	}
 	if !viaFull.Equal(viaDelta) {
 		t.Fatal("delta partial reconfigures to a different state than the region partial")
+	}
+}
+
+// TestEditLoopTracesPartial checks that a board-less edit generates its
+// partial under the caller's context: an attached collector records the
+// core.partial span as a child of the edit's core.edit span.
+func TestEditLoopTracesPartial(t *testing.T) {
+	base, variant := setup(t)
+	proj, err := NewProject(base.Bitstream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := flow.NewVariantEditSession(variant, base.Regions["u1/"], flow.Options{Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	loop := NewEditLoop(proj, sess, "u1_lfsr", GenerateOptions{})
+	next := variant.Netlist.Clone()
+	for _, c := range next.Cells {
+		if c.Kind == netlist.KindLUT4 {
+			if err := next.SetInit(c.Name, ^c.Init); err != nil {
+				t.Fatal(err)
+			}
+			break
+		}
+	}
+
+	col := obs.New()
+	if _, err := loop.Edit(col.Attach(context.Background()), next); err != nil {
+		t.Fatal(err)
+	}
+	var edit, partial *obs.SpanRecord
+	spans := col.Spans()
+	for i := range spans {
+		switch spans[i].Name {
+		case "core.edit":
+			edit = &spans[i]
+		case "core.partial":
+			partial = &spans[i]
+		}
+	}
+	if edit == nil || partial == nil {
+		t.Fatalf("collector missed a span: core.edit %v, core.partial %v", edit != nil, partial != nil)
+	}
+	if partial.Parent != edit.ID {
+		t.Fatalf("core.partial parent %d, want the core.edit span %d", partial.Parent, edit.ID)
 	}
 }

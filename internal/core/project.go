@@ -353,7 +353,20 @@ func (p *Project) computePartial(m *Module, opts GenerateOptions) (*Result, erro
 		}
 		fars = dirty
 	}
+	res, err := p.emit(work, fars, opts)
+	if err != nil {
+		return nil, err
+	}
+	res.Region = region
+	return res, nil
+}
+
+// emit writes the partial bitstream for fars out of work, MFWR-compressed
+// when asked, counts the carried frames that differ from the base, and with
+// WriteBack makes work the new base.
+func (p *Project) emit(work *frames.Memory, fars []device.FAR, opts GenerateOptions) (*Result, error) {
 	var bs []byte
+	var err error
 	if opts.Compress {
 		bs, err = bitstream.WritePartialCompressed(work, bitstream.RunsForFARs(p.Part, fars))
 	} else {
@@ -371,7 +384,7 @@ func (p *Project) computePartial(m *Module, opts GenerateOptions) (*Result, erro
 	if opts.WriteBack {
 		p.Base = work
 	}
-	return &Result{Bitstream: bs, Region: region, FARs: fars, FramesChanged: changed}, nil
+	return &Result{Bitstream: bs, FARs: fars, FramesChanged: changed}, nil
 }
 
 // GeneratePartialAll generates partial bitstreams for many modules
@@ -380,30 +393,18 @@ func (p *Project) computePartial(m *Module, opts GenerateOptions) (*Result, erro
 // Every module replays onto its own clone of the base configuration, so the
 // runs are independent; results are collected by module index and are
 // byte-identical to calling GeneratePartial serially in that order, for any
-// worker count. WriteBack is rejected: write-backs serialise on the base
-// state by definition, so a concurrent batch has no meaningful order —
-// callers that need option 2 semantics apply the partials one at a time.
-func (p *Project) GeneratePartialAll(ms []*Module, opts GenerateOptions, popts ...parallel.Option) ([]*Result, error) {
-	return p.GeneratePartialAllCtx(context.Background(), ms, opts, popts...)
-}
-
-// GeneratePartialAllCtx is GeneratePartialAll under a context: cancelling
-// ctx stops the batch dispatching new modules (in-flight generations run to
-// completion) and returns ctx.Err().
-func (p *Project) GeneratePartialAllCtx(ctx context.Context, ms []*Module, opts GenerateOptions, popts ...parallel.Option) ([]*Result, error) {
+// worker count. Cancelling ctx stops the batch dispatching new modules
+// (in-flight generations run to completion) and returns ctx.Err().
+// WriteBack is rejected: write-backs serialise on the base state by
+// definition, so a concurrent batch has no meaningful order — callers that
+// need option 2 semantics apply the partials one at a time.
+func (p *Project) GeneratePartialAll(ctx context.Context, ms []*Module, opts GenerateOptions, popts ...parallel.Option) ([]*Result, error) {
 	if opts.WriteBack {
 		return nil, fmt.Errorf("core: GeneratePartialAll cannot WriteBack (write-backs are order-dependent); generate serially")
 	}
-	return parallel.MapCtx(ctx, ms, func(ctx context.Context, _ int, m *Module) (*Result, error) {
+	return parallel.Map(ctx, ms, func(ctx context.Context, _ int, m *Module) (*Result, error) {
 		return p.GeneratePartialCtx(ctx, m, opts)
 	}, popts...)
-}
-
-// ContextDownloader is the context-aware download side of a board;
-// *xhwif.ReliableHWIF implements it (per-download deadlines, cancellable
-// backoff).
-type ContextDownloader interface {
-	DownloadCtx(ctx context.Context, bs []byte) (xhwif.DownloadStats, error)
 }
 
 // GenerateAndDownload generates the partial bitstream and downloads it to a
@@ -412,15 +413,10 @@ type ContextDownloader interface {
 // transactional with the download: if the board rejects the stream (all
 // retries exhausted, for a reliability-wrapped board), the project's base
 // configuration is left exactly as it was, mirroring the device's own
-// rollback — project and device never diverge.
-func (p *Project) GenerateAndDownload(m *Module, board xhwif.HWIF, opts GenerateOptions) (*Result, xhwif.DownloadStats, error) {
-	return p.GenerateAndDownloadCtx(context.Background(), m, board, opts)
-}
-
-// GenerateAndDownloadCtx is GenerateAndDownload under a context. When the
-// board implements ContextDownloader the context governs the download
-// (deadline, cancellation mid-backoff); otherwise it only gates the start.
-func (p *Project) GenerateAndDownloadCtx(ctx context.Context, m *Module, board xhwif.HWIF, opts GenerateOptions) (*Result, xhwif.DownloadStats, error) {
+// rollback — project and device never diverge. The context governs both
+// steps: the generation's span and logs, and the download's deadline and
+// cancellation (mid-backoff, for a reliability-wrapped board).
+func (p *Project) GenerateAndDownload(ctx context.Context, m *Module, board xhwif.HWIF, opts GenerateOptions) (*Result, xhwif.DownloadStats, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, xhwif.DownloadStats{}, err
 	}
@@ -431,14 +427,9 @@ func (p *Project) GenerateAndDownloadCtx(ctx context.Context, m *Module, board x
 	if err != nil {
 		return nil, xhwif.DownloadStats{}, err
 	}
-	var ds xhwif.DownloadStats
 	_, sp := obs.Start(ctx, "core.download")
 	sp.SetStr("module", m.Name)
-	if cd, ok := board.(ContextDownloader); ok {
-		ds, err = cd.DownloadCtx(ctx, res.Bitstream)
-	} else {
-		ds, err = board.Download(res.Bitstream)
-	}
+	ds, err := board.DownloadCtx(ctx, res.Bitstream)
 	sp.EndErr(err)
 	if err != nil {
 		obs.CountError("download")
@@ -460,17 +451,11 @@ func (p *Project) GenerateAndDownloadCtx(ctx context.Context, m *Module, board x
 	return res, ds, nil
 }
 
-// Readbacker is the readback side of a board: it executes readback packet
-// requests. *xhwif.Board implements it.
-type Readbacker interface {
-	ExecuteReadback(request []byte) ([]uint32, error)
-}
-
 // VerifyRegion reads the region's frames back from a board through the
 // readback protocol and compares them against the project's view of the
 // configuration — the "verify the update is happening on the region desired"
 // step of the paper's tool, done with data instead of a GUI.
-func (p *Project) VerifyRegion(rg frames.Region, board Readbacker) error {
+func (p *Project) VerifyRegion(rg frames.Region, board xhwif.HWIF) error {
 	if !rg.Valid(p.Part) {
 		return fmt.Errorf("core: verify region %v invalid for %s", rg, p.Part.Name)
 	}
@@ -541,26 +526,14 @@ func (p *Project) UpdateBRAM(opts GenerateOptions, fn func(jb *jbits.JBits) erro
 			fars = append(fars, p.Part.BRAMColumnFARs(side)...)
 		}
 	}
-	var bs []byte
-	if opts.Compress {
-		bs, err = bitstream.WritePartialCompressed(work, bitstream.RunsForFARs(p.Part, fars))
-	} else {
-		bs, err = bitstream.WritePartialForFARs(work, fars)
-	}
+	res, err := p.emit(work, fars, opts)
 	if err != nil {
 		return nil, err
 	}
-	changed := 0
-	for _, f := range fars {
-		if !work.FrameEqual(p.Base, f) {
-			changed++
-		}
-	}
 	if opts.WriteBack {
-		p.Base = work
 		// fn is arbitrary code; the resulting configuration has no
 		// derivable fingerprint, so memoization stops here.
 		p.baseFP = ""
 	}
-	return &Result{Bitstream: bs, FARs: fars, FramesChanged: changed}, nil
+	return res, nil
 }

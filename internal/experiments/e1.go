@@ -91,7 +91,7 @@ func E1(cfg Config) (*Table, error) {
 		total time.Duration
 		bytes int
 	}
-	convResults, err := parallel.MapCtx(ctx, enumerate(scenario), func(ctx context.Context, _ int, combo []designs.Instance) (convRun, error) {
+	convResults, err := parallel.Map(ctx, enumerate(scenario), func(ctx context.Context, _ int, combo []designs.Instance) (convRun, error) {
 		full, err := flow.BuildFull(ctx, part, combo, cfg.flowOpts(cfg.Seed))
 		if err != nil {
 			return convRun{}, fmt.Errorf("E1 conventional: %w", err)
@@ -164,9 +164,9 @@ func E1(cfg Config) (*Table, error) {
 		d     time.Duration
 		bytes int
 	}
-	gens, err := parallel.MapCtx(ctx, mods, func(_ context.Context, _ int, m *core.Module) (genRun, error) {
+	gens, err := parallel.Map(ctx, mods, func(ctx context.Context, _ int, m *core.Module) (genRun, error) {
 		t0 := time.Now()
-		res, err := proj.GeneratePartial(m, cfg.genOpts(core.GenerateOptions{Strict: true}))
+		res, err := proj.GeneratePartialCtx(ctx, m, cfg.genOpts(core.GenerateOptions{Strict: true}))
 		if err != nil {
 			return genRun{}, err
 		}

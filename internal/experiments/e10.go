@@ -163,7 +163,7 @@ func EditStorm(cfg Config) (*Table, *EditStormStats, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		coldRes, err := coldProj.GeneratePartial(coldMod, cfg.genOpts(core.GenerateOptions{}))
+		coldRes, err := coldProj.GeneratePartialCtx(ctx, coldMod, cfg.genOpts(core.GenerateOptions{}))
 		if err != nil {
 			return nil, nil, err
 		}

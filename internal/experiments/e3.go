@@ -16,6 +16,7 @@ import (
 // (8 bits per 50 MHz configuration clock).
 func E3(cfg Config) (*Table, error) {
 	cfg = cfg.withDefaults()
+	ctx := cfg.ctx()
 	parts := []string{"XCV50", "XCV300", "XCV1000"}
 	fractions := []int{8, 4, 3, 2}
 	if cfg.Quick {
@@ -44,7 +45,7 @@ func E3(cfg Config) (*Table, error) {
 			return nil, err
 		}
 		full := bitstream.WriteFull(mem)
-		dsFull, err := board.Download(full)
+		dsFull, err := board.DownloadCtx(ctx, full)
 		if err != nil {
 			return nil, err
 		}
@@ -57,7 +58,7 @@ func E3(cfg Config) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			ds, err := board.Download(partial)
+			ds, err := board.DownloadCtx(ctx, partial)
 			if err != nil {
 				return nil, err
 			}

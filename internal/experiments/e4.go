@@ -42,7 +42,7 @@ func E4(cfg Config) (*Table, error) {
 		moduleLEs, designLEs int
 		modPR, fullPR        time.Duration
 	}
-	results, err := parallel.MapCtx(ctx, sizes, func(ctx context.Context, _ int, n int) (sizeResult, error) {
+	results, err := parallel.Map(ctx, sizes, func(ctx context.Context, _ int, n int) (sizeResult, error) {
 		insts := []designs.Instance{
 			{Prefix: "u1/", Gen: designs.SBoxBank{N: n, Seed: 1}},
 			{Prefix: "u2/", Gen: designs.SBoxBank{N: n, Seed: 2}},
@@ -50,7 +50,7 @@ func E4(cfg Config) (*Table, error) {
 		}
 		var full *flow.Artifacts
 		var base *flow.BaseBuild
-		err := parallel.DoCtx(ctx, []func(context.Context) error{
+		err := parallel.Do(ctx, []func(context.Context) error{
 			func(ctx context.Context) error {
 				var err error
 				if full, err = flow.BuildFull(ctx, part, insts, cfg.flowOpts(cfg.Seed)); err != nil {

@@ -65,7 +65,7 @@ func E5(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := board.Download(base.Bitstream); err != nil {
+		if _, err := board.DownloadCtx(ctx, base.Bitstream); err != nil {
 			return nil, err
 		}
 		before := board.Readback()
@@ -77,7 +77,7 @@ func E5(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, _, err := proj.GenerateAndDownload(m, board, cfg.genOpts(core.GenerateOptions{Strict: true}))
+		res, _, err := proj.GenerateAndDownload(ctx, m, board, cfg.genOpts(core.GenerateOptions{Strict: true}))
 		if err != nil {
 			return nil, fmt.Errorf("E5 %s: %w", sw.name, err)
 		}

@@ -49,10 +49,10 @@ func E6(cfg Config) (*Table, error) {
 		if err != nil {
 			return "FAIL: " + err.Error()
 		}
-		if _, err := board.Download(base.Bitstream); err != nil {
+		if _, err := board.DownloadCtx(ctx, base.Bitstream); err != nil {
 			return "FAIL: " + err.Error()
 		}
-		if _, err := board.Download(partialBS); err != nil {
+		if _, err := board.DownloadCtx(ctx, partialBS); err != nil {
 			return "FAIL: " + err.Error()
 		}
 		if err := functionalCheck(base, varGen, otherGen, board.Readback()); err != nil {
@@ -76,7 +76,7 @@ func E6(cfg Config) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	jpgRes, err := proj.GeneratePartial(m, cfg.genOpts(core.GenerateOptions{Strict: true}))
+	jpgRes, err := proj.GeneratePartialCtx(ctx, m, cfg.genOpts(core.GenerateOptions{Strict: true}))
 	if err != nil {
 		return nil, err
 	}

@@ -46,7 +46,7 @@ func E8(cfg Config) (*Table, error) {
 		ns   float64
 		fmax float64
 	}
-	pts, err := parallel.MapCtx(ctx, efforts, func(ctx context.Context, _ int, e float64) (point, error) {
+	pts, err := parallel.Map(ctx, efforts, func(ctx context.Context, _ int, e float64) (point, error) {
 		full, err := flow.BuildFull(ctx, part, insts, cfg.flowOptsEffort(cfg.Seed, e))
 		if err != nil {
 			return point{}, fmt.Errorf("E8 effort %.1f: %w", e, err)

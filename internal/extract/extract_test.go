@@ -26,11 +26,11 @@ func buildAndExtract(t *testing.T, gen designs.Generator, seed int64) (*phys.Des
 	if err != nil {
 		t.Fatal(err)
 	}
-	pd, err := place.Place(device.MustByName("XCV50"), nl, place.Options{Seed: seed})
+	pd, err := place.PlaceCtx(context.Background(), device.MustByName("XCV50"), nl, place.Options{Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := route.Route(pd, route.Options{}); err != nil {
+	if err := route.RouteCtx(context.Background(), pd, route.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	mem, err := bitgen.Generate(pd)
@@ -161,7 +161,7 @@ func TestPartialReconfigFunctional(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := proj.GenerateAndDownload(m, board, core.GenerateOptions{Strict: true}); err != nil {
+	if _, _, err := proj.GenerateAndDownload(context.Background(), m, board, core.GenerateOptions{Strict: true}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -261,11 +261,11 @@ func TestExtractCEAndResetPaths(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := device.MustByName("XCV50")
-	pd, err := place.Place(p, nl, place.Options{Seed: 14})
+	pd, err := place.PlaceCtx(context.Background(), p, nl, place.Options{Seed: 14})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := route.Route(pd, route.Options{}); err != nil {
+	if err := route.RouteCtx(context.Background(), pd, route.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	mem, err := bitgen.Generate(pd)

@@ -123,7 +123,7 @@ func Parse(s string) (Spec, error) {
 			spec.First, err = strconv.Atoi(val)
 		case "prob":
 			spec.Prob, err = strconv.ParseFloat(val, 64)
-			if err == nil && (spec.Prob < 0 || spec.Prob > 1) {
+			if err == nil && !(spec.Prob >= 0 && spec.Prob <= 1) { // negated so NaN fails too
 				err = fmt.Errorf("probability %g outside [0,1]", spec.Prob)
 			}
 		case "seed":
@@ -173,7 +173,6 @@ type Injector struct {
 }
 
 var _ xhwif.HWIF = (*Injector)(nil)
-var _ xhwif.ContextDownloader = (*Injector)(nil)
 
 // Wrap returns an injector over inner.
 func Wrap(inner xhwif.HWIF, spec Spec) *Injector {
@@ -200,39 +199,24 @@ func (in *Injector) PartName() string { return in.inner.PartName() }
 // Readback implements HWIF.
 func (in *Injector) Readback() *frames.Memory { return in.inner.Readback() }
 
-// ReadbackFrames forwards frame-granular readback when the inner HWIF
-// supports it.
+// ReadbackFrames implements HWIF.
 func (in *Injector) ReadbackFrames(fars []device.FAR) ([][]uint32, error) {
-	if fr, ok := in.inner.(xhwif.FrameReader); ok {
-		return fr.ReadbackFrames(fars)
-	}
-	return nil, fmt.Errorf("faults: inner %T has no frame readback", in.inner)
+	return in.inner.ReadbackFrames(fars)
 }
 
-// ExecuteReadback forwards raw readback requests when the inner HWIF
-// supports them.
+// ExecuteReadback implements HWIF.
 func (in *Injector) ExecuteReadback(request []byte) ([]uint32, error) {
-	if er, ok := in.inner.(interface {
-		ExecuteReadback([]byte) ([]uint32, error)
-	}); ok {
-		return er.ExecuteReadback(request)
-	}
-	return nil, fmt.Errorf("faults: inner %T has no raw readback", in.inner)
+	return in.inner.ExecuteReadback(request)
 }
 
-// Download implements HWIF: count the attempt, decide deterministically
+// DownloadCtx implements HWIF: count the attempt, decide deterministically
 // whether to fault it, and either fail, perturb the bytes on their way to
 // the device, or pass the stream through. The inner download's
 // transactional behaviour decides what a perturbed stream does to the
-// device (Board rolls back).
-func (in *Injector) Download(bs []byte) (xhwif.DownloadStats, error) {
-	return in.DownloadCtx(context.Background(), bs)
-}
-
-// DownloadCtx implements xhwif.ContextDownloader: Download with the context
-// forwarded to the inner HWIF (when it supports contexts) and one structured
-// log event per injected fault, so a request's logs show exactly which
-// attempt was perturbed and how.
+// device (Board rolls back). Injected latency waits on the context, so a
+// deadline or cancellation ends the attempt with ctx.Err() and the device
+// untouched. Each injected fault logs one structured event, so a request's
+// logs show exactly which attempt was perturbed and how.
 func (in *Injector) DownloadCtx(ctx context.Context, bs []byte) (xhwif.DownloadStats, error) {
 	in.mu.Lock()
 	in.attempts++
@@ -249,20 +233,19 @@ func (in *Injector) DownloadCtx(ctx context.Context, bs []byte) (xhwif.DownloadS
 	}
 	in.mu.Unlock()
 
-	download := func(b []byte) (xhwif.DownloadStats, error) {
-		if cd, ok := in.inner.(xhwif.ContextDownloader); ok {
-			return cd.DownloadCtx(ctx, b)
-		}
-		return in.inner.Download(b)
-	}
-
 	mAttempts.Inc()
 	if in.spec.Latency > 0 {
 		mLatencyNs.Observe(in.spec.Latency.Nanoseconds())
-		time.Sleep(in.spec.Latency)
+		t := time.NewTimer(in.spec.Latency)
+		select {
+		case <-ctx.Done():
+			t.Stop()
+			return xhwif.DownloadStats{}, ctx.Err()
+		case <-t.C:
+		}
 	}
 	if !inject {
-		return download(bs)
+		return in.inner.DownloadCtx(ctx, bs)
 	}
 	mInjected.Inc()
 	jpglog.Warn(ctx, "fault.injected", "mode", in.spec.Mode, "attempt", n, "bytes", len(bs))
@@ -271,7 +254,7 @@ func (in *Injector) DownloadCtx(ctx context.Context, bs []byte) (xhwif.DownloadS
 		// Word-aligned cut around the midpoint lands inside the FDRI frame
 		// run of any realistic stream, which the port rejects.
 		cut := (len(bs) / 2) &^ 3
-		ds, err := download(bs[:cut])
+		ds, err := in.inner.DownloadCtx(ctx, bs[:cut])
 		if err == nil {
 			err = fmt.Errorf("faults: truncated stream unexpectedly accepted")
 		}
@@ -282,7 +265,7 @@ func (in *Injector) DownloadCtx(ctx context.Context, bs []byte) (xhwif.DownloadS
 		if len(dirty) > 0 {
 			dirty[corruptAt] ^= 0x40
 		}
-		ds, err := download(dirty)
+		ds, err := in.inner.DownloadCtx(ctx, dirty)
 		if err == nil {
 			// The flip slipped past the port's checks (e.g. it landed in a
 			// pad word); surface the injection so a reliability layer

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -42,6 +43,45 @@ func TestParseSpec(t *testing.T) {
 	}
 }
 
+// FuzzParse: a fault spec, as $JPG_FAULTS or a /v1/generate download
+// carries it, either parses or fails with an error; it never panics. Every
+// accepted spec prints (String) to a spec string that parses back to a spec
+// injecting the same faults.
+func FuzzParse(f *testing.F) {
+	for _, s := range []string{"", "off", "nth=3,mode=truncate,seed=7,latency=2ms,first=1,prob=0.25",
+		"nth=2,mode=error,seed=7", "first=1,mode=truncate,seed=3", "latency=1h", "prob=1e-300,mode=corrupt",
+		" nth = 1 ,,", "zz=1", "prob=2", "nth=1,prob=NaN"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		spec, err := Parse(text)
+		if err != nil {
+			return
+		}
+		again, err := Parse(spec.String())
+		if err != nil {
+			t.Fatalf("Parse(%q) = %+v, whose String %q does not parse: %v", text, spec, spec.String(), err)
+		}
+		if !sameFaults(spec, again) {
+			t.Fatalf("Parse(%q) = %+v, but its String %q parses to %+v", text, spec, spec.String(), again)
+		}
+	})
+}
+
+// sameFaults reports whether two specs inject the same faults: both
+// disabled, or equal once the default mode is filled in.
+func sameFaults(a, b Spec) bool {
+	if !a.Enabled() || !b.Enabled() {
+		return a.Enabled() == b.Enabled()
+	}
+	for _, s := range []*Spec{&a, &b} {
+		if s.Mode == "" {
+			s.Mode = ModeError
+		}
+	}
+	return a == b
+}
+
 func TestErrorModeIsDeterministic(t *testing.T) {
 	_, bs := testConfig(t, 1)
 	p := device.MustByName("XCV50")
@@ -49,7 +89,7 @@ func TestErrorModeIsDeterministic(t *testing.T) {
 	for _, got := range []*[]bool{&gotA, &gotB} {
 		in := Wrap(xhwif.NewBoard(p), Spec{Nth: 2, Seed: 5})
 		for i := 0; i < 6; i++ {
-			_, err := in.Download(bs)
+			_, err := in.DownloadCtx(context.Background(), bs)
 			*got = append(*got, err != nil)
 			if err != nil && !errors.Is(err, ErrInjected) {
 				t.Fatalf("download %d: %v is not ErrInjected", i, err)
@@ -64,7 +104,7 @@ func TestErrorModeIsDeterministic(t *testing.T) {
 	}
 	in := Wrap(xhwif.NewBoard(p), Spec{Nth: 2, Seed: 5})
 	for i := 0; i < 6; i++ {
-		in.Download(bs)
+		in.DownloadCtx(context.Background(), bs)
 	}
 	if attempts, injected := in.Counts(); attempts != 6 || injected != 3 {
 		t.Fatalf("counts %d/%d, want 3/6", injected, attempts)
@@ -81,7 +121,7 @@ func TestTruncateModeRollsBack(t *testing.T) {
 	mem2 := mem.Clone()
 	mem2.SetBit(p.CLBBit(0, 0, 0), true)
 	in := Wrap(board, Spec{First: 1, Mode: ModeTruncate, Seed: 3})
-	if _, err := in.Download(bitstream.WriteFull(mem2)); !errors.Is(err, ErrInjected) {
+	if _, err := in.DownloadCtx(context.Background(), bitstream.WriteFull(mem2)); !errors.Is(err, ErrInjected) {
 		t.Fatalf("err = %v, want ErrInjected", err)
 	}
 	if !board.Readback().Equal(mem) {
@@ -97,7 +137,7 @@ func TestCorruptModeRejectedByCRC(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := Wrap(board, Spec{First: 1, Mode: ModeCorrupt, Seed: 11})
-	if _, err := in.Download(bs); !errors.Is(err, ErrInjected) {
+	if _, err := in.DownloadCtx(context.Background(), bs); !errors.Is(err, ErrInjected) {
 		t.Fatalf("err = %v, want ErrInjected", err)
 	}
 	if !board.Readback().Equal(mem) {
@@ -128,7 +168,7 @@ func TestRetryConvergesUnderFaults(t *testing.T) {
 			MaxBackoff:  time.Nanosecond,
 			Verify:      true,
 		})
-		ds, err := r.Download(bs)
+		ds, err := r.DownloadCtx(context.Background(), bs)
 		if err != nil {
 			t.Fatalf("mode=%s: %v", mode, err)
 		}
@@ -157,11 +197,37 @@ func TestRetryConvergesUnderFaults(t *testing.T) {
 		MaxBackoff:  time.Nanosecond,
 		Verify:      true,
 	})
-	if _, err := r.Download(bitstream.WriteFull(mem2)); err == nil {
+	if _, err := r.DownloadCtx(context.Background(), bitstream.WriteFull(mem2)); err == nil {
 		t.Fatal("exhausted retries reported success")
 	}
 	if !board.Readback().Equal(pre) {
 		t.Fatal("device state changed after a fully-faulted download (rollback broken)")
+	}
+}
+
+// TestLatencyHonoursDeadline checks that injected link latency waits on the
+// context: under a 20 ms download deadline, a one-hour latency ends the
+// call with the deadline's error well within a second, and the device is
+// never written.
+func TestLatencyHonoursDeadline(t *testing.T) {
+	_, bs := testConfig(t, 6)
+	p := device.MustByName("XCV50")
+	board := xhwif.NewBoard(p)
+	in := Wrap(board, Spec{Latency: time.Hour})
+	r := xhwif.NewReliable(in, xhwif.RetryPolicy{Timeout: 20 * time.Millisecond})
+	t0 := time.Now()
+	_, err := r.DownloadCtx(context.Background(), bs)
+	if el := time.Since(t0); el >= time.Second {
+		t.Fatalf("download returned after %v, want under 1s", el)
+	}
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want DeadlineExceeded", err)
+	}
+	if attempts, _ := in.Counts(); attempts != 1 {
+		t.Fatalf("injector saw %d attempts, want 1", attempts)
+	}
+	if downloads, _, _ := board.Totals(); downloads != 0 || !board.Readback().Equal(frames.New(p)) {
+		t.Fatal("a download cut short by its deadline wrote the device")
 	}
 }
 

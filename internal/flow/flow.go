@@ -344,7 +344,7 @@ type VariantSpec struct {
 // BuildVariant serially over the same specs, for any worker count.
 // On failure the lowest-index error is returned and the batch is discarded.
 func BuildVariants(ctx context.Context, base *BaseBuild, specs []VariantSpec, popts ...parallel.Option) ([]*Artifacts, error) {
-	return parallel.MapCtx(ctx, specs, func(ctx context.Context, _ int, s VariantSpec) (*Artifacts, error) {
+	return parallel.Map(ctx, specs, func(ctx context.Context, _ int, s VariantSpec) (*Artifacts, error) {
 		return BuildVariant(ctx, base, s.Prefix, s.Gen, s.Opts)
 	}, popts...)
 }
@@ -354,7 +354,7 @@ func BuildVariants(ctx context.Context, base *BaseBuild, specs []VariantSpec, po
 // baseline, scheduled as the embarrassingly parallel farm it is. Results
 // are collected by combination index.
 func BuildFullMany(ctx context.Context, p *device.Part, combos [][]designs.Instance, opts Options, popts ...parallel.Option) ([]*Artifacts, error) {
-	return parallel.MapCtx(ctx, combos, func(ctx context.Context, _ int, insts []designs.Instance) (*Artifacts, error) {
+	return parallel.Map(ctx, combos, func(ctx context.Context, _ int, insts []designs.Instance) (*Artifacts, error) {
 		return BuildFull(ctx, p, insts, opts)
 	}, popts...)
 }

@@ -236,7 +236,7 @@ func TestColumnCacheFollowsRoutes(t *testing.T) {
 	p, prev, opts := implementSBox(t, 13)
 	other := &phys.Design{Part: p, Netlist: prev.Netlist, Cells: prev.Phys.Cells, Ports: prev.Phys.Ports,
 		Routes: map[*netlist.Net]*phys.Route{}}
-	if err := route.Route(other, route.Options{PresentFactor: 3, HistoryFactor: 2}); err != nil {
+	if err := route.RouteCtx(context.Background(), other, route.Options{PresentFactor: 3, HistoryFactor: 2}); err != nil {
 		t.Fatal(err)
 	}
 	otherMem, err := bitgen.Generate(other)

@@ -47,8 +47,8 @@ import (
 	"repro/internal/parallel"
 )
 
-// Environment variables tuning the serving pipeline (flag defaults in
-// cmd/jpgd; jpg -serve reads them directly).
+// Environment variables tuning the serving pipeline (the defaults of
+// cmd/jpgd's flags).
 const (
 	// EnvMaxInflight caps concurrently executing API requests
 	// (JPGD_MAX_INFLIGHT; default 4×GOMAXPROCS, minimum 8).

@@ -465,7 +465,7 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		var ds xhwif.DownloadStats
-		res, ds, err = proj.GenerateAndDownloadCtx(ctx, m, hwif, opts)
+		res, ds, err = proj.GenerateAndDownload(ctx, m, hwif, opts)
 		if err != nil {
 			s.fail(ctx, w, "generate", http.StatusInternalServerError, err)
 			return

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/cache"
 	"repro/internal/core"
@@ -253,6 +254,31 @@ func TestGenerateWithDownloadAndFaults(t *testing.T) {
 	}
 	if out.Download.FramesWritten != out.Frames {
 		t.Fatalf("frames written %d != carried %d", out.Download.FramesWritten, out.Frames)
+	}
+}
+
+// TestGenerateDownloadLatencyHonoursTimeout checks that injected link
+// latency waits on the download deadline: a request with timeout_ms 50 over
+// a one-hour latency answers with an error status within seconds instead
+// of holding its admission slot for the hour.
+func TestGenerateDownloadLatencyHonoursTimeout(t *testing.T) {
+	f := buildFixture(t)
+	_, ts := newTestServer(t, jpgd.Config{})
+
+	dl := &jpgd.DownloadRequest{TimeoutMS: 50, Faults: "latency=1h"}
+	client := &http.Client{Timeout: 10 * time.Second}
+	t0 := time.Now()
+	resp, err := client.Post(ts.URL+"/v1/generate", "application/json", bytes.NewReader(generateBody(t, f, dl)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if el := time.Since(t0); el > 5*time.Second {
+		t.Fatalf("answered after %v, want within a few seconds", el)
+	}
+	if resp.StatusCode < 400 {
+		body, _ := io.ReadAll(resp.Body)
+		t.Fatalf("status %d, want an error status: %s", resp.StatusCode, body)
 	}
 }
 

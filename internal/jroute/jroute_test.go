@@ -1,6 +1,7 @@
 package jroute
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/bitgen"
@@ -71,11 +72,11 @@ func TestConnectAvoidsExistingDesign(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := device.MustByName("XCV50")
-	pd, err := place.Place(p, nl, place.Options{Seed: 6})
+	pd, err := place.PlaceCtx(context.Background(), p, nl, place.Options{Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := route.Route(pd, route.Options{}); err != nil {
+	if err := route.RouteCtx(context.Background(), pd, route.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	mem, err := bitgen.Generate(pd)

@@ -1,6 +1,7 @@
 package ncd
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/designs"
@@ -17,11 +18,11 @@ func routedDesign(t *testing.T) *phys.Design {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := place.Place(device.MustByName("XCV50"), nl, place.Options{Seed: 8})
+	d, err := place.PlaceCtx(context.Background(), device.MustByName("XCV50"), nl, place.Options{Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := route.Route(d, route.Options{}); err != nil {
+	if err := route.RouteCtx(context.Background(), d, route.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	return d

@@ -113,7 +113,7 @@ func runTask(ctx context.Context, i int, batchStart time.Time, fn func(ctx conte
 	return err
 }
 
-// ForEachNCtx runs fn(ctx, 0..n-1) on a bounded worker pool and waits for
+// ForEachN runs fn(ctx, 0..n-1) on a bounded worker pool and waits for
 // the batch. Each worker derives a per-worker context (its trace lane) from
 // ctx, so spans started inside fn land on that worker's lane. On the first
 // error the pool stops handing out new indices (in-flight items run to
@@ -124,7 +124,7 @@ func runTask(ctx context.Context, i int, batchStart time.Time, fn func(ctx conte
 // index is handed out once ctx.Done() fires, in-flight items run to
 // completion, and the batch returns ctx.Err(). A task failure observed
 // before the cancellation keeps the lowest-index-error contract.
-func ForEachNCtx(ctx context.Context, n int, fn func(ctx context.Context, i int) error, opts ...Option) (err error) {
+func ForEachN(ctx context.Context, n int, fn func(ctx context.Context, i int) error, opts ...Option) (err error) {
 	if n <= 0 {
 		return nil
 	}
@@ -213,20 +213,14 @@ func ForEachNCtx(ctx context.Context, n int, fn func(ctx context.Context, i int)
 	return nil
 }
 
-// ForEachN is ForEachNCtx without a caller context (no tracing parentage;
-// metrics still record).
-func ForEachN(n int, fn func(i int) error, opts ...Option) error {
-	return ForEachNCtx(context.Background(), n, func(_ context.Context, i int) error { return fn(i) }, opts...)
-}
-
-// MapCtx runs fn over items on a bounded worker pool, collecting results by
-// item index (never by completion order). It inherits ForEachNCtx's
+// Map runs fn over items on a bounded worker pool, collecting results by
+// item index (never by completion order). It inherits ForEachN's
 // cancel-on-first-error, lowest-index-error contract; on error the partial
 // results are discarded. The per-item context carries the executing
 // worker's trace lane.
-func MapCtx[T, R any](ctx context.Context, items []T, fn func(ctx context.Context, i int, item T) (R, error), opts ...Option) ([]R, error) {
+func Map[T, R any](ctx context.Context, items []T, fn func(ctx context.Context, i int, item T) (R, error), opts ...Option) ([]R, error) {
 	out := make([]R, len(items))
-	err := ForEachNCtx(ctx, len(items), func(ctx context.Context, i int) error {
+	err := ForEachN(ctx, len(items), func(ctx context.Context, i int) error {
 		r, err := fn(ctx, i, items[i])
 		if err != nil {
 			return err
@@ -240,22 +234,10 @@ func MapCtx[T, R any](ctx context.Context, items []T, fn func(ctx context.Contex
 	return out, nil
 }
 
-// Map is MapCtx without a caller context.
-func Map[T, R any](items []T, fn func(i int, item T) (R, error), opts ...Option) ([]R, error) {
-	return MapCtx(context.Background(), items, func(_ context.Context, i int, item T) (R, error) {
-		return fn(i, item)
-	}, opts...)
-}
-
-// DoCtx runs the given thunks concurrently (each thunk is one work item)
-// and waits for all of them, with the same error contract as ForEachNCtx.
-// It is the shape for heterogeneous independent steps, e.g. a conventional
-// build and a floorplanned build of the same design.
-func DoCtx(ctx context.Context, thunks []func(ctx context.Context) error, opts ...Option) error {
-	return ForEachNCtx(ctx, len(thunks), func(ctx context.Context, i int) error { return thunks[i](ctx) }, opts...)
-}
-
-// Do is DoCtx over context-free thunks.
-func Do(thunks []func() error, opts ...Option) error {
-	return ForEachN(len(thunks), func(i int) error { return thunks[i]() }, opts...)
+// Do runs the given thunks concurrently (each thunk is one work item) and
+// waits for all of them, with the same error contract as ForEachN. It is
+// the shape for heterogeneous independent steps, e.g. a conventional build
+// and a floorplanned build of the same design.
+func Do(ctx context.Context, thunks []func(ctx context.Context) error, opts ...Option) error {
+	return ForEachN(ctx, len(thunks), func(ctx context.Context, i int) error { return thunks[i](ctx) }, opts...)
 }

@@ -14,7 +14,7 @@ func TestForEachNRunsEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 7, 64} {
 		n := 100
 		counts := make([]atomic.Int32, n)
-		err := ForEachN(n, func(i int) error {
+		err := ForEachN(context.Background(), n, func(_ context.Context, i int) error {
 			counts[i].Add(1)
 			return nil
 		}, WithWorkers(workers))
@@ -31,10 +31,10 @@ func TestForEachNRunsEveryIndexOnce(t *testing.T) {
 
 func TestForEachNZeroAndNegative(t *testing.T) {
 	ran := false
-	if err := ForEachN(0, func(int) error { ran = true; return nil }); err != nil {
+	if err := ForEachN(context.Background(), 0, func(context.Context, int) error { ran = true; return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if err := ForEachN(-3, func(int) error { ran = true; return nil }); err != nil {
+	if err := ForEachN(context.Background(), -3, func(context.Context, int) error { ran = true; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if ran {
@@ -45,7 +45,7 @@ func TestForEachNZeroAndNegative(t *testing.T) {
 func TestForEachNLowestIndexError(t *testing.T) {
 	// Indices 30 and 60 fail; every worker count must report 30.
 	for _, workers := range []int{1, 3, 16} {
-		err := ForEachN(100, func(i int) error {
+		err := ForEachN(context.Background(), 100, func(_ context.Context, i int) error {
 			if i == 30 || i == 60 {
 				return fmt.Errorf("boom at %d", i)
 			}
@@ -60,7 +60,7 @@ func TestForEachNLowestIndexError(t *testing.T) {
 func TestForEachNCancelsAfterError(t *testing.T) {
 	// With one worker, nothing past the failing index may run.
 	var ran atomic.Int32
-	err := ForEachN(1000, func(i int) error {
+	err := ForEachN(context.Background(), 1000, func(_ context.Context, i int) error {
 		ran.Add(1)
 		if i == 5 {
 			return fmt.Errorf("stop")
@@ -81,7 +81,7 @@ func TestMapCollectsByIndex(t *testing.T) {
 		items[i] = i * 3
 	}
 	for _, workers := range []int{1, 8} {
-		out, err := Map(items, func(i, item int) (string, error) {
+		out, err := Map(context.Background(), items, func(_ context.Context, i, item int) (string, error) {
 			return fmt.Sprintf("%d:%d", i, item), nil
 		}, WithWorkers(workers))
 		if err != nil {
@@ -96,7 +96,7 @@ func TestMapCollectsByIndex(t *testing.T) {
 }
 
 func TestMapErrorDiscardsResults(t *testing.T) {
-	out, err := Map([]int{1, 2, 3}, func(i, item int) (int, error) {
+	out, err := Map(context.Background(), []int{1, 2, 3}, func(_ context.Context, i, item int) (int, error) {
 		if i == 1 {
 			return 0, fmt.Errorf("no")
 		}
@@ -109,14 +109,14 @@ func TestMapErrorDiscardsResults(t *testing.T) {
 
 func TestDo(t *testing.T) {
 	var a, b atomic.Bool
-	err := Do([]func() error{
-		func() error { a.Store(true); return nil },
-		func() error { b.Store(true); return nil },
-	})
+	err := Do(context.Background(), []func(context.Context) error{
+		func(context.Context) error { a.Store(true); return nil },
+		func(context.Context) error { b.Store(true); return nil },
+	}, WithWorkers(2))
 	if err != nil || !a.Load() || !b.Load() {
 		t.Fatalf("Do: err=%v a=%v b=%v", err, a.Load(), b.Load())
 	}
-	if err := Do(nil); err != nil {
+	if err := Do(context.Background(), nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -152,45 +152,6 @@ func TestDefaultWorkersEnvOverride(t *testing.T) {
 	}
 }
 
-func TestCtxVariantsRunEveryItem(t *testing.T) {
-	ctx := context.Background()
-	n := 40
-	counts := make([]atomic.Int32, n)
-	if err := ForEachNCtx(ctx, n, func(_ context.Context, i int) error {
-		counts[i].Add(1)
-		return nil
-	}, WithWorkers(4)); err != nil {
-		t.Fatal(err)
-	}
-	for i := range counts {
-		if counts[i].Load() != 1 {
-			t.Fatalf("index %d ran %d times", i, counts[i].Load())
-		}
-	}
-	items := []int{3, 1, 4, 1, 5}
-	got, err := MapCtx(ctx, items, func(_ context.Context, i, v int) (int, error) {
-		return v * 10, nil
-	}, WithWorkers(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range items {
-		if got[i] != v*10 {
-			t.Fatalf("MapCtx[%d] = %d, want %d", i, got[i], v*10)
-		}
-	}
-	var a, b atomic.Bool
-	if err := DoCtx(ctx, []func(context.Context) error{
-		func(context.Context) error { a.Store(true); return nil },
-		func(context.Context) error { b.Store(true); return nil },
-	}, WithWorkers(2)); err != nil {
-		t.Fatal(err)
-	}
-	if !a.Load() || !b.Load() {
-		t.Fatal("DoCtx skipped a thunk")
-	}
-}
-
 // TestBatchSpansAndLanes checks the observability contract of the pool:
 // a traced batch yields one batch span plus one task span per index, with
 // each task on a named worker lane, and the queue-depth gauge settles to
@@ -200,7 +161,7 @@ func TestBatchSpansAndLanes(t *testing.T) {
 	ctx := col.Attach(context.Background())
 	depth0 := obs.GetGauge("parallel.queue_depth").Value()
 	const n = 12
-	if err := ForEachNCtx(ctx, n, func(ctx context.Context, i int) error {
+	if err := ForEachN(ctx, n, func(ctx context.Context, i int) error {
 		_, sp := obs.Start(ctx, "inner")
 		sp.End()
 		return nil
@@ -244,7 +205,7 @@ func TestBatchSpansAndLanes(t *testing.T) {
 func TestSerialBatchTracesOnCallerLane(t *testing.T) {
 	col := obs.New()
 	ctx := col.Attach(context.Background())
-	if err := ForEachNCtx(ctx, 3, func(context.Context, int) error { return nil },
+	if err := ForEachN(ctx, 3, func(context.Context, int) error { return nil },
 		WithWorkers(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +224,7 @@ func TestForEachNCtxPreCancelled(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
 		var ran atomic.Int32
-		err := ForEachNCtx(ctx, 50, func(context.Context, int) error {
+		err := ForEachN(ctx, 50, func(context.Context, int) error {
 			ran.Add(1)
 			return nil
 		}, WithWorkers(workers))
@@ -279,7 +240,7 @@ func TestForEachNCtxPreCancelled(t *testing.T) {
 func TestForEachNCtxCancelStopsDispatchSerial(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var ran atomic.Int32
-	err := ForEachNCtx(ctx, 50, func(_ context.Context, i int) error {
+	err := ForEachN(ctx, 50, func(_ context.Context, i int) error {
 		ran.Add(1)
 		if i == 2 {
 			cancel()
@@ -299,7 +260,7 @@ func TestForEachNCtxCancelStopsDispatchPooled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var ran atomic.Int32
-	err := ForEachNCtx(ctx, n, func(_ context.Context, i int) error {
+	err := ForEachN(ctx, n, func(_ context.Context, i int) error {
 		if ran.Add(1) == 5 {
 			cancel()
 		}
@@ -320,7 +281,7 @@ func TestForEachNCtxTaskErrorBeatsCancellation(t *testing.T) {
 	boom := fmt.Errorf("boom")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	err := ForEachNCtx(ctx, 10, func(_ context.Context, i int) error {
+	err := ForEachN(ctx, 10, func(_ context.Context, i int) error {
 		if i == 1 {
 			cancel()
 			return boom
@@ -336,7 +297,7 @@ func TestMapCtxCancelledReturnsNoResults(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	items := []int{1, 2, 3}
-	out, err := MapCtx(ctx, items, func(_ context.Context, _ int, v int) (int, error) {
+	out, err := Map(ctx, items, func(_ context.Context, _ int, v int) (int, error) {
 		return v * 2, nil
 	}, WithWorkers(2))
 	if err != context.Canceled || out != nil {

@@ -120,13 +120,13 @@ func TestMultiStartPicksLowestCostStart(t *testing.T) {
 		}
 	}
 
-	got, err := Place(p, nl, Options{Seed: seed, Starts: starts})
+	got, err := PlaceCtx(context.Background(), p, nl, Options{Seed: seed, Starts: starts})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A single-start run seeded with the winner's derived seed reproduces
 	// the winning anneal exactly.
-	want, err := Place(p, nl, Options{Seed: startSeed(seed, bestStart)})
+	want, err := PlaceCtx(context.Background(), p, nl, Options{Seed: startSeed(seed, bestStart)})
 	if err != nil {
 		t.Fatal(err)
 	}

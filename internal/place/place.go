@@ -52,14 +52,10 @@ var (
 	mRecomps  = obs.GetCounter("place.bbox_recomputes")
 )
 
-// Place packs and places the netlist on the part, returning a physical
-// design with Cells and Ports assigned (Routes left for the router).
-func Place(p *device.Part, nl *netlist.Design, opts Options) (*phys.Design, error) {
-	return PlaceCtx(context.Background(), p, nl, opts)
-}
-
-// PlaceCtx is Place with a context for observability (one "place.start" span
-// per annealing start) and for scheduling the multi-start pool.
+// PlaceCtx packs and places the netlist on the part, returning a physical
+// design with Cells and Ports assigned (Routes left for the router). The
+// context carries observability (one "place.start" span per annealing
+// start) and schedules the multi-start pool.
 func PlaceCtx(ctx context.Context, p *device.Part, nl *netlist.Design, opts Options) (*phys.Design, error) {
 	if err := nl.Validate(); err != nil {
 		return nil, err
@@ -101,7 +97,7 @@ func PlaceCtx(ctx context.Context, p *device.Part, nl *netlist.Design, opts Opti
 			return nil, err
 		}
 	} else {
-		err := parallel.ForEachNCtx(ctx, starts, func(ctx context.Context, s int) error {
+		err := parallel.ForEachN(ctx, starts, func(ctx context.Context, s int) error {
 			_, sp := obs.Start(ctx, "place.start")
 			sp.SetInt("start", int64(s))
 			err := runStart(s)

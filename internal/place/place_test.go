@@ -1,6 +1,7 @@
 package place
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/designs"
@@ -23,7 +24,7 @@ func counterDesign(t *testing.T, bits int) *netlist.Design {
 func TestPlaceUnconstrained(t *testing.T) {
 	p := device.MustByName("XCV50")
 	nl := counterDesign(t, 8)
-	d, err := Place(p, nl, Options{Seed: 1})
+	d, err := PlaceCtx(context.Background(), p, nl, Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,11 +40,11 @@ func TestPlaceDeterministic(t *testing.T) {
 	p := device.MustByName("XCV50")
 	nl1 := counterDesign(t, 6)
 	nl2 := counterDesign(t, 6)
-	d1, err := Place(p, nl1, Options{Seed: 42})
+	d1, err := PlaceCtx(context.Background(), p, nl1, Options{Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, err := Place(p, nl2, Options{Seed: 42})
+	d2, err := PlaceCtx(context.Background(), p, nl2, Options{Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func TestPlaceHonoursRegion(t *testing.T) {
 	cons := ucf.New()
 	rg := frames.Region{R1: 2, C1: 3, R2: 7, C2: 8}
 	cons.AddGroup("u1/*", "AG_u1", rg)
-	d, err := Place(p, nl, Options{Seed: 7, Constraints: cons})
+	d, err := PlaceCtx(context.Background(), p, nl, Options{Seed: 7, Constraints: cons})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestPlaceHonoursInstLoc(t *testing.T) {
 	cons := ucf.New()
 	loc := ucf.SliceLoc{Row: 5, Col: 6, Slice: 1}
 	cons.InstLocs["u1/q0"] = loc
-	d, err := Place(p, nl, Options{Seed: 3, Constraints: cons})
+	d, err := PlaceCtx(context.Background(), p, nl, Options{Seed: 3, Constraints: cons})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func TestPlaceRegionCapacity(t *testing.T) {
 	nl := counterDesign(t, 16) // well over 4 LEs
 	cons := ucf.New()
 	cons.AddGroup("u1/*", "AG", frames.Region{R1: 0, C1: 0, R2: 0, C2: 0}) // 1 CLB = 4 LEs
-	if _, err := Place(p, nl, Options{Seed: 1, Constraints: cons}); err == nil {
+	if _, err := PlaceCtx(context.Background(), p, nl, Options{Seed: 1, Constraints: cons}); err == nil {
 		t.Fatal("over-capacity region accepted")
 	}
 }
@@ -109,7 +110,7 @@ func TestPlaceRespectsPortPadLocs(t *testing.T) {
 	cons := ucf.New()
 	cons.NetLocs["clk"] = "P_L3"
 	cons.NetLocs["out0"] = "P_T5"
-	d, err := Place(p, nl, Options{Seed: 1, Constraints: cons})
+	d, err := PlaceCtx(context.Background(), p, nl, Options{Seed: 1, Constraints: cons})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +130,7 @@ func TestPlaceConflictingPadLocs(t *testing.T) {
 	cons := ucf.New()
 	cons.NetLocs["clk"] = "P_L3"
 	cons.NetLocs["out0"] = "P_L3"
-	if _, err := Place(p, nl, Options{Seed: 1, Constraints: cons}); err == nil {
+	if _, err := PlaceCtx(context.Background(), p, nl, Options{Seed: 1, Constraints: cons}); err == nil {
 		t.Fatal("duplicate pad LOC accepted")
 	}
 }
@@ -142,7 +143,7 @@ func TestPlaceQualityUnderConstraint(t *testing.T) {
 	cons := ucf.New()
 	rg := frames.Region{R1: 0, C1: 0, R2: 3, C2: 3}
 	cons.AddGroup("u1/*", "AG", rg)
-	d, err := Place(p, nl, Options{Seed: 5, Constraints: cons})
+	d, err := PlaceCtx(context.Background(), p, nl, Options{Seed: 5, Constraints: cons})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +173,7 @@ func TestPackPairsLUTWithFF(t *testing.T) {
 	if _, err := d.AddPort("q", netlist.Out, ff.Out); err != nil {
 		t.Fatal(err)
 	}
-	pd, err := Place(p, d, Options{Seed: 2})
+	pd, err := PlaceCtx(context.Background(), p, d, Options{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +188,7 @@ func TestPlaceLocOutsideRegionRejected(t *testing.T) {
 	cons := ucf.New()
 	cons.AddGroup("u1/*", "AG", frames.Region{R1: 0, C1: 0, R2: 3, C2: 3})
 	cons.InstLocs["u1/q0"] = ucf.SliceLoc{Row: 10, Col: 10, Slice: 0}
-	if _, err := Place(p, nl, Options{Seed: 1, Constraints: cons}); err == nil {
+	if _, err := PlaceCtx(context.Background(), p, nl, Options{Seed: 1, Constraints: cons}); err == nil {
 		t.Fatal("LOC outside AREA_GROUP accepted")
 	}
 }
@@ -195,7 +196,7 @@ func TestPlaceLocOutsideRegionRejected(t *testing.T) {
 func TestGuidedPlacementKeepsSitesAtLowEffort(t *testing.T) {
 	p := device.MustByName("XCV50")
 	nl1 := counterDesign(t, 8)
-	d1, err := Place(p, nl1, Options{Seed: 21})
+	d1, err := PlaceCtx(context.Background(), p, nl1, Options{Seed: 21})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +207,7 @@ func TestGuidedPlacementKeepsSitesAtLowEffort(t *testing.T) {
 	// Re-place the same design, guided, at negligible effort: cells should
 	// overwhelmingly keep their previous sites.
 	nl2 := counterDesign(t, 8)
-	d2, err := Place(p, nl2, Options{Seed: 99, Effort: 0.01, Guide: guide})
+	d2, err := PlaceCtx(context.Background(), p, nl2, Options{Seed: 99, Effort: 0.01, Guide: guide})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +229,7 @@ func TestGuidedPlacementIgnoresStaleGuides(t *testing.T) {
 		"u1/q0": {Row: 999, Col: 0, Slice: 0, LE: 0}, // invalid: must be ignored
 		"ghost": {Row: 1, Col: 1, Slice: 0, LE: 0},   // unknown cell: harmless
 	}
-	if _, err := Place(p, nl, Options{Seed: 5, Guide: guide}); err != nil {
+	if _, err := PlaceCtx(context.Background(), p, nl, Options{Seed: 5, Guide: guide}); err != nil {
 		t.Fatalf("stale guide broke placement: %v", err)
 	}
 }

@@ -58,15 +58,10 @@ var (
 	mReroutes   = obs.GetCounter("route.reroutes")
 )
 
-// Route routes every net of the placed design, filling d.Routes. On success
-// the routes pass phys.(*Design).CheckRoutes.
-func Route(d *phys.Design, opts Options) error {
-	return RouteCtx(context.Background(), d, opts)
-}
-
-// RouteCtx is Route with a context for observability: each PathFinder
-// iteration is a "route.iter" span carrying its overuse count and the
-// number of nets it routed.
+// RouteCtx routes every net of the placed design, filling d.Routes. On
+// success the routes pass phys.(*Design).CheckRoutes. The context carries
+// observability: each PathFinder iteration is a "route.iter" span carrying
+// its overuse count and the number of nets it routed.
 func RouteCtx(ctx context.Context, d *phys.Design, opts Options) error {
 	r := newRouter(d, opts)
 	if err := r.routeClocks(); err != nil {

@@ -18,7 +18,7 @@ import (
 
 func placeDesign(t *testing.T, partName string, nl *netlist.Design, cons *ucf.Constraints, seed int64) *phys.Design {
 	t.Helper()
-	d, err := place.Place(device.MustByName(partName), nl, place.Options{Seed: seed, Constraints: cons})
+	d, err := place.PlaceCtx(context.Background(), device.MustByName(partName), nl, place.Options{Seed: seed, Constraints: cons})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestRouteCounter(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := placeDesign(t, "XCV50", nl, nil, 1)
-	if err := Route(d, Options{}); err != nil {
+	if err := RouteCtx(context.Background(), d, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.CheckRoutes(); err != nil {
@@ -61,7 +61,7 @@ func TestRouteConstrainedModule(t *testing.T) {
 	cons := ucf.New()
 	cons.AddGroup("u1/*", "AG", frames.Region{R1: 2, C1: 2, R2: 9, C2: 9})
 	d := placeDesign(t, "XCV50", nl, cons, 3)
-	if err := Route(d, Options{}); err != nil {
+	if err := RouteCtx(context.Background(), d, Options{}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -73,7 +73,7 @@ func TestRouteDenseSBoxBank(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := placeDesign(t, "XCV50", nl, nil, 5)
-	if err := Route(d, Options{}); err != nil {
+	if err := RouteCtx(context.Background(), d, Options{}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -98,7 +98,7 @@ func TestRouteTooManyClocks(t *testing.T) {
 		}
 	}
 	d := placeDesign(t, "XCV50", nl, nil, 1)
-	if err := Route(d, Options{}); err == nil {
+	if err := RouteCtx(context.Background(), d, Options{}); err == nil {
 		t.Fatal("5 clock nets routed onto 4 globals")
 	}
 }
@@ -124,7 +124,7 @@ func TestRouteSharedSliceClock(t *testing.T) {
 	cons.InstLocs["ff0"] = ucf.SliceLoc{Row: 4, Col: 4, Slice: 0}
 	cons.InstLocs["ff1"] = ucf.SliceLoc{Row: 4, Col: 4, Slice: 0}
 	d := placeDesign(t, "XCV50", nl, cons, 1)
-	if err := Route(d, Options{}); err != nil {
+	if err := RouteCtx(context.Background(), d, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	// Exactly one CLK tap for the shared slice.
@@ -145,7 +145,7 @@ func TestRoutesDisjointAcrossNets(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := placeDesign(t, "XCV50", nl, nil, 11)
-	if err := Route(d, Options{}); err != nil {
+	if err := RouteCtx(context.Background(), d, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	owner := map[device.NodeID]string{}
@@ -188,7 +188,7 @@ func TestRegionConstrainedRouting(t *testing.T) {
 	}
 	d := placeDesign(t, "XCV50", nl, cons, 2)
 	opts := Options{RegionForNet: func(n *netlist.Net) *frames.Region { return &rg }}
-	if err := Route(d, opts); err != nil {
+	if err := RouteCtx(context.Background(), d, opts); err != nil {
 		t.Fatal(err)
 	}
 	for n, r := range d.Routes {
@@ -225,7 +225,7 @@ func TestRegionConstrainedRoutingFailsWhenPadsFar(t *testing.T) {
 	cons.NetLocs["clk"] = "P_T3"
 	d := placeDesign(t, "XCV50", nl, cons, 2)
 	opts := Options{MaxIters: 6, RegionForNet: func(n *netlist.Net) *frames.Region { return &rg }}
-	if err := Route(d, opts); err == nil {
+	if err := RouteCtx(context.Background(), d, opts); err == nil {
 		t.Fatal("routing escaped its region to reach a far pad")
 	}
 }

@@ -1,6 +1,7 @@
 package timing
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -19,11 +20,11 @@ func routed(t *testing.T, gen designs.Generator, cons *ucf.Constraints, seed int
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := place.Place(device.MustByName("XCV50"), nl, place.Options{Seed: seed, Constraints: cons})
+	d, err := place.PlaceCtx(context.Background(), device.MustByName("XCV50"), nl, place.Options{Seed: seed, Constraints: cons})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := route.Route(d, route.Options{}); err != nil {
+	if err := route.RouteCtx(context.Background(), d, route.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	return d
@@ -85,11 +86,11 @@ func timeInverter(t *testing.T, row, col int) float64 {
 	cons.NetLocs["out0"] = "P_T1"
 	cons.NetLocs["out1"] = "P_T2"
 	cons.AddGroup("u1/*", "AG", frames.Region{R1: row, C1: col, R2: row + 1, C2: col + 1})
-	d, err := place.Place(device.MustByName("XCV50"), nl, place.Options{Seed: 4, Constraints: cons})
+	d, err := place.PlaceCtx(context.Background(), device.MustByName("XCV50"), nl, place.Options{Seed: 4, Constraints: cons})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := route.Route(d, route.Options{}); err != nil {
+	if err := route.RouteCtx(context.Background(), d, route.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	a, err := Analyze(d)
@@ -114,7 +115,7 @@ func TestAnalyzeRejectsUnrouted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := place.Place(device.MustByName("XCV50"), nl, place.Options{Seed: 1})
+	d, err := place.PlaceCtx(context.Background(), device.MustByName("XCV50"), nl, place.Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package xdl
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -18,11 +19,11 @@ func counterXDL(t testing.TB) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := place.Place(device.MustByName("XCV50"), nl, place.Options{Seed: 31})
+	d, err := place.PlaceCtx(context.Background(), device.MustByName("XCV50"), nl, place.Options{Seed: 31})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := route.Route(d, route.Options{}); err != nil {
+	if err := route.RouteCtx(context.Background(), d, route.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	valid, err := Emit(d)

@@ -1,6 +1,7 @@
 package xdl
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -22,11 +23,11 @@ func routedDesign(t *testing.T) *phys.Design {
 	}
 	cons := ucf.New()
 	cons.AddGroup("u1/*", "AG_u1", frames.Region{R1: 1, C1: 1, R2: 8, C2: 8})
-	d, err := place.Place(device.MustByName("XCV50"), nl, place.Options{Seed: 4, Constraints: cons})
+	d, err := place.PlaceCtx(context.Background(), device.MustByName("XCV50"), nl, place.Options{Seed: 4, Constraints: cons})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := route.Route(d, route.Options{}); err != nil {
+	if err := route.RouteCtx(context.Background(), d, route.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	return d

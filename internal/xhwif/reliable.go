@@ -29,7 +29,7 @@ type RetryPolicy struct {
 	// backoff (up to half the backoff). The same seed and failure sequence
 	// reproduce the same delays, so retry behaviour is testable.
 	JitterSeed int64
-	// Timeout bounds one Download call end to end — attempts plus backoff
+	// Timeout bounds one DownloadCtx call end to end — attempts plus backoff
 	// sleeps; 0 means no deadline.
 	Timeout time.Duration
 	// Verify reads the touched frames back after each apparently successful
@@ -90,7 +90,6 @@ type ReliableHWIF struct {
 }
 
 var _ HWIF = (*ReliableHWIF)(nil)
-var _ ContextDownloader = (*ReliableHWIF)(nil)
 
 // NewReliable wraps inner with the given retry policy.
 func NewReliable(inner HWIF, p RetryPolicy) *ReliableHWIF {
@@ -130,33 +129,18 @@ func (r *ReliableHWIF) PartName() string { return r.Inner.PartName() }
 // Readback implements HWIF.
 func (r *ReliableHWIF) Readback() *frames.Memory { return r.Inner.Readback() }
 
-// ReadbackFrames forwards frame-granular readback when the inner HWIF
-// supports it.
+// ReadbackFrames implements HWIF.
 func (r *ReliableHWIF) ReadbackFrames(fars []device.FAR) ([][]uint32, error) {
-	if fr, ok := r.Inner.(FrameReader); ok {
-		return fr.ReadbackFrames(fars)
-	}
-	return nil, fmt.Errorf("xhwif: inner %T has no frame readback", r.Inner)
+	return r.Inner.ReadbackFrames(fars)
 }
 
-// ExecuteReadback forwards raw readback requests when the inner HWIF
-// supports them (core.Project.VerifyRegion uses this path).
+// ExecuteReadback implements HWIF.
 func (r *ReliableHWIF) ExecuteReadback(request []byte) ([]uint32, error) {
-	if er, ok := r.Inner.(interface {
-		ExecuteReadback([]byte) ([]uint32, error)
-	}); ok {
-		return er.ExecuteReadback(request)
-	}
-	return nil, fmt.Errorf("xhwif: inner %T has no raw readback", r.Inner)
+	return r.Inner.ExecuteReadback(request)
 }
 
-// Download implements HWIF via DownloadCtx with no caller deadline beyond
-// the policy's.
-func (r *ReliableHWIF) Download(bs []byte) (DownloadStats, error) {
-	return r.DownloadCtx(context.Background(), bs)
-}
-
-// DownloadCtx downloads with retries under the policy. The returned stats
+// DownloadCtx implements HWIF: it downloads with retries under the policy,
+// within the policy's Timeout and the caller's deadline. The returned stats
 // are those of the successful attempt (Attempts counts all attempts made);
 // on failure they are the last attempt's. The inner download is assumed
 // transactional (as Board's is), so a retry always starts from the device's
@@ -193,11 +177,7 @@ func (r *ReliableHWIF) DownloadCtx(ctx context.Context, bs []byte) (DownloadStat
 			jpglog.Warn(ctx, "download.abort", "attempts", attempt-1, "error", cerr.Error())
 			return ds, fmt.Errorf("xhwif: download aborted after %d attempt(s): %w", attempt-1, cerr)
 		}
-		if cd, ok := r.Inner.(ContextDownloader); ok {
-			ds, err = cd.DownloadCtx(ctx, bs)
-		} else {
-			ds, err = r.Inner.Download(bs)
-		}
+		ds, err = r.Inner.DownloadCtx(ctx, bs)
 		ds.Attempts = attempt
 		if err == nil && expected != nil {
 			if verr := r.verify(pre, expected); verr != nil {
@@ -249,21 +229,13 @@ func (r *ReliableHWIF) backoff(p RetryPolicy, attempt int) time.Duration {
 }
 
 // verify compares the device against the expected post-download state,
-// reading back only the frames the download touched when the inner HWIF
-// offers frame-granular readback (falling back to a full readback).
+// reading back only the frames the download touched.
 func (r *ReliableHWIF) verify(pre, expected *frames.Memory) error {
 	touched, err := expected.Diff(pre)
 	if err != nil {
 		return fmt.Errorf("xhwif: verify: %w", err)
 	}
-	fr, ok := r.Inner.(FrameReader)
-	if !ok {
-		if !r.Inner.Readback().Equal(expected) {
-			return fmt.Errorf("xhwif: verify failed: device state differs from expected post-download state")
-		}
-		return nil
-	}
-	got, err := fr.ReadbackFrames(touched)
+	got, err := r.Inner.ReadbackFrames(touched)
 	if err != nil {
 		return fmt.Errorf("xhwif: verify: %w", err)
 	}

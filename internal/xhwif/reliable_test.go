@@ -14,38 +14,28 @@ import (
 // delegates to the wrapped board — the minimal transactional-but-unreliable
 // link.
 type flaky struct {
-	*Board
+	HWIF
 	fail int
 	seen int
 }
 
-func (f *flaky) Download(bs []byte) (DownloadStats, error) {
-	f.seen++
-	if f.seen <= f.fail {
-		return DownloadStats{Bytes: len(bs)}, errors.New("flaky: injected link failure")
-	}
-	return f.Board.Download(bs)
-}
-
-// DownloadCtx overrides the method promoted from the embedded Board so the
-// injected failures also hit callers on the context-aware path.
 func (f *flaky) DownloadCtx(ctx context.Context, bs []byte) (DownloadStats, error) {
 	if err := ctx.Err(); err != nil {
 		return DownloadStats{}, err
 	}
-	return f.Download(bs)
+	f.seen++
+	if f.seen <= f.fail {
+		return DownloadStats{Bytes: len(bs)}, errors.New("flaky: injected link failure")
+	}
+	return f.HWIF.DownloadCtx(ctx, bs)
 }
 
 // liar reports success without writing anything: the failure mode only
 // verify-after-write can catch.
-type liar struct{ *Board }
+type liar struct{ HWIF }
 
-func (l *liar) Download(bs []byte) (DownloadStats, error) {
+func (liar) DownloadCtx(_ context.Context, bs []byte) (DownloadStats, error) {
 	return DownloadStats{Bytes: len(bs), Attempts: 1}, nil
-}
-
-func (l *liar) DownloadCtx(ctx context.Context, bs []byte) (DownloadStats, error) {
-	return l.Download(bs)
 }
 
 // fastPolicy keeps test retries effectively instant.
@@ -57,8 +47,8 @@ func TestReliableRetriesUntilSuccess(t *testing.T) {
 	mem, bs := fullBitstream(t, 20)
 	p := device.MustByName("XCV50")
 
-	r := NewReliable(&flaky{Board: NewBoard(p), fail: 2}, fastPolicy(4))
-	ds, err := r.Download(bs)
+	r := NewReliable(&flaky{HWIF: NewBoard(p), fail: 2}, fastPolicy(4))
+	ds, err := r.DownloadCtx(context.Background(), bs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,8 +74,8 @@ func TestReliableExhaustedKeepsPreState(t *testing.T) {
 
 	mem2 := mem.Clone()
 	mem2.SetBit(p.CLBBit(2, 2, 2), true)
-	r := NewReliable(&flaky{Board: board, fail: 100}, fastPolicy(3))
-	if _, err := r.Download(bitstream.WriteFull(mem2)); err == nil {
+	r := NewReliable(&flaky{HWIF: board, fail: 100}, fastPolicy(3))
+	if _, err := r.DownloadCtx(context.Background(), bitstream.WriteFull(mem2)); err == nil {
 		t.Fatal("exhausted retries reported success")
 	}
 	if _, aborts, _ := r.Counts(); aborts != 1 {
@@ -102,8 +92,8 @@ func TestReliableVerifyCatchesSilentlyDroppedWrite(t *testing.T) {
 
 	pol := fastPolicy(2)
 	pol.Verify = true
-	r := NewReliable(&liar{Board: NewBoard(p)}, pol)
-	_, err := r.Download(bs)
+	r := NewReliable(&liar{HWIF: NewBoard(p)}, pol)
+	_, err := r.DownloadCtx(context.Background(), bs)
 	if err == nil {
 		t.Fatal("verification accepted a download the device never applied")
 	}
@@ -117,8 +107,8 @@ func TestReliableVerifyPassesOnHonestBoard(t *testing.T) {
 	p := device.MustByName("XCV50")
 	pol := fastPolicy(3)
 	pol.Verify = true
-	r := NewReliable(&flaky{Board: NewBoard(p), fail: 1}, pol)
-	if _, err := r.Download(bs); err != nil {
+	r := NewReliable(&flaky{HWIF: NewBoard(p), fail: 1}, pol)
+	if _, err := r.DownloadCtx(context.Background(), bs); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, vfails := r.Counts(); vfails != 0 {
@@ -134,9 +124,9 @@ func TestReliableDeadline(t *testing.T) {
 	p := device.MustByName("XCV50")
 	pol := fastPolicy(3)
 	pol.Timeout = time.Nanosecond
-	r := NewReliable(&flaky{Board: NewBoard(p), fail: 100}, pol)
+	r := NewReliable(&flaky{HWIF: NewBoard(p), fail: 100}, pol)
 	time.Sleep(time.Microsecond) // let the 1ns deadline expire
-	_, err := r.Download(bs)
+	_, err := r.DownloadCtx(context.Background(), bs)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
 	}

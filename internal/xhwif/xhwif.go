@@ -31,30 +31,23 @@ const DefaultClockHz = 50e6
 
 // HWIF is the hardware-access interface, mirroring XHWIF's role: a device
 // that accepts bitstream downloads and supports configuration readback.
+// *Board implements it; ReliableHWIF and the faults injector decorate any
+// HWIF and implement it in turn.
 type HWIF interface {
 	// PartName identifies the device on the board.
 	PartName() string
-	// Download feeds a (full or partial) bitstream to the configuration
-	// port.
-	Download(bs []byte) (DownloadStats, error)
+	// DownloadCtx feeds a (full or partial) bitstream to the configuration
+	// port. The context carries the caller's deadline, cancellation and
+	// request-scoped logger to every layer of the download stack.
+	DownloadCtx(ctx context.Context, bs []byte) (DownloadStats, error)
 	// Readback returns a copy of the device's configuration memory.
 	Readback() *frames.Memory
-}
-
-// FrameReader is the optional frame-granular readback side of a HWIF.
-// *Board implements it; decorators (ReliableHWIF, faults injectors) forward
-// it so verify-after-write can read back only the frames a download touched.
-type FrameReader interface {
+	// ReadbackFrames reads back only the addressed frames, so
+	// verify-after-write can check just the frames a download touched.
 	ReadbackFrames(fars []device.FAR) ([][]uint32, error)
-}
-
-// ContextDownloader is the optional context-aware download side of a HWIF.
-// *Board, *ReliableHWIF and the faults injector implement it; callers that
-// hold a context (jpgd request handlers, the reliability layer) prefer it so
-// deadlines, cancellation and the request-scoped logger reach every layer of
-// the download stack.
-type ContextDownloader interface {
-	DownloadCtx(ctx context.Context, bs []byte) (DownloadStats, error)
+	// ExecuteReadback runs a readback packet request (bitstream.
+	// WriteReadbackRequest) and returns the raw read words.
+	ExecuteReadback(request []byte) ([]uint32, error)
 }
 
 // DownloadStats reports one download.
@@ -109,8 +102,6 @@ type Board struct {
 }
 
 var _ HWIF = (*Board)(nil)
-var _ FrameReader = (*Board)(nil)
-var _ ContextDownloader = (*Board)(nil)
 
 // NewBoard returns a board with a blank (unconfigured) device.
 func NewBoard(p *device.Part) *Board {
@@ -135,9 +126,10 @@ func (b *Board) Totals() (downloads, bytes int, modelTime time.Duration) {
 	return b.Downloads, b.TotalBytes, b.TotalModelTime
 }
 
-// Download implements HWIF: the bitstream is applied through the
-// configuration-port VM; a partial bitstream on a running device performs
-// dynamic partial reconfiguration (the rest of the device keeps its state).
+// Download applies the bitstream through the configuration-port VM; a
+// partial bitstream on a running device performs dynamic partial
+// reconfiguration (the rest of the device keeps its state). It is the
+// context-free form of DownloadCtx, for callers that hold a concrete board.
 //
 // The download is transactional: the stream applies into a staging clone of
 // the configuration memory, which replaces the live memory only if every
@@ -181,10 +173,9 @@ func (b *Board) Download(bs []byte) (DownloadStats, error) {
 	return ds, nil
 }
 
-// DownloadCtx implements ContextDownloader: Download gated on the context,
-// with one structured log event per outcome (debug on success, warn on a
-// rolled-back stream) so request-scoped logs see the board's side of every
-// download.
+// DownloadCtx implements HWIF: Download gated on the context, with one
+// structured log event per outcome (debug on success, warn on a rolled-back
+// stream) so request-scoped logs see the board's side of every download.
 func (b *Board) DownloadCtx(ctx context.Context, bs []byte) (DownloadStats, error) {
 	if err := ctx.Err(); err != nil {
 		return DownloadStats{}, err

@@ -52,7 +52,7 @@ func TestPublicEndToEnd(t *testing.T) {
 	if _, err := board.Download(base.Bitstream); err != nil {
 		t.Fatal(err)
 	}
-	res, ds, err := proj.GenerateAndDownload(m, board, GenerateOptions{Strict: true})
+	res, ds, err := proj.GenerateAndDownload(context.Background(), m, board, GenerateOptions{Strict: true})
 	if err != nil {
 		t.Fatal(err)
 	}
