@@ -83,7 +83,7 @@ func BenchmarkE1Cold(b *testing.B) {
 }
 
 // BenchmarkE1Warm runs E1 against one pre-warmed build cache: every place,
-// route, bitgen and partial-generation stage is served by content address.
+// route and bitgen stage is served by content address.
 // The determinism tests prove the tables and bitstreams stay byte-identical.
 func BenchmarkE1Warm(b *testing.B) {
 	c := cache.New(cache.Options{NoDisk: true})

@@ -37,7 +37,6 @@ import (
 
 	"repro/internal/bitfile"
 	"repro/internal/bitstream"
-	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/obs"
@@ -65,8 +64,6 @@ func run() error {
 		incr      = flag.Bool("incremental", false, "emit only the frames the module actually changes against the base (a minimal delta partial; not relocatable)")
 		verify    = flag.Bool("verify", false, "independently re-decode the generated partial (internal/bitlint) and fail on any error finding")
 		verbose   = flag.Bool("v", false, "trace the tool's stages and print a per-stage summary and metrics")
-		useCache  = flag.Bool("cache", cache.EnvEnabled(), "memoize partial-bitstream generation (content-addressed; default $JPG_CACHE/$JPG_CACHE_DIR)")
-		cacheDir  = flag.String("cache-dir", os.Getenv(cache.EnvDir), "persist the cache on disk under this directory (implies -cache)")
 		faultSpec = flag.String("faults", os.Getenv(faults.Env), "inject deterministic download faults (e.g. \"nth=2,mode=error,seed=7\"; default $JPG_FAULTS)")
 		retries   = flag.Int("retries", 0, "max download attempts through the reliability layer (0 = xhwif default; implies the layer when > 0)")
 		dlTimeout = flag.Duration("download-timeout", 0, "deadline for one download including retries (implies the reliability layer when > 0)")
@@ -108,9 +105,6 @@ func run() error {
 	sp.End()
 	if err != nil {
 		return err
-	}
-	if *useCache || *cacheDir != "" {
-		proj.Cache = cache.New(cache.Options{Dir: *cacheDir, NoDisk: *cacheDir == ""})
 	}
 	fmt.Printf("project: %s, base bitstream %d bytes\n", proj.Part, len(baseBS))
 

@@ -48,7 +48,7 @@ func run() error {
 	var (
 		addr     = flag.String("addr", ":8080", "listen address")
 		logLevel = flag.String("log-level", "info", "log level: debug, info, warn, error")
-		useCache = flag.Bool("cache", cache.EnvEnabled(), "memoize CAD stages and partial generation across requests (default $JPG_CACHE/$JPG_CACHE_DIR)")
+		useCache = flag.Bool("cache", cache.EnvEnabled(), "memoize CAD stages across requests (default $JPG_CACHE/$JPG_CACHE_DIR)")
 		cacheDir = flag.String("cache-dir", os.Getenv(cache.EnvDir), "persist the cache on disk under this directory (implies -cache)")
 		frCap    = flag.Int("flightrec", flightrec.DefaultCapacity, "flight recorder capacity (recent spans kept)")
 		spanLogs = flag.Bool("span-logs", false, "also log every completed span (debug level, high volume)")

@@ -3,7 +3,7 @@
 // The paper's economic claim (C1/C3) is that partial reconfiguration avoids
 // redundant CAD work; this package generalises the same amortization to every
 // stage of the reproduction's flow. A stage result (a placement, a routed
-// design, a bitstream, a generated partial) is stored under a Key derived
+// design, a bitstream) is stored under a Key derived
 // from a stable hash of everything the stage's output depends on — netlist
 // content, constraints, part, region, seed, options — so byte-identical
 // inputs fetch byte-identical outputs instead of recomputing them.

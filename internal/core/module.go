@@ -28,11 +28,6 @@ type Module struct {
 	// Touched is the bounding region of everything the module actually
 	// configures: cell sites and routed PIPs.
 	Touched frames.Region
-
-	// fp is the content fingerprint of the module's XDL/UCF source texts
-	// (set by Project.AddModule; empty for modules built another way,
-	// which are then never memoized).
-	fp string
 }
 
 func newModule(name string, design *phys.Design, cons *ucf.Constraints) (*Module, error) {

@@ -14,11 +14,9 @@ import (
 	"fmt"
 
 	"repro/internal/bitstream"
-	"repro/internal/cache"
 	"repro/internal/device"
 	"repro/internal/frames"
 	"repro/internal/jbits"
-	"repro/internal/ncd"
 	"repro/internal/obs"
 	jpglog "repro/internal/obs/log"
 	"repro/internal/parallel"
@@ -38,17 +36,6 @@ type Project struct {
 	Base *frames.Memory
 	// Modules lists the sub-module variants added to the project.
 	Modules []*Module
-	// Cache optionally memoizes partial-bitstream generation: repeated
-	// GeneratePartial calls for the same base configuration, module content
-	// and options return the stored result. Write-backs advance the base's
-	// content fingerprint, so a memoized partial can never be served
-	// against a configuration it was not diffed from.
-	Cache *cache.Cache
-
-	// baseFP is the content fingerprint of Base. Empty disables
-	// memoization (set after UpdateBRAM write-backs, whose arbitrary
-	// mutation function cannot be fingerprinted).
-	baseFP string
 }
 
 // NewProject initialises a project from a complete base bitstream; the part
@@ -68,10 +55,7 @@ func NewProject(baseBitstream []byte) (*Project, error) {
 		return nil, fmt.Errorf("core: base bitstream wrote %d of %d frames; a complete bitstream is required",
 			stats.FramesWritten, part.TotalFrames())
 	}
-	h := cache.NewHasher("core.base/v1")
-	h.Str("part", part.Name)
-	h.Bytes("bitstream", baseBitstream)
-	return &Project{Part: part, Base: mem, baseFP: h.Sum().String()}, nil
+	return &Project{Part: part, Base: mem}, nil
 }
 
 // NewProjectForPart initialises a project from an explicit part and
@@ -81,7 +65,7 @@ func NewProjectForPart(part *device.Part, base *frames.Memory) (*Project, error)
 	if base.Part != part {
 		return nil, fmt.Errorf("core: memory is for %s, not %s", base.Part.Name, part.Name)
 	}
-	return &Project{Part: part, Base: base.Clone(), baseFP: base.Fingerprint()}, nil
+	return &Project{Part: part, Base: base.Clone()}, nil
 }
 
 // AddModule parses a sub-module variant's XDL and UCF texts (the outputs of
@@ -107,12 +91,6 @@ func (p *Project) AddModule(name, xdlText, ucfText string) (*Module, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: module %s: %w", name, err)
 	}
-	// The module's cache identity is its source texts: two modules loaded
-	// from byte-identical XDL/UCF (under any name) share partial results.
-	mh := cache.NewHasher("core.module/v1")
-	mh.Str("xdl", xdlText)
-	mh.Str("ucf", ucfText)
-	m.fp = mh.Sum().String()
 	p.Modules = append(p.Modules, m)
 	mModulesAdded.Inc()
 	return m, nil
@@ -122,9 +100,7 @@ func (p *Project) AddModule(name, xdlText, ucfText string) (*Module, error) {
 // constraints without registering it with the project — the form the
 // incremental edit loop uses, where every edit yields a fresh revision of
 // the same module and registering each one would grow the project without
-// bound. The module's cache identity is its serialised content (NCD bytes +
-// constraint fingerprint), so revisiting a configuration in a warm edit
-// storm hits the memoized partial.
+// bound.
 func (p *Project) ModuleFromDesign(name string, design *phys.Design, cons *ucf.Constraints) (*Module, error) {
 	if design.Part != p.Part {
 		return nil, fmt.Errorf("core: module %s targets %s but the project device is %s",
@@ -136,12 +112,6 @@ func (p *Project) ModuleFromDesign(name string, design *phys.Design, cons *ucf.C
 	m, err := newModule(name, design, cons)
 	if err != nil {
 		return nil, fmt.Errorf("core: module %s: %w", name, err)
-	}
-	if ncdBytes, err := ncd.Marshal(design); err == nil {
-		mh := cache.NewHasher("core.module.ncd/v1")
-		mh.Bytes("ncd", ncdBytes)
-		mh.Str("ucf", cons.Fingerprint())
-		m.fp = mh.Sum().String()
 	}
 	return m, nil
 }
@@ -181,9 +151,8 @@ type GenerateOptions struct {
 	// the generated partial — decoding it from raw bytes, differentially
 	// checking the reconstruction against the configuration-port model, and
 	// requiring that it only rewrites the frames the result declares — and
-	// fails the generation on any error finding. Execution-only: it never
-	// changes the emitted bytes, so it is not part of the memoization key
-	// (cached results are verified on the way out too).
+	// fails the generation on any error finding. It never changes the
+	// emitted bytes.
 	Verify bool
 }
 
@@ -213,37 +182,30 @@ var (
 )
 
 // GeneratePartial replays the module onto (a copy of) the base
-// configuration and emits the partial bitstream for its columns. With a
-// Cache attached, non-write-back generations are memoized on the (base
-// configuration, module content, options) triple.
+// configuration and emits the partial bitstream for its columns.
 func (p *Project) GeneratePartial(m *Module, opts GenerateOptions) (*Result, error) {
 	return p.GeneratePartialCtx(context.Background(), m, opts)
 }
 
 // GeneratePartialCtx is GeneratePartial under a context, the service entry
-// point: the generation runs as a "core.partial" span and every cache and
-// log event it emits inherits the context's collector, logger and
-// correlation ID.
+// point: the generation runs as a "core.partial" span and every log event
+// it emits inherits the context's collector, logger and correlation ID.
 func (p *Project) GeneratePartialCtx(ctx context.Context, m *Module, opts GenerateOptions) (res *Result, err error) {
 	_, sp := obs.Start(ctx, "core.partial")
 	sp.SetStr("module", m.Name)
 	defer func() { sp.EndErr(err) }()
-	res, err = p.generatePartial(ctx, m, opts)
+	res, err = p.computePartial(m, opts)
 	if err != nil {
 		obs.CountError("partial")
 		jpglog.Warn(ctx, "core.partial", "module", m.Name, "error", err.Error())
 		return nil, err
 	}
 	if opts.Verify {
-		// Runs after generation (memoized or direct) so cached results are
-		// re-verified too. With WriteBack the base has already advanced, so
-		// the partial verifies as an idempotent overlay of the new base.
+		// With WriteBack the base has already advanced, so the partial
+		// verifies as an idempotent overlay of the new base.
 		if err = p.verifyResult(ctx, m, res); err != nil {
 			return nil, err
 		}
-	}
-	if opts.WriteBack {
-		p.advanceBaseFP(m.fp)
 	}
 	mPartials.Inc()
 	mFramesCarried.Add(int64(len(res.FARs)))
@@ -256,66 +218,8 @@ func (p *Project) GeneratePartialCtx(ctx context.Context, m *Module, opts Genera
 	return res, nil
 }
 
-// generatePartial dispatches between the memoized and direct paths. The
-// cache applies only when the base and module fingerprints are both known
-// and the generation does not write back (a write-back mutates project
-// state, which a cached result could not replay).
-func (p *Project) generatePartial(ctx context.Context, m *Module, opts GenerateOptions) (*Result, error) {
-	c := p.Cache
-	if c == nil || opts.WriteBack || p.baseFP == "" || m.fp == "" {
-		return p.computePartial(m, opts)
-	}
-	h := cache.NewHasher("core.partial/v1")
-	h.Str("part", p.Part.Name)
-	h.Str("base", p.baseFP)
-	h.Str("module", m.fp)
-	h.Bool("strict", opts.Strict)
-	h.Bool("compress", opts.Compress)
-	h.Bool("delta", opts.Delta)
-	k := h.Sum()
-	data, hit, err := c.GetOrCompute(ctx, "partial", k, func() ([]byte, error) {
-		res, err := p.computePartial(m, opts)
-		if err != nil {
-			return nil, err
-		}
-		return encodeResult(res)
-	})
-	if err != nil {
-		return nil, err
-	}
-	jpglog.Info(ctx, "cache", jpglog.FieldStage, "partial", "result", cacheResult(hit), "module", m.Name)
-	res, err := decodeResult(data)
-	if err != nil {
-		// Undecodable entry (stale encoding, collision): drop it and
-		// generate directly.
-		c.Remove("partial", k)
-		return p.computePartial(m, opts)
-	}
-	return res, nil
-}
-
-// cacheResult spells a cache lookup outcome for log events.
-func cacheResult(hit bool) string {
-	if hit {
-		return "hit"
-	}
-	return "miss"
-}
-
-// advanceBaseFP folds a write-back into the base fingerprint so memoized
-// partials are keyed on the exact post-write-back configuration.
-func (p *Project) advanceBaseFP(moduleFP string) {
-	if p.baseFP == "" || moduleFP == "" {
-		p.baseFP = ""
-		return
-	}
-	h := cache.NewHasher("core.writeback/v1")
-	h.Str("base", p.baseFP)
-	h.Str("module", moduleFP)
-	p.baseFP = h.Sum().String()
-}
-
-// computePartial is the direct generation path.
+// computePartial replays the module onto a clone of the base and emits its
+// partial.
 func (p *Project) computePartial(m *Module, opts GenerateOptions) (*Result, error) {
 	region, err := m.writeRegion(p.Part, opts.Strict)
 	if err != nil {
@@ -447,7 +351,6 @@ func (p *Project) GenerateAndDownload(ctx context.Context, m *Module, board xhwi
 		return res, ds, fmt.Errorf("core: write-back after download: %w", err)
 	}
 	p.Base = work
-	p.advanceBaseFP(m.fp)
 	return res, ds, nil
 }
 
@@ -526,14 +429,5 @@ func (p *Project) UpdateBRAM(opts GenerateOptions, fn func(jb *jbits.JBits) erro
 			fars = append(fars, p.Part.BRAMColumnFARs(side)...)
 		}
 	}
-	res, err := p.emit(work, fars, opts)
-	if err != nil {
-		return nil, err
-	}
-	if opts.WriteBack {
-		// fn is arbitrary code; the resulting configuration has no
-		// derivable fingerprint, so memoization stops here.
-		p.baseFP = ""
-	}
-	return res, nil
+	return p.emit(work, fars, opts)
 }

@@ -19,9 +19,7 @@ import (
 var mVerifyRuns = obs.GetCounter("core.verify_runs")
 
 // verifyResult lints a generated partial against the project's base
-// configuration and the result's declared frame set. It runs after both the
-// direct and the memoized generation paths, so a corrupted cache entry is
-// caught the same way a writer bug is.
+// configuration and the result's declared frame set.
 func (p *Project) verifyResult(ctx context.Context, m *Module, res *Result) error {
 	_, sp := obs.Start(ctx, "core.verify")
 	sp.SetStr("module", m.Name)

@@ -127,7 +127,6 @@ func E1(cfg Config) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	proj.Cache = cfg.Cache
 	// Phase 2: each variant re-implementation is an independent constrained
 	// project (each keeps the seed the serial flow gave it), so the batch
 	// goes through the variant farm and then through the concurrent partial

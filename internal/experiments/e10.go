@@ -99,7 +99,6 @@ func EditStorm(cfg Config) (*Table, *EditStormStats, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	proj.Cache = cfg.Cache
 	sess, err := flow.NewVariantEditSession(variant, base.Regions["u2/"], vopts)
 	if err != nil {
 		return nil, nil, err
@@ -113,7 +112,6 @@ func EditStorm(cfg Config) (*Table, *EditStormStats, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	coldProj.Cache = cfg.Cache
 
 	rng := rand.New(rand.NewSource(cfg.Seed + 100))
 	cur := variant.Netlist

@@ -70,7 +70,6 @@ func E6(cfg Config) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	proj.Cache = cfg.Cache
 	t0 := time.Now()
 	m, err := proj.AddModule("u1_variant", variant.XDL, variant.UCF)
 	if err != nil {

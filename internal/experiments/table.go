@@ -126,8 +126,8 @@ type Config struct {
 	// attached by jpgbench -trace); nil means context.Background().
 	// Tracing never changes results — only what gets recorded.
 	Ctx context.Context
-	// Cache optionally memoizes CAD stage results (see internal/cache):
-	// the flow consults it via the run context, core projects directly.
+	// Cache optionally memoizes CAD stage results (see internal/cache); the
+	// flow consults it via the run context.
 	// Caching never changes results — byte-identical cold, warm or off —
 	// only wall-clock, so experiments whose verdicts compare *measured
 	// times* (E4/E8/E9) should be given a cold cache or none at all.

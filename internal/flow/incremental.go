@@ -2,15 +2,11 @@ package flow
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/bitgen"
 	"repro/internal/bitstream"
-	"repro/internal/cache"
-	"repro/internal/device"
 	"repro/internal/frames"
 	"repro/internal/jbitsdiff"
 	"repro/internal/ncd"
@@ -38,7 +34,6 @@ var (
 	mIncrEdits    = obs.GetCounter("flow.incremental_edits")
 	mIncrSplices  = obs.GetCounter("flow.incremental_splices")
 	mIncrRebuilds = obs.GetCounter("flow.incremental_rebuilds")
-	mIncrColHits  = obs.GetCounter("flow.incremental_col_hits")
 	mIncrNS       = obs.GetHistogram("flow.incremental_ns")
 	mIncrDirty    = obs.GetHistogram("flow.incremental_dirty_frames")
 )
@@ -56,8 +51,6 @@ type IncrementalStats struct {
 	// after a splice: exactly the frames whose content changed.
 	DirtyFrames  int
 	DirtyColumns []int
-	// ColumnHits counts per-column sub-stage cache hits during the splice.
-	ColumnHits int
 	// Diff and Apply are the wall-clock costs of diffing the netlists and of
 	// absorbing the edit (splice or rebuild).
 	Diff, Apply time.Duration
@@ -92,14 +85,8 @@ type EditSession struct {
 	prev *Artifacts
 	// mem is the bitgen output for prev.Phys, tracked so splices record
 	// exactly the frames they touch.
-	mem *frames.Memory
-	// colIndex maps each CLB column to the names of the cells placed in it
-	// (sorted); colBase keys the per-column sub-stage cache. Both are
-	// functions of the routed design and are rebuilt after a structural
-	// rebuild.
-	colIndex map[int][]string
-	colBase  cache.Key
-	valid    bool
+	mem   *frames.Memory
+	valid bool
 }
 
 // NewEditSession starts an incremental session from a previous
@@ -139,47 +126,16 @@ func newEditSession(prev *Artifacts, cons *ucf.Constraints, rfn func(*netlist.Ne
 	return s, nil
 }
 
-// rebind (re)derives the session's memory, column index and sub-stage key
-// base from a freshly implemented revision.
+// rebind (re)derives the session's memory from a freshly implemented
+// revision.
 func (s *EditSession) rebind(a *Artifacts) error {
 	mem, err := bitgen.Generate(a.Phys)
 	if err != nil {
 		return fmt.Errorf("flow: edit session: regenerate frames: %w", err)
 	}
-	// A column payload carries routing bits, so the key base hashes the
-	// routed design itself (as NCD, Init values masked: the column sub-keys
-	// carry those). A payload is then only replayed onto the placement and
-	// routes it was generated from, whichever placer or router made them.
-	f, err := a.Phys.Flatten()
-	if err != nil {
-		return fmt.Errorf("flow: edit session: %w", err)
-	}
-	for i := range f.Cells {
-		f.Cells[i].Init = 0
-	}
-	routed, err := ncd.MarshalFlat(f)
-	if err != nil {
-		return fmt.Errorf("flow: edit session: %w", err)
-	}
-	h := cache.NewHasher("flow.incremental/v2")
-	h.Str("part", s.part.Name)
-	h.Str("struct", a.Netlist.StructuralFingerprint())
-	h.Str("ucf", s.cons.Fingerprint())
-	h.Str("opts", s.opts.Fingerprint())
-	h.Str("regions", s.regionFP)
-	h.Bytes("routed", routed)
-
 	mem.StartTracking()
 	s.prev = a
 	s.mem = mem
-	s.colIndex = map[int][]string{}
-	for c, site := range a.Phys.Cells {
-		s.colIndex[site.Col] = append(s.colIndex[site.Col], c.Name)
-	}
-	for _, names := range s.colIndex {
-		sort.Strings(names)
-	}
-	s.colBase = h.Sum()
 	s.valid = true
 	return nil
 }
@@ -239,8 +195,7 @@ func (s *EditSession) splice(ctx context.Context, next *netlist.Design, diff *ne
 	}
 
 	s.mem.ResetDirty()
-	colHits, err := s.applyEdits(ctx, pd, next, diff.InitEdits)
-	if err != nil {
+	if err := bitgen.ReprogramInitEdits(s.mem, pd, diff.InitEdits); err != nil {
 		s.valid = false // memory may hold a partial edit
 		return nil, err
 	}
@@ -294,112 +249,10 @@ func (s *EditSession) splice(ctx context.Context, next *netlist.Design, diff *ne
 			InitEdits:    len(diff.InitEdits),
 			DirtyFrames:  len(dirty),
 			DirtyColumns: s.mem.DirtyCLBColumns(),
-			ColumnHits:   colHits,
 			Diff:         diffTime,
 			Apply:        time.Since(t0),
 		},
 	}, nil
-}
-
-// applyEdits writes the INIT edits into the session memory, one affected
-// column at a time. With a cache attached, each column's complete frame
-// payload is memoized under a sub-stage key covering the routed design and
-// the column's Init values, so revisiting a configuration in a warm edit
-// storm replays the column's frames instead of reprogramming cells.
-func (s *EditSession) applyEdits(ctx context.Context, pd *phys.Design, next *netlist.Design,
-	edits []netlist.InitEdit) (colHits int, err error) {
-	c := cache.FromContext(ctx)
-	if c == nil {
-		return 0, bitgen.ReprogramInitEdits(s.mem, pd, edits)
-	}
-	// Group the edits by the CLB column holding the edited cell.
-	byCol := map[int][]netlist.InitEdit{}
-	var cols []int
-	for _, e := range edits {
-		cell, ok := next.Cell(e.Name)
-		if !ok {
-			return colHits, fmt.Errorf("flow: splice: no cell %q", e.Name)
-		}
-		site, placed := pd.Cells[cell]
-		if !placed {
-			return colHits, fmt.Errorf("flow: splice: cell %q unplaced", e.Name)
-		}
-		if _, seen := byCol[site.Col]; !seen {
-			cols = append(cols, site.Col)
-		}
-		byCol[site.Col] = append(byCol[site.Col], e)
-	}
-	sort.Ints(cols)
-	for _, col := range cols {
-		key := s.columnKey(next, col)
-		payload, hit, err := c.GetOrCompute(ctx, "col", key, func() ([]byte, error) {
-			if err := bitgen.ReprogramInitEdits(s.mem, pd, byCol[col]); err != nil {
-				return nil, err
-			}
-			return s.columnPayload(col), nil
-		})
-		if err != nil {
-			return colHits, err
-		}
-		if hit {
-			colHits++
-			mIncrColHits.Inc()
-			if err := s.setColumnPayload(col, payload); err != nil {
-				return colHits, err
-			}
-		}
-	}
-	return colHits, nil
-}
-
-// columnKey is the sub-stage cache key of one CLB column's frame payload:
-// the session's base key (the routed design) plus the Init values of every
-// cell placed in the column.
-func (s *EditSession) columnKey(nl *netlist.Design, col int) cache.Key {
-	fields := make([]string, 0, 1+len(s.colIndex[col]))
-	fields = append(fields, fmt.Sprintf("col=%d", col))
-	for _, name := range s.colIndex[col] {
-		init := 0
-		if c, ok := nl.Cell(name); ok {
-			init = int(c.Init)
-		}
-		fields = append(fields, fmt.Sprintf("%s=%#x", name, init))
-	}
-	return cache.SubKey(s.colBase, "flow.col/v1", fields...)
-}
-
-// columnPayload serialises the column's frames (all minors, big-endian).
-func (s *EditSession) columnPayload(col int) []byte {
-	fw := s.part.FrameWords()
-	out := make([]byte, 0, device.FramesCLBCol*fw*4)
-	for minor := 0; minor < device.FramesCLBCol; minor++ {
-		far := device.MakeFAR(device.BlockCLB, s.part.CLBMajor(col), minor)
-		for _, w := range s.mem.Frame(far) {
-			out = binary.BigEndian.AppendUint32(out, w)
-		}
-	}
-	return out
-}
-
-// setColumnPayload replays a memoized column payload into the session
-// memory through SetFrame, so only genuinely changed frames turn dirty.
-func (s *EditSession) setColumnPayload(col int, payload []byte) error {
-	fw := s.part.FrameWords()
-	if len(payload) != device.FramesCLBCol*fw*4 {
-		return fmt.Errorf("flow: column payload %d bytes, want %d", len(payload), device.FramesCLBCol*fw*4)
-	}
-	words := make([]uint32, fw)
-	for minor := 0; minor < device.FramesCLBCol; minor++ {
-		far := device.MakeFAR(device.BlockCLB, s.part.CLBMajor(col), minor)
-		base := minor * fw * 4
-		for i := range words {
-			words[i] = binary.BigEndian.Uint32(payload[base+i*4:])
-		}
-		if err := s.mem.SetFrame(far, words); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // rebuild absorbs a structural edit by re-running the full deterministic

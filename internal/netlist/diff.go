@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-
-	"repro/internal/cache"
 )
 
 // This file implements the structural diff between two netlists that drives
@@ -28,9 +26,6 @@ type InitEdit struct {
 // and port deltas are recorded by name, sorted, so the diff itself is
 // deterministic regardless of map iteration order.
 type DesignDiff struct {
-	// PrevFP and NextFP are the two designs' content fingerprints.
-	PrevFP, NextFP string
-
 	// InitEdits lists cells whose Init changed but whose structure did not.
 	InitEdits []InitEdit
 
@@ -109,17 +104,6 @@ func (d *DesignDiff) Summary() string {
 	return strings.Join(parts, ", ")
 }
 
-// Fingerprint returns a stable hash of the transition this diff describes,
-// for use in sub-stage cache keys: it covers both endpoint fingerprints, so
-// two diffs share a key exactly when they map the same previous design to
-// the same next design.
-func (d *DesignDiff) Fingerprint() string {
-	h := cache.NewHasher("netlist.diff/v1")
-	h.Str("prev", d.PrevFP)
-	h.Str("next", d.NextFP)
-	return h.Sum().String()
-}
-
 // cellSig is a cell's placement-visible structure, excluding Init.
 func cellSig(c *Cell) string {
 	var b strings.Builder
@@ -173,11 +157,7 @@ func netName(n *Net) string {
 // inputs; the result is self-contained (names and values, no pointers into
 // either design).
 func Diff(prev, next *Design) *DesignDiff {
-	d := &DesignDiff{
-		PrevFP:      prev.Fingerprint(),
-		NextFP:      next.Fingerprint(),
-		NameChanged: prev.Name != next.Name,
-	}
+	d := &DesignDiff{NameChanged: prev.Name != next.Name}
 
 	for _, nc := range next.Cells {
 		pc, ok := prev.cellsByName[nc.Name]

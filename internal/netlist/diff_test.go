@@ -52,9 +52,6 @@ func TestCloneIsDeepAndIdentical(t *testing.T) {
 	if c.Fingerprint() == d.Fingerprint() {
 		t.Fatal("edited clone still fingerprints like the original")
 	}
-	if c.StructuralFingerprint() != d.StructuralFingerprint() {
-		t.Fatal("INIT edit changed the structural fingerprint")
-	}
 }
 
 func TestSetInitValidation(t *testing.T) {
@@ -100,12 +97,6 @@ func TestDiffInitOnly(t *testing.T) {
 	}
 	if e := diff.InitEdits[1]; e.OldInit != 0x0f0f || e.NewInit != 0xffff {
 		t.Fatalf("l2 edit %+v", e)
-	}
-	if Diff(d, next).Fingerprint() != diff.Fingerprint() {
-		t.Fatal("diff fingerprint unstable")
-	}
-	if Diff(next, d).Fingerprint() == diff.Fingerprint() {
-		t.Fatal("reversed diff shares a fingerprint")
 	}
 }
 

@@ -12,27 +12,8 @@ import (
 // but different construction order may place differently and must not share
 // a cache entry.
 func (d *Design) Fingerprint() string {
-	return d.fingerprint("netlist/v1", true)
-}
-
-// StructuralFingerprint is Fingerprint with cell Init values masked out: it
-// hashes exactly what the placer and router consume. Two designs that differ
-// only in LUT truth tables or flip-flop reset values — the incremental
-// flow's INIT-only edit class — share a structural fingerprint, which keys
-// the per-column sub-stage cache across an edit storm.
-func (d *Design) StructuralFingerprint() string {
-	return d.fingerprint("netlist.struct/v1", false)
-}
-
-func (d *Design) fingerprint(domain string, withInit bool) string {
-	h := cache.NewHasher(domain)
+	h := cache.NewHasher("netlist/v1")
 	h.Str("name", d.Name)
-	netName := func(n *Net) string {
-		if n == nil {
-			return ""
-		}
-		return n.Name
-	}
 	h.Int("ports", int64(len(d.Ports)))
 	for _, p := range d.Ports {
 		h.Str("port", p.Name)
@@ -44,9 +25,7 @@ func (d *Design) fingerprint(domain string, withInit bool) string {
 	for _, c := range d.Cells {
 		h.Str("cell", c.Name)
 		h.Int("kind", int64(c.Kind))
-		if withInit {
-			h.Int("init", int64(c.Init))
-		}
+		h.Int("init", int64(c.Init))
 		h.Int("inputs", int64(len(c.Inputs)))
 		for _, in := range c.Inputs {
 			h.Str("in", netName(in))

@@ -144,12 +144,12 @@ func NewTraceCollector() *TraceCollector { return obs.New() }
 func MetricsNow() MetricsSnapshot { return obs.Default.Snapshot() }
 
 // Build cache (see internal/cache). A Cache memoizes CAD stage results —
-// map, place, route, bitgen, partial generation — under content-addressed
-// keys derived from every input the stage consumes, so repeated identical
-// work is fetched instead of recomputed. Caching never changes results:
+// map, place, route, bitgen, XDL emission — under content-addressed keys
+// derived from every input the stage consumes, so repeated identical work
+// is fetched instead of recomputed. Caching never changes results:
 // artifacts are byte-identical with the cache cold, warm or absent, at any
 // worker count. Attach one to a context with WithCache for the Build*
-// functions, or set Project.Cache for partial generation.
+// functions.
 type (
 	// Cache is a bounded, concurrency-safe content-addressed store with an
 	// optional on-disk tier.
