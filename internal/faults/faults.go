@@ -235,13 +235,15 @@ func (in *Injector) DownloadCtx(ctx context.Context, bs []byte) (xhwif.DownloadS
 
 	mAttempts.Inc()
 	if in.spec.Latency > 0 {
-		mLatencyNs.Observe(in.spec.Latency.Nanoseconds())
+		t0 := time.Now()
 		t := time.NewTimer(in.spec.Latency)
 		select {
 		case <-ctx.Done():
 			t.Stop()
+			mLatencyNs.Observe(time.Since(t0).Nanoseconds())
 			return xhwif.DownloadStats{}, ctx.Err()
 		case <-t.C:
+			mLatencyNs.Observe(time.Since(t0).Nanoseconds())
 		}
 	}
 	if !inject {

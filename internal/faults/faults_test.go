@@ -10,6 +10,7 @@ import (
 	"repro/internal/bitstream"
 	"repro/internal/device"
 	"repro/internal/frames"
+	"repro/internal/obs"
 	"repro/internal/xhwif"
 )
 
@@ -215,6 +216,8 @@ func TestLatencyHonoursDeadline(t *testing.T) {
 	board := xhwif.NewBoard(p)
 	in := Wrap(board, Spec{Latency: time.Hour})
 	r := xhwif.NewReliable(in, xhwif.RetryPolicy{Timeout: 20 * time.Millisecond})
+	waited := obs.GetHistogram("faults.injected_latency_ns")
+	sum0 := waited.Sum()
 	t0 := time.Now()
 	_, err := r.DownloadCtx(context.Background(), bs)
 	if el := time.Since(t0); el >= time.Second {
@@ -225,6 +228,13 @@ func TestLatencyHonoursDeadline(t *testing.T) {
 	}
 	if attempts, _ := in.Counts(); attempts != 1 {
 		t.Fatalf("injector saw %d attempts, want 1", attempts)
+	}
+	// The attempt ended at the call's own deadline: no retry, one abort.
+	if retries, aborts, _ := r.Counts(); retries != 0 || aborts != 1 {
+		t.Fatalf("Counts() = %d retries, %d aborts; want 0 and 1", retries, aborts)
+	}
+	if d := time.Duration(waited.Sum() - sum0); d >= time.Second {
+		t.Fatalf("injected latency recorded %v for a wait cut short at 20ms", d)
 	}
 	if downloads, _, _ := board.Totals(); downloads != 0 || !board.Readback().Equal(frames.New(p)) {
 		t.Fatal("a download cut short by its deadline wrote the device")

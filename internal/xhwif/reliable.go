@@ -170,12 +170,16 @@ func (r *ReliableHWIF) DownloadCtx(ctx context.Context, bs []byte) (DownloadStat
 
 	var ds DownloadStats
 	var err error
+	// abort ends the call: it counts and logs the abort and wraps cause.
+	abort := func(what string, attempts int, cause error) (DownloadStats, error) {
+		r.aborts++
+		mAborts.Inc()
+		jpglog.Warn(ctx, "download.abort", "attempts", attempts, "error", cause.Error())
+		return ds, fmt.Errorf("xhwif: download %s after %d attempt(s): %w", what, attempts, cause)
+	}
 	for attempt := 1; ; attempt++ {
 		if cerr := ctx.Err(); cerr != nil {
-			r.aborts++
-			mAborts.Inc()
-			jpglog.Warn(ctx, "download.abort", "attempts", attempt-1, "error", cerr.Error())
-			return ds, fmt.Errorf("xhwif: download aborted after %d attempt(s): %w", attempt-1, cerr)
+			return abort("aborted", attempt-1, cerr)
 		}
 		ds, err = r.Inner.DownloadCtx(ctx, bs)
 		ds.Attempts = attempt
@@ -192,21 +196,20 @@ func (r *ReliableHWIF) DownloadCtx(ctx context.Context, bs []byte) (DownloadStat
 		if err == nil {
 			return ds, nil
 		}
+		// An attempt cut short by the call's own deadline or cancellation
+		// is not retried: no further attempt could start.
+		if cerr := ctx.Err(); cerr != nil {
+			return abort("aborted", attempt, cerr)
+		}
 		if attempt >= p.MaxAttempts {
-			r.aborts++
-			mAborts.Inc()
-			jpglog.Warn(ctx, "download.abort", "attempts", attempt, "error", err.Error())
-			return ds, fmt.Errorf("xhwif: download failed after %d attempt(s): %w", attempt, err)
+			return abort("failed", attempt, err)
 		}
 		r.retries++
 		mRetries.Inc()
 		backoff := r.backoff(p, attempt)
 		jpglog.Warn(ctx, "download.retry", "attempt", attempt, "backoff_us", backoff.Microseconds(), "error", err.Error())
 		if serr := r.sleep(ctx, backoff); serr != nil {
-			r.aborts++
-			mAborts.Inc()
-			jpglog.Warn(ctx, "download.abort", "attempts", attempt, "error", serr.Error())
-			return ds, fmt.Errorf("xhwif: download aborted during backoff after %d attempt(s): %w", attempt, serr)
+			return abort("aborted during backoff", attempt, serr)
 		}
 	}
 }
