@@ -354,9 +354,8 @@ func percentiles(lat []time.Duration) (p50, p95, p99 int64) {
 // of the target daemon produce byte-identical bodies for the same request:
 // the first request of a concurrent burst executes the flow (cold leader),
 // the rest coalesce onto it, and a repeat is served from the artifact cache.
-// The baseline daemon's answer is a separate execution, so its stage-time
-// fields legitimately differ; it is compared with timings masked to confirm
-// the serving pipeline does not alter results.
+// The baseline daemon's answer is a separate execution; it must match byte
+// for byte too, which confirms the serving pipeline does not alter results.
 func byteIdentity(targetURL, baselineURL string, cfg config) (bool, error) {
 	body := buildBody(7 << 20) // a seed no schedule slot uses
 	fetch := func(base string) ([]byte, string, error) {
@@ -412,46 +411,17 @@ func byteIdentity(targetURL, baselineURL string, cfg config) (bool, error) {
 		return false, nil
 	}
 	// Cross-check the result against an independent execution on the
-	// baseline, ignoring the per-run stage-time measurements.
+	// baseline.
 	if baselineURL != "" {
 		b, _, err := fetch(baselineURL)
 		if err != nil {
 			return false, err
 		}
-		same, err := equalIgnoringTimes(b, reference)
-		if err != nil || !same {
-			return false, err
+		if !bytes.Equal(b, reference) {
+			return false, nil
 		}
 	}
 	return true, nil
-}
-
-// equalIgnoringTimes compares two /v1/build response bodies with the
-// stage-time measurement fields (the only legitimately run-dependent part of
-// a response) masked out.
-func equalIgnoringTimes(a, b []byte) (bool, error) {
-	mask := func(raw []byte) (any, error) {
-		var m map[string]any
-		if err := json.Unmarshal(raw, &m); err != nil {
-			return nil, err
-		}
-		delete(m, "base_times")
-		if v, ok := m["variant"].(map[string]any); ok {
-			delete(v, "times")
-		}
-		return m, nil
-	}
-	ma, err := mask(a)
-	if err != nil {
-		return false, err
-	}
-	mb, err := mask(b)
-	if err != nil {
-		return false, err
-	}
-	ja, _ := json.Marshal(ma)
-	jb, _ := json.Marshal(mb)
-	return bytes.Equal(ja, jb), nil
 }
 
 type reportConfig struct {

@@ -191,6 +191,25 @@ func TestArtifactCacheServesRepeats(t *testing.T) {
 	}
 }
 
+// TestBuildBodyIsAFunctionOfTheRequest sends one /v1/build body twice to a
+// server with coalescing and the artifact cache off: both answers are fresh
+// executions and must be byte-identical, so a cached or coalesced body can
+// stand in for either.
+func TestBuildBodyIsAFunctionOfTheRequest(t *testing.T) {
+	_, ts := newTestServer(t, jpgd.Config{Serve: jpgd.ServeOptions{NoCoalesce: true, ArtifactCacheBytes: -1}})
+	body := buildBody(t, 1)
+	first := post(ts.URL, "/v1/build", body, nil)
+	second := post(ts.URL, "/v1/build", body, nil)
+	for _, r := range []result{first, second} {
+		if r.err != nil || r.status != http.StatusOK || r.xcache != "miss" {
+			t.Fatalf("build: %v status %d X-Cache %q", r.err, r.status, r.xcache)
+		}
+	}
+	if !bytes.Equal(first.body, second.body) {
+		t.Fatalf("two executions of one build request differ (%d and %d bytes)", len(first.body), len(second.body))
+	}
+}
+
 // TestAdmissionShedsDeterministically saturates a MaxInflight=1, no-queue
 // server and checks the overflow request is rejected immediately with 429 +
 // Retry-After, then succeeds once capacity frees up.
