@@ -10,7 +10,10 @@ package netlist
 //	lut "<name>" init=<hex4> in="<net>"[,"<net>"...] out="<net>"
 //	dff "<name>" init=<0|1> d="<net>" c="<net>" [ce="<net>"] [r="<net>"] out="<net>"
 //
-// Nets are declared before use; emit order is deterministic.
+// Names are written verbatim between the quotes, with no escapes: a name is
+// non-empty and may hold any byte but a quote or a newline, and a net name
+// no comma either (the input-list separator). Nets are declared before use;
+// emit order is deterministic.
 
 import (
 	"fmt"
@@ -19,33 +22,63 @@ import (
 	"strings"
 )
 
-// EmitText serialises the design. Names may contain spaces but not quotes
-// or commas (the quoting scheme's delimiters).
+// checkName rejects a name the text format cannot carry: an empty one, or
+// one holding a delimiter.
+func checkName(what, name, delims string) error {
+	if name == "" || strings.ContainsAny(name, delims) {
+		return fmt.Errorf("netlist: %s name %q not serialisable (empty, or holds one of %q)", what, name, delims)
+	}
+	return nil
+}
+
+const (
+	nameDelims    = "\"\n"
+	netNameDelims = "\"\n,"
+)
+
+// EmitText serialises the design. It rejects any name ParseText could not
+// read back (see the format above).
 func EmitText(d *Design) (string, error) {
 	if err := d.Validate(); err != nil {
 		return "", err
 	}
+	if err := checkName("design", d.Name, nameDelims); err != nil {
+		return "", err
+	}
 	for _, n := range d.Nets {
-		if strings.ContainsAny(n.Name, `",`) {
-			return "", fmt.Errorf("netlist: net name %q not serialisable (quote or comma)", n.Name)
+		if err := checkName("net", n.Name, netNameDelims); err != nil {
+			return "", err
 		}
 	}
 	for _, c := range d.Cells {
-		if strings.ContainsAny(c.Name, `",`) {
-			return "", fmt.Errorf("netlist: cell name %q not serialisable (quote or comma)", c.Name)
+		if err := checkName("cell", c.Name, nameDelims); err != nil {
+			return "", err
+		}
+	}
+	for _, p := range d.Ports {
+		if err := checkName("port", p.Name, nameDelims); err != nil {
+			return "", err
+		}
+		if p.Pad != "" {
+			if err := checkName("pad", p.Pad, nameDelims); err != nil {
+				return "", err
+			}
+		}
+	}
+	var nets []*Net
+	for _, n := range d.SortedNets() {
+		if n.Driven() || n.FanOut() > 0 { // drop orphans
+			nets = append(nets, n)
 		}
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "# netlist %q: %d cells, %d nets\n", d.Name, len(d.Cells), len(d.Nets))
-	fmt.Fprintf(&b, "design %q\n", d.Name)
-	for _, n := range d.SortedNets() {
-		if !n.Driven() && n.FanOut() == 0 {
-			continue // drop orphans
-		}
+	fmt.Fprintf(&b, "# netlist \"%s\": %d cells, %d nets\n", d.Name, len(d.Cells), len(nets))
+	fmt.Fprintf(&b, "design \"%s\"\n", d.Name)
+	for _, n := range nets {
 		if n.IsClock {
-			fmt.Fprintf(&b, "net %q clock\n", n.Name)
+			fmt.Fprintf(&b, "net \"%s\" clock\n", n.Name)
 		} else {
-			fmt.Fprintf(&b, "net %q\n", n.Name)
+			fmt.Fprintf(&b, "net \"%s\"\n", n.Name)
 		}
 	}
 	ports := append([]*Port(nil), d.Ports...)
@@ -53,28 +86,28 @@ func EmitText(d *Design) (string, error) {
 	for _, p := range ports {
 		pad := ""
 		if p.Pad != "" {
-			pad = fmt.Sprintf(" pad=%q", p.Pad)
+			pad = fmt.Sprintf(" pad=\"%s\"", p.Pad)
 		}
-		fmt.Fprintf(&b, "port %q %s net=%q%s\n", p.Name, p.Dir, p.Net.Name, pad)
+		fmt.Fprintf(&b, "port \"%s\" %s net=\"%s\"%s\n", p.Name, p.Dir, p.Net.Name, pad)
 	}
 	for _, c := range d.SortedCells() {
 		switch c.Kind {
 		case KindLUT4:
 			ins := make([]string, len(c.Inputs))
 			for i, in := range c.Inputs {
-				ins[i] = strconv.Quote(in.Name)
+				ins[i] = `"` + in.Name + `"`
 			}
-			fmt.Fprintf(&b, "lut %q init=%04X in=%s out=%q\n",
+			fmt.Fprintf(&b, "lut \"%s\" init=%04X in=%s out=\"%s\"\n",
 				c.Name, c.Init, strings.Join(ins, ","), c.Out.Name)
 		case KindDFF:
-			fmt.Fprintf(&b, "dff %q init=%d d=%q c=%q", c.Name, c.Init&1, c.Inputs[0].Name, c.Clock.Name)
+			fmt.Fprintf(&b, "dff \"%s\" init=%d d=\"%s\" c=\"%s\"", c.Name, c.Init&1, c.Inputs[0].Name, c.Clock.Name)
 			if c.CE != nil {
-				fmt.Fprintf(&b, " ce=%q", c.CE.Name)
+				fmt.Fprintf(&b, " ce=\"%s\"", c.CE.Name)
 			}
 			if c.Reset != nil {
-				fmt.Fprintf(&b, " r=%q", c.Reset.Name)
+				fmt.Fprintf(&b, " r=\"%s\"", c.Reset.Name)
 			}
-			fmt.Fprintf(&b, " out=%q\n", c.Out.Name)
+			fmt.Fprintf(&b, " out=\"%s\"\n", c.Out.Name)
 		}
 	}
 	return b.String(), nil
@@ -123,8 +156,9 @@ func ParseText(text string) (*Design, error) {
 }
 
 func parseTextLine(d **Design, nets map[string]*Net, needNet func(string) (*Net, error), toks []string) error {
+	// Attributes follow the statement's name, which may itself hold "=".
 	kv := map[string]string{}
-	for _, t := range toks[1:] {
+	for _, t := range toks[min(2, len(toks)):] {
 		if k, v, ok := strings.Cut(t, "="); ok {
 			kv[k] = v
 		}
@@ -134,12 +168,18 @@ func parseTextLine(d **Design, nets map[string]*Net, needNet func(string) (*Net,
 		if len(toks) < 2 {
 			return fmt.Errorf("design statement wants a name")
 		}
+		if *d != nil {
+			return fmt.Errorf("second design statement")
+		}
 		*d = NewDesign(toks[1])
 		return nil
 
 	case "net":
 		if len(toks) < 2 {
 			return fmt.Errorf("net statement wants a name")
+		}
+		if err := checkName("net", toks[1], netNameDelims); err != nil {
+			return err
 		}
 		n := (*d).NewNet(toks[1])
 		if n.Name != toks[1] {
@@ -222,7 +262,10 @@ func parseTextLine(d **Design, nets map[string]*Net, needNet func(string) (*Net,
 		if err != nil {
 			return err
 		}
-		for pin, key := range map[string]string{"D": "d", "C": "c", "CE": "ce", "R": "r"} {
+		// Pins bind in a fixed order: a net on two pins of one flip-flop
+		// lists its sinks the same way on every parse.
+		for _, pk := range [...][2]string{{"D", "d"}, {"C", "c"}, {"CE", "ce"}, {"R", "r"}} {
+			pin, key := pk[0], pk[1]
 			name, present := kv[key]
 			if !present {
 				if pin == "D" || pin == "C" {

@@ -1,11 +1,12 @@
 package netlist
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
 
-func buildSample(t *testing.T) *Design {
+func buildSample(t testing.TB) *Design {
 	t.Helper()
 	d := NewDesign("sample")
 	a, _ := d.AddPort("a", In, nil)
@@ -99,6 +100,8 @@ func TestParseTextErrors(t *testing.T) {
 		"design \"d\"\nnet \"n\"\ndff \"f\" init=0 d=\"n\" out=\"n\"", // missing clock
 		"design \"d\"\nwarp \"x\"",
 		"design \"d\"\nnet \"unterminated",
+		"design \"d\"\nnet \"n\"\ndesign \"e\"\nport \"p\" in net=\"n\"", // second design
+		"design \"d\"\nnet \"a,b\"",                                      // comma in a net name
 	}
 	for _, text := range bad {
 		if _, err := ParseText(text); err == nil {
@@ -131,4 +134,110 @@ func TestTextNamesWithSpaces(t *testing.T) {
 	if !strings.Contains(text, `"cell with space"`) {
 		t.Fatal("names not quoted")
 	}
+}
+
+// TestTextRoundTripKeepsNames round-trips names the format carries verbatim
+// (backslashes, "=", control bytes) and checks that EmitText rejects the
+// names ParseText could not read back.
+func TestTextRoundTripKeepsNames(t *testing.T) {
+	d := NewDesign("top\x01")
+	a, _ := d.AddPort(`\a=1`, In, nil)
+	lut, err := d.AddLUT(`\bus[3]`, 0x5555, a.Net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clk, _ := d.AddPort("clk", In, nil)
+	if _, err := d.AddDFF("ce=x", lut.Out, clk.Net, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	text, err := EmitText(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := ParseText(text)
+	if err != nil {
+		t.Fatalf("%v\n%s", err, text)
+	}
+	if back.Name != d.Name {
+		t.Errorf("design name %q came back as %q", d.Name, back.Name)
+	}
+	for _, name := range []string{`\bus[3]`, "ce=x"} {
+		if _, ok := back.Cell(name); !ok {
+			t.Errorf("cell %q lost:\n%s", name, text)
+		}
+	}
+	if ff, _ := back.Cell("ce=x"); ff != nil && ff.CE != nil {
+		t.Error("a flip-flop's name was read as its ce attribute")
+	}
+	if _, ok := back.Port(`\a=1`); !ok {
+		t.Errorf("port %q lost:\n%s", `\a=1`, text)
+	}
+
+	for _, bad := range []func(*Design){
+		func(d *Design) { d.Name = "" },
+		func(d *Design) { d.Name = "two\nlines" },
+		func(d *Design) { d.Cells[0].Name = `say "hi"` },
+		func(d *Design) { d.Nets[0].Name = "a,b" },
+		func(d *Design) { d.Ports[0].Pad = "P\n1" },
+	} {
+		d := buildSample(t)
+		bad(d)
+		if text, err := EmitText(d); err == nil {
+			t.Errorf("EmitText accepted a name ParseText cannot read back:\n%s", text)
+		}
+	}
+}
+
+// TestParseTextSinkOrderStable parses a flip-flop whose D and CE pins share
+// a net: the net's sinks must come back in the same order on every parse,
+// since the placer and router walk them in order.
+func TestParseTextSinkOrderStable(t *testing.T) {
+	text := "design \"d\"\nnet \"n\"\nnet \"clk\"\nnet \"q\"\n" +
+		"port \"n\" in net=\"n\"\nport \"clk\" in net=\"clk\"\n" +
+		"dff \"f\" init=0 d=\"n\" c=\"clk\" ce=\"n\" r=\"n\" out=\"q\"\n"
+	var first string
+	for i := 0; i < 20; i++ {
+		d, err := ParseText(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, _ := d.Net("n")
+		if got := fmt.Sprint(n.Sinks); i == 0 {
+			first = got
+		} else if got != first {
+			t.Fatalf("parse %d listed sinks %s, parse 0 %s", i, got, first)
+		}
+	}
+}
+
+// FuzzParseText requires ParseText never to panic and, for every text it
+// accepts, emit∘parse∘emit to be a fixed point.
+func FuzzParseText(f *testing.F) {
+	text, err := EmitText(buildSample(f))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(text)
+	f.Add("design \"\x00\x1b\x7f\"\n")
+	f.Fuzz(func(t *testing.T, text string) {
+		d, err := ParseText(text)
+		if err != nil {
+			return
+		}
+		first, err := EmitText(d)
+		if err != nil {
+			t.Fatalf("a parsed design does not emit: %v", err)
+		}
+		back, err := ParseText(first)
+		if err != nil {
+			t.Fatalf("emitted text does not parse: %v\n%q", err, first)
+		}
+		second, err := EmitText(back)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first != second {
+			t.Fatalf("emit is not a fixed point:\n%q\n%q", first, second)
+		}
+	})
 }
