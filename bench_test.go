@@ -77,7 +77,7 @@ func BenchmarkE1Parallel(b *testing.B) {
 // BenchmarkE1Warm — the ns/op ratio is the amortization the cache buys.
 func BenchmarkE1Cold(b *testing.B) {
 	benchExperiment(b, "E1", func(cfg experiments.Config) (*experiments.Table, error) {
-		cfg.Cache = cache.New(cache.Options{NoDisk: true})
+		cfg.Cache = cache.New(cache.Options{})
 		return experiments.E1(cfg)
 	})
 }
@@ -86,7 +86,7 @@ func BenchmarkE1Cold(b *testing.B) {
 // route and bitgen stage is served by content address.
 // The determinism tests prove the tables and bitstreams stay byte-identical.
 func BenchmarkE1Warm(b *testing.B) {
-	c := cache.New(cache.Options{NoDisk: true})
+	c := cache.New(cache.Options{})
 	warm := func(cfg experiments.Config) (*experiments.Table, error) {
 		cfg.Cache = c
 		return experiments.E1(cfg)

@@ -296,7 +296,7 @@ func run(args []string) int {
 	}
 	var bcache *cache.Cache
 	if *useCache || *cacheDir != "" {
-		bcache = cache.New(cache.Options{Dir: *cacheDir, NoDisk: *cacheDir == ""})
+		bcache = cache.New(cache.Options{Dir: *cacheDir})
 		cfg.Cache = bcache
 	}
 	// Tracing observes only the pooled runs (the serial -json reruns stay

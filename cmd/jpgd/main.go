@@ -87,7 +87,7 @@ func run() error {
 		},
 	}
 	if *useCache || *cacheDir != "" {
-		cfg.Cache = cache.New(cache.Options{Dir: *cacheDir, NoDisk: *cacheDir == ""})
+		cfg.Cache = cache.New(cache.Options{Dir: *cacheDir})
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -63,7 +63,7 @@ func run() error {
 		ctx = col.Attach(ctx)
 	}
 	if *useCache || *cacheDir != "" {
-		ctx = cache.With(ctx, cache.New(cache.Options{Dir: *cacheDir, NoDisk: *cacheDir == ""}))
+		ctx = cache.With(ctx, cache.New(cache.Options{Dir: *cacheDir}))
 	}
 	part, err := device.ByName(*partName)
 	if err != nil {

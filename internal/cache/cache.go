@@ -9,8 +9,10 @@
 // inputs fetch byte-identical outputs instead of recomputing them.
 //
 // The cache is a concurrency-safe in-memory LRU (bounded by entry count and
-// approximate bytes) with an optional on-disk store under $JPG_CACHE_DIR
-// (atomic rename writes, corruption-tolerant reads that degrade to a miss).
+// approximate bytes) with an optional on-disk store in the directory its
+// Options name (atomic rename writes, corruption-tolerant reads that degrade
+// to a miss). The package reads no environment: the CLIs turn $JPG_CACHE
+// and $JPG_CACHE_DIR into their -cache and -cache-dir defaults.
 // Lookups are single-flighted through a Group: when two workers request the
 // same missing key concurrently, one computes and the other waits for the
 // result, so a warm pool never duplicates in-flight work.
@@ -110,18 +112,19 @@ func (h *Hasher) Sum() Key {
 	return k
 }
 
-// Environment variables configuring the process-default cache.
+// Environment variables the CLIs read for their -cache and -cache-dir
+// defaults.
 const (
 	// EnvDir names the on-disk store directory. Setting it enables the
-	// default cache with a disk tier.
+	// cache with a disk tier.
 	EnvDir = "JPG_CACHE_DIR"
-	// EnvMode switches the default cache: "1"/"on"/"mem" enables a
+	// EnvMode switches the cache: "1"/"on"/"mem" enables a
 	// memory-only cache, "0"/"off" disables caching even when EnvDir is
 	// set. Unset defers to EnvDir.
 	EnvMode = "JPG_CACHE"
 )
 
-// EnvEnabled reports whether the environment asks for a default cache
+// EnvEnabled reports whether the environment asks for a cache
 // ($JPG_CACHE_DIR set, or $JPG_CACHE on, and not explicitly switched off).
 func EnvEnabled() bool {
 	switch os.Getenv(EnvMode) {
@@ -133,34 +136,15 @@ func EnvEnabled() bool {
 	return os.Getenv(EnvDir) != ""
 }
 
-var (
-	defaultOnce  sync.Once
-	defaultCache *Cache
-)
-
-// Default returns the process-wide cache configured from the environment,
-// or nil when the environment does not enable one. The CLIs use it as their
-// -cache default; the library never consults it implicitly.
-func Default() *Cache {
-	defaultOnce.Do(func() {
-		if EnvEnabled() {
-			defaultCache = New(Options{Dir: os.Getenv(EnvDir)})
-		}
-	})
-	return defaultCache
-}
-
 // Options bounds a cache.
 type Options struct {
 	// MaxEntries caps the number of resident entries (default 4096).
 	MaxEntries int
 	// MaxBytes caps the approximate resident bytes (default 256 MiB).
 	MaxBytes int64
-	// Dir enables the on-disk store rooted at this directory. Empty
-	// defaults to $JPG_CACHE_DIR; set NoDisk to force memory-only.
+	// Dir enables the on-disk store rooted at this directory. Empty means
+	// memory-only.
 	Dir string
-	// NoDisk forces a memory-only cache regardless of Dir/$JPG_CACHE_DIR.
-	NoDisk bool
 }
 
 // Cache metrics (always on; see internal/obs). cache.hit/miss/evict count
@@ -214,10 +198,6 @@ func New(o Options) *Cache {
 	if o.MaxBytes <= 0 {
 		o.MaxBytes = 256 << 20
 	}
-	dir := o.Dir
-	if dir == "" {
-		dir = os.Getenv(EnvDir)
-	}
 	c := &Cache{
 		entries:    map[Key]*entry{},
 		lru:        list.New(),
@@ -225,8 +205,8 @@ func New(o Options) *Cache {
 		maxEntries: o.MaxEntries,
 		maxBytes:   o.MaxBytes,
 	}
-	if dir != "" && !o.NoDisk {
-		c.disk = &diskStore{root: dir}
+	if o.Dir != "" {
+		c.disk = &diskStore{root: o.Dir}
 	}
 	return c
 }

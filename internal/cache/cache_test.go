@@ -66,7 +66,7 @@ func TestHasherFieldKinds(t *testing.T) {
 }
 
 func TestGetOrComputeMemoizes(t *testing.T) {
-	c := New(Options{NoDisk: true})
+	c := New(Options{})
 	calls := 0
 	compute := func() ([]byte, error) {
 		calls++
@@ -92,7 +92,7 @@ func TestGetOrComputeMemoizes(t *testing.T) {
 }
 
 func TestGetOrComputeErrorNotStored(t *testing.T) {
-	c := New(Options{NoDisk: true})
+	c := New(Options{})
 	boom := errors.New("boom")
 	_, _, err := c.GetOrCompute(context.Background(), "s", key("a"), func() ([]byte, error) { return nil, boom })
 	if !errors.Is(err, boom) {
@@ -105,7 +105,7 @@ func TestGetOrComputeErrorNotStored(t *testing.T) {
 }
 
 func TestLRUEvictionByEntries(t *testing.T) {
-	c := New(Options{MaxEntries: 2, NoDisk: true})
+	c := New(Options{MaxEntries: 2})
 	put := func(s string) {
 		c.GetOrCompute(context.Background(), "s", key(s), func() ([]byte, error) { return []byte(s), nil })
 	}
@@ -125,7 +125,7 @@ func TestLRUEvictionByEntries(t *testing.T) {
 }
 
 func TestLRUEvictionByBytes(t *testing.T) {
-	c := New(Options{MaxBytes: 100, NoDisk: true})
+	c := New(Options{MaxBytes: 100})
 	big := bytes.Repeat([]byte("x"), 60)
 	c.GetOrCompute(context.Background(), "s", key("a"), func() ([]byte, error) { return big, nil })
 	c.GetOrCompute(context.Background(), "s", key("b"), func() ([]byte, error) { return big, nil })
@@ -142,7 +142,7 @@ func TestLRUEvictionByBytes(t *testing.T) {
 // concurrent workers requesting one missing key run the computation exactly
 // once, and every worker gets the value.
 func TestSingleFlight(t *testing.T) {
-	c := New(Options{NoDisk: true})
+	c := New(Options{})
 	var calls atomic.Int64
 	release := make(chan struct{})
 	const workers = 16
@@ -181,7 +181,7 @@ func TestSingleFlight(t *testing.T) {
 }
 
 func TestSingleFlightErrorRetries(t *testing.T) {
-	c := New(Options{NoDisk: true})
+	c := New(Options{})
 	var calls atomic.Int64
 	boom := errors.New("boom")
 	release := make(chan struct{})
@@ -215,7 +215,7 @@ func TestSingleFlightErrorRetries(t *testing.T) {
 }
 
 func TestGetOrComputeValue(t *testing.T) {
-	c := New(Options{NoDisk: true})
+	c := New(Options{})
 	type obj struct{ n int }
 	calls := 0
 	get := func() (any, bool, error) {
@@ -238,7 +238,7 @@ func TestGetOrComputeValue(t *testing.T) {
 }
 
 func TestRemove(t *testing.T) {
-	c := New(Options{NoDisk: true})
+	c := New(Options{})
 	c.GetOrCompute(context.Background(), "s", key("a"), func() ([]byte, error) { return []byte("v"), nil })
 	c.Remove("s", key("a"))
 	_, hit, _ := c.GetOrCompute(context.Background(), "s", key("a"), func() ([]byte, error) { return []byte("v"), nil })
@@ -270,7 +270,7 @@ func TestContext(t *testing.T) {
 	if FromContext(context.Background()) != nil {
 		t.Fatal("empty context has a cache")
 	}
-	c := New(Options{NoDisk: true})
+	c := New(Options{})
 	ctx := With(context.Background(), c)
 	if FromContext(ctx) != c {
 		t.Fatal("cache not recovered from context")

@@ -34,8 +34,6 @@ type Project struct {
 	// the complete bitstream the project was created with (and updated by
 	// write-backs).
 	Base *frames.Memory
-	// Modules lists the sub-module variants added to the project.
-	Modules []*Module
 }
 
 // NewProject initialises a project from a complete base bitstream; the part
@@ -69,8 +67,8 @@ func NewProjectForPart(part *device.Part, base *frames.Memory) (*Project, error)
 }
 
 // AddModule parses a sub-module variant's XDL and UCF texts (the outputs of
-// the variant's own CAD run, paper Phase 2) and registers it with the
-// project after containment analysis.
+// the variant's own CAD run, paper Phase 2) into a module after containment
+// analysis.
 func (p *Project) AddModule(name, xdlText, ucfText string) (*Module, error) {
 	design, err := xdl.Load(xdlText)
 	if err != nil {
@@ -91,16 +89,13 @@ func (p *Project) AddModule(name, xdlText, ucfText string) (*Module, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: module %s: %w", name, err)
 	}
-	p.Modules = append(p.Modules, m)
 	mModulesAdded.Inc()
 	return m, nil
 }
 
 // ModuleFromDesign builds a module from a live physical design and its
-// constraints without registering it with the project — the form the
-// incremental edit loop uses, where every edit yields a fresh revision of
-// the same module and registering each one would grow the project without
-// bound.
+// constraints — the form the incremental edit loop uses, where every edit
+// yields a fresh revision of the same module.
 func (p *Project) ModuleFromDesign(name string, design *phys.Design, cons *ucf.Constraints) (*Module, error) {
 	if design.Part != p.Part {
 		return nil, fmt.Errorf("core: module %s targets %s but the project device is %s",
@@ -113,17 +108,6 @@ func (p *Project) ModuleFromDesign(name string, design *phys.Design, cons *ucf.C
 	if err != nil {
 		return nil, fmt.Errorf("core: module %s: %w", name, err)
 	}
-	return m, nil
-}
-
-// AddModuleDesign is ModuleFromDesign plus registration with the project.
-func (p *Project) AddModuleDesign(name string, design *phys.Design, cons *ucf.Constraints) (*Module, error) {
-	m, err := p.ModuleFromDesign(name, design, cons)
-	if err != nil {
-		return nil, err
-	}
-	p.Modules = append(p.Modules, m)
-	mModulesAdded.Inc()
 	return m, nil
 }
 

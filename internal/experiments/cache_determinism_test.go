@@ -17,7 +17,7 @@ func TestE1DeterministicWithCache(t *testing.T) {
 	if err != nil {
 		t.Fatalf("E1 uncached: %v", err)
 	}
-	c := cache.New(cache.Options{NoDisk: true})
+	c := cache.New(cache.Options{})
 	cold, err := E1(Config{Quick: true, Seed: 3, Workers: 2, Cache: c})
 	if err != nil {
 		t.Fatalf("E1 cold cache: %v", err)
@@ -47,7 +47,7 @@ func TestE1DeterministicWithCache(t *testing.T) {
 func TestE1CachedDeterministicAcrossWorkers(t *testing.T) {
 	// One cache shared by a serial and a wide run: the wide run is fully
 	// warm, and the table must still match the serial one byte for byte.
-	c := cache.New(cache.Options{NoDisk: true})
+	c := cache.New(cache.Options{})
 	compareAcrossWorkers(t, "E1+cache", func(cfg Config) (*Table, error) {
 		cfg.Cache = c
 		return E1(cfg)

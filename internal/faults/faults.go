@@ -225,11 +225,8 @@ func (in *Injector) DownloadCtx(ctx context.Context, bs []byte) (xhwif.DownloadS
 		(in.spec.First > 0 && n <= in.spec.First) ||
 		(in.spec.Prob > 0 && in.rng.Float64() < in.spec.Prob)
 	var corruptAt int
-	if inject {
-		in.injected++
-		if len(bs) > 0 {
-			corruptAt = in.rng.Intn(len(bs))
-		}
+	if inject && len(bs) > 0 {
+		corruptAt = in.rng.Intn(len(bs))
 	}
 	in.mu.Unlock()
 
@@ -249,7 +246,12 @@ func (in *Injector) DownloadCtx(ctx context.Context, bs []byte) (xhwif.DownloadS
 	if !inject {
 		return in.inner.DownloadCtx(ctx, bs)
 	}
+	// A fault counts once it reaches the device: an attempt the context
+	// cut short during the latency wait injected nothing.
+	in.mu.Lock()
+	in.injected++
 	mInjected.Inc()
+	in.mu.Unlock()
 	jpglog.Warn(ctx, "fault.injected", "mode", in.spec.Mode, "attempt", n, "bytes", len(bs))
 	switch in.spec.Mode {
 	case ModeTruncate:

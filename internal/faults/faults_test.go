@@ -209,35 +209,42 @@ func TestRetryConvergesUnderFaults(t *testing.T) {
 // TestLatencyHonoursDeadline checks that injected link latency waits on the
 // context: under a 20 ms download deadline, a one-hour latency ends the
 // call with the deadline's error well within a second, and the device is
-// never written.
+// never written. A fault due on that attempt never reached the device, so
+// it is not counted as injected.
 func TestLatencyHonoursDeadline(t *testing.T) {
 	_, bs := testConfig(t, 6)
 	p := device.MustByName("XCV50")
-	board := xhwif.NewBoard(p)
-	in := Wrap(board, Spec{Latency: time.Hour})
-	r := xhwif.NewReliable(in, xhwif.RetryPolicy{Timeout: 20 * time.Millisecond})
-	waited := obs.GetHistogram("faults.injected_latency_ns")
-	sum0 := waited.Sum()
-	t0 := time.Now()
-	_, err := r.DownloadCtx(context.Background(), bs)
-	if el := time.Since(t0); el >= time.Second {
-		t.Fatalf("download returned after %v, want under 1s", el)
-	}
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want DeadlineExceeded", err)
-	}
-	if attempts, _ := in.Counts(); attempts != 1 {
-		t.Fatalf("injector saw %d attempts, want 1", attempts)
-	}
-	// The attempt ended at the call's own deadline: no retry, one abort.
-	if retries, aborts, _ := r.Counts(); retries != 0 || aborts != 1 {
-		t.Fatalf("Counts() = %d retries, %d aborts; want 0 and 1", retries, aborts)
-	}
-	if d := time.Duration(waited.Sum() - sum0); d >= time.Second {
-		t.Fatalf("injected latency recorded %v for a wait cut short at 20ms", d)
-	}
-	if downloads, _, _ := board.Totals(); downloads != 0 || !board.Readback().Equal(frames.New(p)) {
-		t.Fatal("a download cut short by its deadline wrote the device")
+	for _, spec := range []Spec{{Latency: time.Hour}, {First: 1, Latency: time.Hour}} {
+		board := xhwif.NewBoard(p)
+		in := Wrap(board, spec)
+		r := xhwif.NewReliable(in, xhwif.RetryPolicy{Timeout: 20 * time.Millisecond})
+		waited := obs.GetHistogram("faults.injected_latency_ns")
+		sum0 := waited.Sum()
+		injected0 := obs.GetCounter("faults.injected").Value()
+		t0 := time.Now()
+		_, err := r.DownloadCtx(context.Background(), bs)
+		if el := time.Since(t0); el >= time.Second {
+			t.Fatalf("%+v: download returned after %v, want under 1s", spec, el)
+		}
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("%+v: err = %v, want DeadlineExceeded", spec, err)
+		}
+		if attempts, injected := in.Counts(); attempts != 1 || injected != 0 {
+			t.Fatalf("%+v: injector saw %d attempts, %d injected; want 1 and 0", spec, attempts, injected)
+		}
+		if d := obs.GetCounter("faults.injected").Value() - injected0; d != 0 {
+			t.Fatalf("%+v: faults.injected grew by %d for a fault cut short before the device", spec, d)
+		}
+		// The attempt ended at the call's own deadline: no retry, one abort.
+		if retries, aborts, _ := r.Counts(); retries != 0 || aborts != 1 {
+			t.Fatalf("%+v: Counts() = %d retries, %d aborts; want 0 and 1", spec, retries, aborts)
+		}
+		if d := time.Duration(waited.Sum() - sum0); d >= time.Second {
+			t.Fatalf("%+v: injected latency recorded %v for a wait cut short at 20ms", spec, d)
+		}
+		if downloads, _, _ := board.Totals(); downloads != 0 || !board.Readback().Equal(frames.New(p)) {
+			t.Fatalf("%+v: a download cut short by its deadline wrote the device", spec)
+		}
 	}
 }
 

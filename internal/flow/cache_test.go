@@ -116,7 +116,7 @@ func TestCachedBuildByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c := cache.New(cache.Options{NoDisk: true})
+	c := cache.New(cache.Options{})
 	ctx := cache.With(context.Background(), c)
 	cold, err := BuildFull(ctx, p, twoInstances(), opts)
 	if err != nil {
@@ -185,7 +185,7 @@ func TestCachedVariantsMatchSerialAcrossWorkers(t *testing.T) {
 		}
 		serial[i] = a
 	}
-	c := cache.New(cache.Options{NoDisk: true})
+	c := cache.New(cache.Options{})
 	ctx := cache.With(context.Background(), c)
 	for _, workers := range []int{1, 2, 4} {
 		got, err := BuildVariants(ctx, base, specs, parallel.WithWorkers(workers))
@@ -210,7 +210,7 @@ func TestCachedVariantsMatchSerialAcrossWorkers(t *testing.T) {
 // seeds and different generators must never share artifacts.
 func TestCacheDistinguishesBuilds(t *testing.T) {
 	p := device.MustByName("XCV50")
-	ctx := cache.With(context.Background(), cache.New(cache.Options{NoDisk: true}))
+	ctx := cache.With(context.Background(), cache.New(cache.Options{}))
 	a1, err := BuildFull(ctx, p, twoInstances(), Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)

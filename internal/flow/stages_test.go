@@ -59,7 +59,7 @@ func TestStageBookkeeping(t *testing.T) {
 			return err
 		}},
 	}
-	c := cache.New(cache.Options{NoDisk: true})
+	c := cache.New(cache.Options{})
 	moves, searches := obs.GetCounter("place.moves_proposed"), obs.GetCounter("route.searches")
 	for _, mode := range []struct {
 		name  string

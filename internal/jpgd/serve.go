@@ -1,22 +1,25 @@
 package jpgd
 
-// This file is the throughput pipeline in front of the API handlers: the
-// serving half of the daemon. Three mechanisms separate offered load from
-// flow executions:
+// This file is the serving pipeline: every /v1 request takes one path
+// through it. An endpoint is a function from the request body to a response
+// value or an error; the pipeline owns everything HTTP around it — the POST
+// check, the body read, the request key, the three mechanisms below, JSON
+// encoding, the error envelope and delivery. Three mechanisms separate
+// offered load from endpoint executions:
 //
 //  1. Hot-artifact cache. The fully-encoded response body of a successful
-//     /v1/generate or /v1/build request is kept in a byte-bounded LRU keyed
-//     by a content hash of (route, request body). A repeat request is served
-//     with a single Write of the shared bytes — no JSON decode, no flow, no
-//     per-request body allocation — with a correct Content-Length, a
-//     deterministic ETag, and If-None-Match revalidation.
+//     request is kept in a byte-bounded LRU keyed by a content hash of
+//     (route, request body). A repeat request is served with a single Write
+//     of the shared bytes — no JSON decode, no flow, no per-request body
+//     allocation — with a correct Content-Length, a deterministic ETag, and
+//     If-None-Match revalidation.
 //
 //  2. Request coalescing. Concurrent identical requests single-flight on the
-//     same key (cache.Group): one leader executes the handler, every
-//     follower shares the encoded artifact. N simultaneous requests for the
-//     same partial cost one flow execution.
+//     same key (cache.Group): one leader executes the endpoint, every
+//     follower shares the encoded artifact, failures included. N
+//     simultaneous requests for the same partial cost one flow execution.
 //
-//  3. Admission control. Handler executions pass a bounded semaphore
+//  3. Admission control. Endpoint executions pass a bounded semaphore
 //     (parallel.Semaphore): MaxInflight requests run, Queue more wait
 //     (context-aware, so deadlines shed waiters), and everything beyond is
 //     rejected deterministically with 429/503 + Retry-After instead of
@@ -31,9 +34,9 @@ import (
 	"bytes"
 	"container/list"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"runtime"
@@ -44,6 +47,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/obs"
+	jpglog "repro/internal/obs/log"
 	"repro/internal/parallel"
 )
 
@@ -248,45 +252,46 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 }
 
-// dispatch routes an instrumented API request through the pipeline:
-// drain shedding, then the coalescing/artifact path for the deterministic
-// POST routes, plain admission for everything else.
-func (s *Server) dispatch(route string, w http.ResponseWriter, r *http.Request, h http.HandlerFunc) {
-	ctx := r.Context()
-	if s.pipe.draining.Load() {
-		s.shedFor(ctx, w, route, errDraining)
-		return
-	}
-	if (route == "generate" || route == "build") && r.Method == http.MethodPost {
-		s.serveCoalesced(route, w, r, h)
-		return
-	}
-	if err := s.pipe.admit(ctx); err != nil {
-		s.shedFor(ctx, w, route, err)
-		return
-	}
-	defer s.pipe.release()
-	s.pipe.mExec.Inc()
-	h(w, r)
+// endpoint is one /v1 route: a function from the request body to the value
+// the pipeline encodes as the response, or an error. A *statusError answers
+// with its own status; any other error answers 500.
+type endpoint func(ctx context.Context, body []byte) (any, error)
+
+// statusError is an endpoint failure that carries its HTTP status.
+type statusError struct {
+	status int
+	err    error
 }
 
-// serveCoalesced is the hot path: artifact-cache lookup, then single-flight
-// execution under admission control.
-func (s *Server) serveCoalesced(route string, w http.ResponseWriter, r *http.Request, h http.HandlerFunc) {
+func (e *statusError) Error() string { return e.err.Error() }
+
+// badRequest marks err as the client's mistake (400).
+func badRequest(err error) error { return &statusError{http.StatusBadRequest, err} }
+
+// dispatch runs an instrumented API request through the pipeline — the
+// POST check and drain shedding, the body read, the artifact cache, then
+// the endpoint under single-flight and admission control — and returns the
+// artifact it is answered with and its X-Cache source ("" for a request
+// refused before the artifact cache is asked).
+func (s *Server) dispatch(route string, r *http.Request, ep endpoint) (*artifact, string) {
 	ctx := r.Context()
-	body, status, err := readBody(r)
+	p := s.pipe
+	if r.Method != http.MethodPost {
+		return s.fail(ctx, route, &statusError{http.StatusMethodNotAllowed, fmt.Errorf("POST required")}), ""
+	}
+	if p.draining.Load() {
+		return s.shed(ctx, route, errDraining), ""
+	}
+	body, err := readBody(r)
 	if err != nil {
-		s.fail(ctx, w, route, status, err)
-		return
+		return s.fail(ctx, route, err), ""
 	}
 	defer putBuf(body)
 	key := requestKey(route, body.Bytes())
-	p := s.pipe
 
 	if p.artifacts != nil {
 		if art, ok := p.artifacts.get(key); ok {
-			s.deliver(w, r, art, "hit")
-			return
+			return art, "hit"
 		}
 	}
 
@@ -296,7 +301,7 @@ func (s *Server) serveCoalesced(route string, w http.ResponseWriter, r *http.Req
 		}
 		defer p.release()
 		p.mExec.Inc()
-		art := s.capture(ctx, r, body.Bytes(), key, h)
+		art := s.execute(ctx, route, ep, body.Bytes(), key)
 		if art.status == http.StatusOK && p.artifacts != nil {
 			p.artifacts.put(key, art)
 		}
@@ -306,34 +311,70 @@ func (s *Server) serveCoalesced(route string, w http.ResponseWriter, r *http.Req
 	if p.opts.NoCoalesce {
 		v, err := exec()
 		if err != nil {
-			s.shedFor(ctx, w, route, err)
-			return
+			return s.shed(ctx, route, err), ""
 		}
-		s.deliver(w, r, v.(*artifact), "miss")
-		return
+		return v.(*artifact), "miss"
 	}
-
 	v, shared, err := p.flights.Do(ctx, key, exec)
 	if err != nil {
 		// This caller either led and was shed at admission, or its own
 		// context ended while waiting on the leader.
-		s.shedFor(ctx, w, route, err)
-		return
+		return s.shed(ctx, route, err), ""
 	}
-	src := "miss"
 	if shared {
-		src = "coalesced"
 		p.mCoalFollower.Inc()
-	} else {
-		p.mCoalLeader.Inc()
+		return v.(*artifact), "coalesced"
 	}
-	s.deliver(w, r, v.(*artifact), src)
+	p.mCoalLeader.Inc()
+	return v.(*artifact), "miss"
 }
 
-// shedFor answers a request rejected by the pipeline: 429 for a full queue,
-// 503 for deadlines and draining, always with Retry-After so well-behaved
-// clients back off deterministically.
-func (s *Server) shedFor(ctx context.Context, w http.ResponseWriter, route string, err error) {
+// execute runs the endpoint and freezes its answer as a shareable artifact:
+// the indented JSON of its response, or the error envelope of its failure.
+// The ETag derives from the request key: the body is a pure function of the
+// request, so the key identifies the representation.
+func (s *Server) execute(ctx context.Context, route string, ep endpoint, body []byte, key cache.Key) *artifact {
+	v, err := ep(ctx, body)
+	if err != nil {
+		return s.fail(ctx, route, err)
+	}
+	buf := getBuf()
+	defer putBuf(buf)
+	enc := json.NewEncoder(buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		return s.fail(ctx, route, err)
+	}
+	return &artifact{
+		status: http.StatusOK,
+		etag:   `"` + key.String()[:32] + `"`,
+		body:   append([]byte(nil), buf.Bytes()...),
+	}
+}
+
+// fail records a failed request in the flight recorder and the log, and
+// freezes its answer: the error envelope under the status a statusError
+// carries, or 500 (4xx are client mistakes, 5xx are failures worth a
+// post-mortem). A 5xx the request's deadline caused answers 503 instead:
+// the work was shed, not broken.
+func (s *Server) fail(ctx context.Context, route string, err error) *artifact {
+	status := http.StatusInternalServerError
+	var se *statusError
+	if errors.As(err, &se) {
+		status = se.status
+	}
+	if status >= 500 && errors.Is(err, context.DeadlineExceeded) {
+		status = http.StatusServiceUnavailable
+	}
+	s.rec.RecordError("jpgd."+route, jpglog.RequestIDFrom(ctx), err)
+	jpglog.Warn(ctx, "request.failed", "route", route, "status", status, "error", err.Error())
+	body, _ := json.Marshal(apiError{Error: err.Error()}) // one string field cannot fail to encode
+	return &artifact{status: status, body: append(body, '\n')}
+}
+
+// shed answers a request the pipeline refused: 429 for a full queue, 503
+// for deadlines and draining.
+func (s *Server) shed(ctx context.Context, route string, err error) *artifact {
 	p := s.pipe
 	p.mShed.Inc()
 	status := http.StatusServiceUnavailable
@@ -346,50 +387,36 @@ func (s *Server) shedFor(ctx context.Context, w http.ResponseWriter, route strin
 	default:
 		p.mShedDeadline.Inc()
 	}
-	w.Header().Set("Retry-After", "1")
-	s.fail(ctx, w, route, status, err)
-}
-
-// capture runs the handler against an in-memory response writer and freezes
-// the result as a shareable artifact. The artifact's ETag derives from the
-// request key: on these routes the body is a pure function of the request,
-// so the key identifies the representation.
-func (s *Server) capture(ctx context.Context, r *http.Request, body []byte, key cache.Key, h http.HandlerFunc) *artifact {
-	buf := getBuf()
-	defer putBuf(buf)
-	cw := &captureWriter{hdr: make(http.Header, 4), buf: buf}
-	r.Body = io.NopCloser(bytes.NewReader(body))
-	h(cw, r.WithContext(ctx))
-	if cw.code == 0 {
-		cw.code = http.StatusOK
-	}
-	return &artifact{
-		status: cw.code,
-		ctype:  cw.hdr.Get("Content-Type"),
-		etag:   `"` + key.String()[:32] + `"`,
-		body:   append([]byte(nil), buf.Bytes()...),
-	}
+	return s.fail(ctx, route, &statusError{status, err})
 }
 
 // deliver writes an artifact: one header fill and one body Write, shared
 // bytes, no per-request body allocation. src tags the X-Cache header
 // ("hit" = artifact cache, "coalesced" = shared flight, "miss" = executed).
-func (s *Server) deliver(w http.ResponseWriter, r *http.Request, art *artifact, src string) {
+// A 429 or 503 — shed or timed out, not broken — carries Retry-After, so
+// well-behaved clients back off deterministically; a follower that shared
+// such a failure gets the header too. It returns the status and the body
+// bytes written, for the access log.
+func (s *Server) deliver(w http.ResponseWriter, r *http.Request, art *artifact, src string) (status, n int) {
 	hdr := w.Header()
-	if art.ctype != "" {
-		hdr.Set("Content-Type", art.ctype)
+	hdr.Set("Content-Type", "application/json")
+	if src != "" {
+		hdr.Set("X-Cache", src)
 	}
-	hdr.Set("X-Cache", src)
-	if art.status == http.StatusOK {
+	switch art.status {
+	case http.StatusOK:
 		hdr.Set("ETag", art.etag)
 		if r.Header.Get("If-None-Match") == art.etag {
 			w.WriteHeader(http.StatusNotModified)
-			return
+			return http.StatusNotModified, 0
 		}
+	case http.StatusTooManyRequests, http.StatusServiceUnavailable:
+		hdr.Set("Retry-After", "1")
 	}
 	hdr.Set("Content-Length", strconv.Itoa(len(art.body)))
 	w.WriteHeader(art.status)
-	w.Write(art.body)
+	n, _ = w.Write(art.body) // a client gone mid-write has nothing left to be told
+	return art.status, n
 }
 
 // requestKey content-addresses a request: same route + byte-identical body
@@ -403,24 +430,24 @@ func requestKey(route string, body []byte) cache.Key {
 }
 
 // readBody drains the (MaxBytesReader-bounded) request body into a pooled
-// buffer, mapping an exceeded bound to 413 like the JSON decode path does.
-func readBody(r *http.Request) (*bytes.Buffer, int, error) {
+// buffer, mapping an exceeded bound to 413.
+func readBody(r *http.Request) (*bytes.Buffer, error) {
 	buf := getBuf()
 	if _, err := buf.ReadFrom(r.Body); err != nil {
 		putBuf(buf)
 		var maxErr *http.MaxBytesError
 		if errors.As(err, &maxErr) {
-			return nil, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("request body exceeds %d bytes", maxErr.Limit)
+			return nil, &statusError{http.StatusRequestEntityTooLarge,
+				fmt.Errorf("request body exceeds %d bytes", maxErr.Limit)}
 		}
-		return nil, http.StatusBadRequest, fmt.Errorf("reading request body: %w", err)
+		return nil, badRequest(fmt.Errorf("reading request body: %w", err))
 	}
-	return buf, 0, nil
+	return buf, nil
 }
 
-// bufPool recycles pre-sized buffers for request bodies, captured responses
-// and JSON encoding, so the steady-state serving path allocates no
-// body-sized memory per request.
+// bufPool recycles pre-sized buffers for request bodies and JSON encoding,
+// so the steady-state serving path allocates no body-sized memory per
+// request.
 var bufPool = sync.Pool{New: func() any {
 	b := new(bytes.Buffer)
 	b.Grow(64 << 10)
@@ -437,35 +464,11 @@ func putBuf(b *bytes.Buffer) {
 	bufPool.Put(b)
 }
 
-// captureWriter is the in-memory http.ResponseWriter the leader's handler
-// writes into; the result becomes the shared artifact.
-type captureWriter struct {
-	hdr  http.Header
-	code int
-	buf  *bytes.Buffer
-}
-
-func (w *captureWriter) Header() http.Header { return w.hdr }
-
-func (w *captureWriter) WriteHeader(code int) {
-	if w.code == 0 {
-		w.code = code
-	}
-}
-
-func (w *captureWriter) Write(b []byte) (int, error) {
-	if w.code == 0 {
-		w.code = http.StatusOK
-	}
-	return w.buf.Write(b)
-}
-
-// artifact is one fully-encoded response: status, content type, deterministic
-// ETag and the exact body bytes. Shared read-only between the leader, its
-// followers, and the artifact cache.
+// artifact is one fully-encoded JSON response: status, deterministic ETag
+// (successes only) and the exact body bytes. Shared read-only between the
+// leader, its followers, and the artifact cache.
 type artifact struct {
 	status int
-	ctype  string
 	etag   string
 	body   []byte
 }

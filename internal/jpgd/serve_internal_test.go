@@ -29,7 +29,6 @@ func TestDeliverAllocsFlat(t *testing.T) {
 	s := New(Config{Registry: obs.NewRegistry()})
 	art := &artifact{
 		status: http.StatusOK,
-		ctype:  "application/json",
 		etag:   `"deadbeef"`,
 		body:   make([]byte, 256<<10),
 	}
@@ -43,6 +42,33 @@ func TestDeliverAllocsFlat(t *testing.T) {
 	// anything above ~8 means a body copy or encoder snuck back in.
 	if allocs > 8 {
 		t.Fatalf("deliver allocates %.1f objects/op for a 256KB body, want <= 8", allocs)
+	}
+}
+
+// TestDeliverRetryAfter pins Retry-After to the answer, not the path: a
+// 429 or 503 artifact carries it however it is delivered, so a coalesced
+// follower sharing a leader's deadline failure gets the header too, and
+// other failures do not.
+func TestDeliverRetryAfter(t *testing.T) {
+	s := New(Config{Registry: obs.NewRegistry()})
+	r := httptest.NewRequest("POST", "/v1/build", nil)
+	for _, tc := range []struct {
+		status int
+		want   string
+	}{
+		{http.StatusServiceUnavailable, "1"},
+		{http.StatusTooManyRequests, "1"},
+		{http.StatusInternalServerError, ""},
+		{http.StatusBadRequest, ""},
+	} {
+		w := httptest.NewRecorder()
+		status, _ := s.deliver(w, r, &artifact{status: tc.status, body: []byte(`{"error":"x"}`)}, "coalesced")
+		if status != tc.status || w.Code != tc.status {
+			t.Fatalf("status %d delivered as %d (reported %d)", tc.status, w.Code, status)
+		}
+		if got := w.Header().Get("Retry-After"); got != tc.want {
+			t.Fatalf("status %d: Retry-After %q, want %q", tc.status, got, tc.want)
+		}
 	}
 }
 
@@ -111,7 +137,6 @@ func BenchmarkHotArtifactRequest(b *testing.B) {
 	key := requestKey("generate", body)
 	s.pipe.artifacts.put(key, &artifact{
 		status: http.StatusOK,
-		ctype:  "application/json",
 		etag:   `"` + key.String()[:32] + `"`,
 		body:   bytes.Repeat([]byte("y"), 128<<10),
 	})

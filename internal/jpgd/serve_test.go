@@ -9,6 +9,7 @@ package jpgd_test
 import (
 	"bytes"
 	"context"
+	"encoding/base64"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -46,11 +47,12 @@ func buildBody(t *testing.T, seed int64) []byte {
 }
 
 type result struct {
-	status int
-	xcache string
-	etag   string
-	body   []byte
-	err    error
+	status     int
+	xcache     string
+	etag       string
+	retryAfter string
+	body       []byte
+	err        error
 }
 
 func post(ts string, path string, body []byte, hdr map[string]string) result {
@@ -68,11 +70,12 @@ func post(ts string, path string, body []byte, hdr map[string]string) result {
 	defer resp.Body.Close()
 	b, err := io.ReadAll(resp.Body)
 	return result{
-		status: resp.StatusCode,
-		xcache: resp.Header.Get("X-Cache"),
-		etag:   resp.Header.Get("ETag"),
-		body:   b,
-		err:    err,
+		status:     resp.StatusCode,
+		xcache:     resp.Header.Get("X-Cache"),
+		etag:       resp.Header.Get("ETag"),
+		retryAfter: resp.Header.Get("Retry-After"),
+		body:       b,
+		err:        err,
 	}
 }
 
@@ -340,6 +343,65 @@ func TestRequestTimeoutAnswers503(t *testing.T) {
 	}
 	if r.status != http.StatusServiceUnavailable {
 		t.Fatalf("status %d, want 503: %s", r.status, r.body)
+	}
+	if r.retryAfter == "" {
+		t.Fatal("deadline 503 lacks Retry-After")
+	}
+}
+
+// TestVerifyRepeatsFromArtifactCache pins /v1/verify to the shared request
+// path: its answer is a pure function of its body, so a repeat is an
+// artifact-cache hit with the same bytes and no second execution.
+func TestVerifyRepeatsFromArtifactCache(t *testing.T) {
+	f := buildFixture(t)
+	reg := obs.NewRegistry()
+	_, ts := newTestServer(t, jpgd.Config{Registry: reg})
+	body, err := json.Marshal(jpgd.VerifyRequest{Bitstream: base64.StdEncoding.EncodeToString(f.base.Bitstream)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold := post(ts.URL, "/v1/verify", body, nil)
+	hot := post(ts.URL, "/v1/verify", body, nil)
+	for _, r := range []result{cold, hot} {
+		if r.err != nil || r.status != http.StatusOK {
+			t.Fatalf("verify: %v status %d: %s", r.err, r.status, r.body)
+		}
+	}
+	if cold.xcache != "miss" || hot.xcache != "hit" {
+		t.Fatalf("X-Cache %q then %q, want miss then hit", cold.xcache, hot.xcache)
+	}
+	if !bytes.Equal(cold.body, hot.body) {
+		t.Fatal("cached verify body differs from the executed one")
+	}
+	if execs := reg.GetCounter("jpgd.exec").Value(); execs != 1 {
+		t.Fatalf("jpgd.exec = %d after a repeated verify, want 1", execs)
+	}
+}
+
+// TestGetAnswers405BeforeAdmission checks the pipeline's one method check:
+// a GET on any /v1 route answers 405 with the error envelope and never
+// takes an admission slot or runs the endpoint.
+func TestGetAnswers405BeforeAdmission(t *testing.T) {
+	reg := obs.NewRegistry()
+	_, ts := newTestServer(t, jpgd.Config{Registry: reg})
+	for _, path := range []string{"/v1/generate", "/v1/build", "/v1/verify"} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e struct {
+			Error string `json:"error"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusMethodNotAllowed || err != nil || e.Error == "" {
+			t.Fatalf("GET %s: status %d, envelope %+v (%v)", path, resp.StatusCode, e, err)
+		}
+	}
+	for _, name := range []string{"jpgd.exec", "jpgd.admitted"} {
+		if n := reg.GetCounter(name).Value(); n != 0 {
+			t.Fatalf("%s = %d after three GETs, want 0", name, n)
+		}
 	}
 }
 

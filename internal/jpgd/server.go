@@ -24,6 +24,7 @@
 package jpgd
 
 import (
+	"bytes"
 	"context"
 	"encoding/base64"
 	"encoding/json"
@@ -34,7 +35,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -163,33 +163,10 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.Handle("/v1/generate", s.instrument("generate", s.handleGenerate))
-	mux.Handle("/v1/build", s.instrument("build", s.handleBuild))
-	mux.Handle("/v1/verify", s.instrument("verify", s.handleVerify))
+	mux.Handle("/v1/generate", s.instrument("generate", s.generate))
+	mux.Handle("/v1/build", s.instrument("build", s.build))
+	mux.Handle("/v1/verify", s.instrument("verify", s.verify))
 	return mux
-}
-
-// statusWriter captures the response status for the access log and metrics.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-	bytes  int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if w.status == 0 {
-		w.status = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(b []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
-	}
-	n, err := w.ResponseWriter.Write(b)
-	w.bytes += n
-	return n, err
 }
 
 // multiSink fans completed spans out to several sinks (the flight recorder
@@ -202,12 +179,12 @@ func (m multiSink) Record(rec obs.SpanRecord) {
 	}
 }
 
-// instrument wraps an API handler with the per-request observability stack
+// instrument wraps an API endpoint with the per-request observability stack
 // — correlation ID (minted or adopted from X-Request-ID), request-bound
 // logger, per-request span collector feeding the flight recorder, request
-// span, metrics and the access log — then hands the request to the serving
-// pipeline (artifact cache, coalescing, admission; see serve.go).
-func (s *Server) instrument(route string, h http.HandlerFunc) http.Handler {
+// span, metrics and the access log — then runs the request through the
+// serving pipeline (see serve.go) and delivers its answer.
+func (s *Server) instrument(route string, ep endpoint) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		t0 := time.Now()
 		ctx := r.Context()
@@ -251,24 +228,22 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.Handler {
 		s.pipe.wg.Add(1)
 		defer s.pipe.wg.Done()
 
-		sw := &statusWriter{ResponseWriter: w}
-		sw.Header().Set("X-Request-ID", id)
-		r.Body = http.MaxBytesReader(sw, r.Body, s.cfg.MaxBodyBytes)
-		s.dispatch(route, sw, r.WithContext(ctx), h)
-		if sw.status == 0 {
-			sw.status = http.StatusOK
-		}
+		w.Header().Set("X-Request-ID", id)
+		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+		r = r.WithContext(ctx)
+		art, src := s.dispatch(route, r, ep)
+		status, n := s.deliver(w, r, art, src)
 
 		dur := time.Since(t0)
-		sp.SetInt("status", int64(sw.status))
-		if sw.status >= 400 {
+		sp.SetInt("status", int64(status))
+		if status >= 400 {
 			s.mErrors.Inc()
-			sp.Fail(fmt.Errorf("http %d", sw.status))
+			sp.Fail(fmt.Errorf("http %d", status))
 		}
 		sp.End()
 		s.mRequestNS.Observe(dur.Nanoseconds())
 		jpglog.Info(ctx, "http.request", "method", r.Method, "path", r.URL.Path,
-			"route", route, "status", sw.status, "dur_us", dur.Microseconds(), "bytes", sw.bytes)
+			"route", route, "status", status, "dur_us", dur.Microseconds(), "bytes", n)
 	})
 }
 
@@ -280,65 +255,38 @@ type apiError struct {
 	Error string `json:"error"`
 }
 
-// fail writes the error envelope and records the failure in the flight
-// recorder (status chooses the HTTP code; 4xx are client mistakes, 5xx are
-// generation failures worth a post-mortem). A request whose deadline expired
-// mid-generation answers 503 + Retry-After instead of a 5xx: the work was
-// shed, not broken.
-func (s *Server) fail(ctx context.Context, w http.ResponseWriter, route string, status int, err error) {
-	if status >= 500 && errors.Is(err, context.DeadlineExceeded) {
-		status = http.StatusServiceUnavailable
-		w.Header().Set("Retry-After", "1")
-	}
-	id := jpglog.RequestIDFrom(ctx)
-	s.rec.RecordError("jpgd."+route, id, err)
-	jpglog.Warn(ctx, "request.failed", "route", route, "status", status, "error", err.Error())
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(apiError{Error: err.Error()})
-}
-
-// writeJSON encodes v through a pooled buffer: one allocation-free encode
-// staging area, a correct Content-Length, and a single Write to the socket.
-func writeJSON(w http.ResponseWriter, v any) {
-	buf := getBuf()
-	defer putBuf(buf)
-	enc := json.NewEncoder(buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
-	w.Write(buf.Bytes())
-}
-
-// decodeJSON parses the request body into v and returns the HTTP status to
-// fail with when it is malformed: 413 when the body tripped MaxBytesReader,
-// 400 for everything else. A body is malformed when it is empty, is not a
-// single JSON document, names unknown fields, or carries trailing data.
-func decodeJSON(r *http.Request, v any) (int, error) {
-	dec := json.NewDecoder(r.Body)
+// decodeJSON parses a request body into v. A body is malformed (400) when
+// it is empty, is not a single JSON document, names unknown fields, or
+// carries trailing data.
+func decodeJSON(body []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		var maxErr *http.MaxBytesError
-		switch {
-		case errors.As(err, &maxErr):
-			return http.StatusRequestEntityTooLarge,
-				fmt.Errorf("request body exceeds %d bytes", maxErr.Limit)
-		case errors.Is(err, io.EOF):
-			return http.StatusBadRequest,
-				fmt.Errorf("empty request body (expected a JSON document)")
+		if errors.Is(err, io.EOF) {
+			return badRequest(fmt.Errorf("empty request body (expected a JSON document)"))
 		}
-		return http.StatusBadRequest, fmt.Errorf("bad request body: %w", err)
+		return badRequest(fmt.Errorf("bad request body: %w", err))
 	}
 	// A second document (or any junk) after the request object is a
 	// malformed payload, not something to silently ignore.
 	if err := dec.Decode(&struct{}{}); !errors.Is(err, io.EOF) {
-		return http.StatusBadRequest, fmt.Errorf("unexpected data after the JSON document")
+		return badRequest(fmt.Errorf("unexpected data after the JSON document"))
 	}
-	return 0, nil
+	return nil
+}
+
+// decodeBitstream decodes a base64 request field holding a raw bitstream
+// or a .bit container. Every failure is the client's (400).
+func decodeBitstream(field, b64 string) ([]byte, error) {
+	file, err := base64.StdEncoding.DecodeString(b64)
+	if err != nil {
+		return nil, badRequest(fmt.Errorf("%s is not base64: %w", field, err))
+	}
+	bs, _, err := bitfile.Unwrap(file)
+	if err != nil {
+		return nil, badRequest(err)
+	}
+	return bs, nil
 }
 
 // handleFlightrec dumps the flight recorder: JSON by default, a Chrome
@@ -352,7 +300,12 @@ func (s *Server) handleFlightrec(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	writeJSON(w, s.rec.Dump())
+	w.Header().Set("Content-Type", "application/json")
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(s.rec.Dump()); err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+	}
 }
 
 // GenerateRequest is the /v1/generate body: the JPG tool's inputs as one
@@ -409,35 +362,22 @@ type GenerateResponse struct {
 	Download      *DownloadResult `json:"download,omitempty"`
 }
 
-func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
-	ctx := r.Context()
-	if r.Method != http.MethodPost {
-		s.fail(ctx, w, "generate", http.StatusMethodNotAllowed, fmt.Errorf("POST required"))
-		return
-	}
+// generate is the /v1/generate endpoint: the JPG tool over HTTP.
+func (s *Server) generate(ctx context.Context, body []byte) (any, error) {
 	var req GenerateRequest
-	if status, err := decodeJSON(r, &req); err != nil {
-		s.fail(ctx, w, "generate", status, err)
-		return
+	if err := decodeJSON(body, &req); err != nil {
+		return nil, err
 	}
 	if req.Base == "" || req.XDL == "" || req.UCF == "" {
-		s.fail(ctx, w, "generate", http.StatusBadRequest, fmt.Errorf("base, xdl and ucf are required"))
-		return
+		return nil, badRequest(fmt.Errorf("base, xdl and ucf are required"))
 	}
-	baseFile, err := base64.StdEncoding.DecodeString(req.Base)
+	baseBS, err := decodeBitstream("base", req.Base)
 	if err != nil {
-		s.fail(ctx, w, "generate", http.StatusBadRequest, fmt.Errorf("base is not base64: %w", err))
-		return
-	}
-	baseBS, _, err := bitfile.Unwrap(baseFile)
-	if err != nil {
-		s.fail(ctx, w, "generate", http.StatusBadRequest, err)
-		return
+		return nil, err
 	}
 	proj, err := core.NewProject(baseBS)
 	if err != nil {
-		s.fail(ctx, w, "generate", http.StatusBadRequest, err)
-		return
+		return nil, badRequest(err)
 	}
 	name := req.Name
 	if name == "" {
@@ -445,8 +385,7 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	}
 	m, err := proj.AddModule(name, req.XDL, req.UCF)
 	if err != nil {
-		s.fail(ctx, w, "generate", http.StatusBadRequest, err)
-		return
+		return nil, badRequest(err)
 	}
 	opts := core.GenerateOptions{Strict: req.Strict, Compress: req.Compress, Delta: req.Delta, Verify: req.Verify}
 
@@ -455,19 +394,16 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	if req.Download != nil {
 		board, err := s.boardWithBase(ctx, proj.Part, baseBS)
 		if err != nil {
-			s.fail(ctx, w, "generate", http.StatusInternalServerError, err)
-			return
+			return nil, err
 		}
 		hwif, err := wrapBoard(board, req.Download)
 		if err != nil {
-			s.fail(ctx, w, "generate", http.StatusBadRequest, err)
-			return
+			return nil, badRequest(err)
 		}
 		var ds xhwif.DownloadStats
 		res, ds, err = proj.GenerateAndDownload(ctx, m, hwif, opts)
 		if err != nil {
-			s.fail(ctx, w, "generate", http.StatusInternalServerError, err)
-			return
+			return nil, err
 		}
 		resp.Download = &DownloadResult{
 			Attempts:      ds.Attempts,
@@ -477,8 +413,7 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	} else {
 		res, err = proj.GeneratePartialCtx(ctx, m, opts)
 		if err != nil {
-			s.fail(ctx, w, "generate", http.StatusInternalServerError, err)
-			return
+			return nil, err
 		}
 	}
 	s.mGenerates.Inc()
@@ -487,7 +422,7 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	resp.Frames = len(res.FARs)
 	resp.FramesChanged = res.FramesChanged
 	resp.Region = res.Region.String()
-	writeJSON(w, resp)
+	return resp, nil
 }
 
 // VerifyRequest is the /v1/verify body: lint a bitstream with the
@@ -520,60 +455,39 @@ type VerifyResponse struct {
 	Findings      []VerifyFinding `json:"findings,omitempty"`
 }
 
-// handleVerify lints a posted bitstream. Findings are the response, not an
-// HTTP failure: an unsafe stream still answers 200 with OK=false — only a
-// malformed request envelope (bad base64, undecodable base) is a 4xx.
-func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
-	ctx := r.Context()
-	if r.Method != http.MethodPost {
-		s.fail(ctx, w, "verify", http.StatusMethodNotAllowed, fmt.Errorf("POST required"))
-		return
-	}
+// verify is the /v1/verify endpoint: it lints a posted bitstream. Findings
+// are the response, not an HTTP failure: an unsafe stream still answers 200
+// with OK=false — only a malformed request envelope (bad base64,
+// undecodable base) is a 4xx.
+func (s *Server) verify(ctx context.Context, body []byte) (any, error) {
 	var req VerifyRequest
-	if status, err := decodeJSON(r, &req); err != nil {
-		s.fail(ctx, w, "verify", status, err)
-		return
+	if err := decodeJSON(body, &req); err != nil {
+		return nil, err
 	}
 	if req.Bitstream == "" {
-		s.fail(ctx, w, "verify", http.StatusBadRequest, fmt.Errorf("bitstream is required"))
-		return
+		return nil, badRequest(fmt.Errorf("bitstream is required"))
 	}
-	file, err := base64.StdEncoding.DecodeString(req.Bitstream)
+	bs, err := decodeBitstream("bitstream", req.Bitstream)
 	if err != nil {
-		s.fail(ctx, w, "verify", http.StatusBadRequest, fmt.Errorf("bitstream is not base64: %w", err))
-		return
-	}
-	bs, _, err := bitfile.Unwrap(file)
-	if err != nil {
-		s.fail(ctx, w, "verify", http.StatusBadRequest, err)
-		return
+		return nil, err
 	}
 
 	var rep *bitlint.Report
 	if req.Base != "" {
-		baseFile, err := base64.StdEncoding.DecodeString(req.Base)
+		baseBS, err := decodeBitstream("base", req.Base)
 		if err != nil {
-			s.fail(ctx, w, "verify", http.StatusBadRequest, fmt.Errorf("base is not base64: %w", err))
-			return
-		}
-		baseBS, _, err := bitfile.Unwrap(baseFile)
-		if err != nil {
-			s.fail(ctx, w, "verify", http.StatusBadRequest, err)
-			return
+			return nil, err
 		}
 		baseRep, err := bitlint.Verify(baseBS)
 		if err != nil {
-			s.fail(ctx, w, "verify", http.StatusBadRequest, fmt.Errorf("base: %w", err))
-			return
+			return nil, badRequest(fmt.Errorf("base: %w", err))
 		}
 		if err := baseRep.Err(); err != nil {
-			s.fail(ctx, w, "verify", http.StatusBadRequest, fmt.Errorf("base stream unsafe: %w", err))
-			return
+			return nil, badRequest(fmt.Errorf("base stream unsafe: %w", err))
 		}
 		rep, _ = bitlint.VerifyPartial(baseRep.Frames, bs)
 	} else if rep, err = bitlint.Verify(bs); err != nil {
-		s.fail(ctx, w, "verify", http.StatusBadRequest, err)
-		return
+		return nil, badRequest(err)
 	}
 
 	resp := VerifyResponse{
@@ -590,7 +504,7 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 	jpglog.Info(ctx, "jpgd.verify", "part", resp.Part, "ok", resp.OK, "findings", len(resp.Findings))
-	writeJSON(w, resp)
+	return resp, nil
 }
 
 // boardWithBase provisions a simulated board holding the base configuration
@@ -666,31 +580,23 @@ type BuildResponse struct {
 	Variant   *VariantResult    `json:"variant,omitempty"`
 }
 
-func (s *Server) handleBuild(w http.ResponseWriter, r *http.Request) {
-	ctx := r.Context()
-	if r.Method != http.MethodPost {
-		s.fail(ctx, w, "build", http.StatusMethodNotAllowed, fmt.Errorf("POST required"))
-		return
-	}
+// build is the /v1/build endpoint: the CAD flow run server-side.
+func (s *Server) build(ctx context.Context, body []byte) (any, error) {
 	var req BuildRequest
-	if status, err := decodeJSON(r, &req); err != nil {
-		s.fail(ctx, w, "build", status, err)
-		return
+	if err := decodeJSON(body, &req); err != nil {
+		return nil, err
 	}
 	part, err := device.ByName(req.Part)
 	if err != nil {
-		s.fail(ctx, w, "build", http.StatusBadRequest, err)
-		return
+		return nil, badRequest(err)
 	}
 	insts, err := designs.ParseInstanceSpecs(req.Instances)
 	if err != nil {
-		s.fail(ctx, w, "build", http.StatusBadRequest, err)
-		return
+		return nil, badRequest(err)
 	}
 	base, err := flow.BuildBase(ctx, part, insts, flow.Options{Seed: req.Seed, Starts: req.Starts})
 	if err != nil {
-		s.fail(ctx, w, "build", http.StatusInternalServerError, err)
-		return
+		return nil, err
 	}
 	resp := BuildResponse{
 		Part:      part.Name,
@@ -703,30 +609,25 @@ func (s *Server) handleBuild(w http.ResponseWriter, r *http.Request) {
 	if v := req.Variant; v != nil {
 		gen, err := designs.ParseSpec(v.Gen)
 		if err != nil {
-			s.fail(ctx, w, "build", http.StatusBadRequest, err)
-			return
+			return nil, badRequest(err)
 		}
 		va, err := flow.BuildVariant(ctx, base, v.Prefix, gen, flow.Options{Seed: v.Seed, Starts: req.Starts})
 		if err != nil {
-			s.fail(ctx, w, "build", http.StatusInternalServerError, err)
-			return
+			return nil, err
 		}
 		proj, err := core.NewProject(base.Bitstream)
 		if err != nil {
-			s.fail(ctx, w, "build", http.StatusInternalServerError, err)
-			return
+			return nil, err
 		}
 		m, err := proj.AddModule(v.Prefix+gen.Name(), va.XDL, va.UCF)
 		if err != nil {
-			s.fail(ctx, w, "build", http.StatusInternalServerError, err)
-			return
+			return nil, err
 		}
 		res, err := proj.GeneratePartialCtx(ctx, m, core.GenerateOptions{
 			Strict: v.Strict, Compress: v.Compress, Delta: v.Delta,
 		})
 		if err != nil {
-			s.fail(ctx, w, "build", http.StatusInternalServerError, err)
-			return
+			return nil, err
 		}
 		resp.Variant = &VariantResult{
 			Bitstream:     res.Bitstream,
@@ -737,7 +638,7 @@ func (s *Server) handleBuild(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.mBuilds.Inc()
-	writeJSON(w, resp)
+	return resp, nil
 }
 
 // ListenAndServe runs the daemon on addr until ctx is cancelled, then

@@ -331,7 +331,7 @@ func TestLogCorrelation(t *testing.T) {
 	var logs syncBuffer
 	srv, ts := newTestServer(t, jpgd.Config{
 		Logger: jpglog.New(&logs, slog.LevelDebug),
-		Cache:  cache.New(cache.Options{NoDisk: true}),
+		Cache:  cache.New(cache.Options{}),
 	})
 
 	// A build request drives the CAD flow (map/place/route/bitgen stages +

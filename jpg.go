@@ -161,16 +161,12 @@ type (
 )
 
 // NewCache returns a build cache (zero options select the defaults: 4096
-// entries, 256 MiB, disk under $JPG_CACHE_DIR when set).
+// entries, 256 MiB, memory-only unless Dir is set).
 func NewCache(o CacheOptions) *Cache { return cache.New(o) }
 
 // WithCache attaches a build cache to a context; the CAD flow consults it
 // for every stage run under that context.
 func WithCache(ctx context.Context, c *Cache) context.Context { return cache.With(ctx, c) }
-
-// DefaultCache returns the process-wide cache configured from the
-// environment ($JPG_CACHE / $JPG_CACHE_DIR), or nil when disabled.
-func DefaultCache() *Cache { return cache.Default() }
 
 // BuildVariants implements a batch of sub-module variants concurrently
 // (Phase 2 as a farm). Project.GeneratePartialAll is the matching
