@@ -31,11 +31,11 @@ import (
 )
 
 // benchExperiment runs one experiment per iteration, logging the table once.
-func benchExperiment(b *testing.B, name string, f func(experiments.Config) (*experiments.Table, error)) {
+func benchExperiment(b *testing.B, name string, f func(context.Context, experiments.Config) (*experiments.Table, error)) {
 	b.Helper()
 	logged := false
 	for i := 0; i < b.N; i++ {
-		tab, err := f(experiments.Config{Seed: 1, Quick: testing.Short()})
+		tab, err := f(context.Background(), experiments.Config{Seed: 1, Quick: testing.Short()})
 		if err != nil {
 			b.Fatalf("%s: %v", name, err)
 		}
@@ -55,9 +55,9 @@ func BenchmarkE1_Fig4Combinations(b *testing.B) { benchExperiment(b, "E1", exper
 // strictly serial execution of the seed repository, kept as the baseline
 // the parallel farm is measured against.
 func BenchmarkE1Serial(b *testing.B) {
-	benchExperiment(b, "E1", func(cfg experiments.Config) (*experiments.Table, error) {
+	benchExperiment(b, "E1", func(ctx context.Context, cfg experiments.Config) (*experiments.Table, error) {
 		cfg.Workers = 1
-		return experiments.E1(cfg)
+		return experiments.E1(ctx, cfg)
 	})
 }
 
@@ -66,9 +66,9 @@ func BenchmarkE1Serial(b *testing.B) {
 // the farm's wall-clock speedup; the tables and bitstreams are byte-identical
 // either way (see internal/experiments determinism tests).
 func BenchmarkE1Parallel(b *testing.B) {
-	benchExperiment(b, "E1", func(cfg experiments.Config) (*experiments.Table, error) {
+	benchExperiment(b, "E1", func(ctx context.Context, cfg experiments.Config) (*experiments.Table, error) {
 		cfg.Workers = runtime.NumCPU()
-		return experiments.E1(cfg)
+		return experiments.E1(ctx, cfg)
 	})
 }
 
@@ -76,9 +76,8 @@ func BenchmarkE1Parallel(b *testing.B) {
 // CAD stages compute, plus the cache's own bookkeeping. Compare with
 // BenchmarkE1Warm — the ns/op ratio is the amortization the cache buys.
 func BenchmarkE1Cold(b *testing.B) {
-	benchExperiment(b, "E1", func(cfg experiments.Config) (*experiments.Table, error) {
-		cfg.Cache = cache.New(cache.Options{})
-		return experiments.E1(cfg)
+	benchExperiment(b, "E1", func(ctx context.Context, cfg experiments.Config) (*experiments.Table, error) {
+		return experiments.E1(cache.With(ctx, cache.New(cache.Options{})), cfg)
 	})
 }
 
@@ -87,11 +86,10 @@ func BenchmarkE1Cold(b *testing.B) {
 // The determinism tests prove the tables and bitstreams stay byte-identical.
 func BenchmarkE1Warm(b *testing.B) {
 	c := cache.New(cache.Options{})
-	warm := func(cfg experiments.Config) (*experiments.Table, error) {
-		cfg.Cache = c
-		return experiments.E1(cfg)
+	warm := func(ctx context.Context, cfg experiments.Config) (*experiments.Table, error) {
+		return experiments.E1(cache.With(ctx, c), cfg)
 	}
-	if _, err := warm(experiments.Config{Seed: 1, Quick: testing.Short()}); err != nil {
+	if _, err := warm(context.Background(), experiments.Config{Seed: 1, Quick: testing.Short()}); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()

@@ -56,7 +56,7 @@ import (
 
 var all = []struct {
 	id  string
-	run func(experiments.Config) (*experiments.Table, error)
+	run func(context.Context, experiments.Config) (*experiments.Table, error)
 }{
 	{"e1", experiments.E1},
 	{"e2", experiments.E2},
@@ -294,18 +294,19 @@ func run(args []string) int {
 		Verify: *verify,
 		Faults: *faultStr, Retries: *retries, DownloadTimeout: *dlTmout,
 	}
+	// The pooled runs' context carries the cache and the collector; the
+	// serial -json reruns get context.Background(), so they stay out of the
+	// trace and the cache. Results are byte-identical either way.
+	ctx := context.Background()
 	var bcache *cache.Cache
 	if *useCache || *cacheDir != "" {
 		bcache = cache.New(cache.Options{Dir: *cacheDir})
-		cfg.Cache = bcache
+		ctx = cache.With(ctx, bcache)
 	}
-	// Tracing observes only the pooled runs (the serial -json reruns stay
-	// untraced so the trace reflects one configuration); results are
-	// byte-identical with tracing on or off.
 	var col *obs.Collector
 	if *tracePth != "" || *metrics {
 		col = obs.New()
-		cfg.Ctx = col.Attach(context.Background())
+		ctx = col.Attach(ctx)
 	}
 
 	record := perfRecord{
@@ -329,10 +330,8 @@ func run(args []string) int {
 		if *jsonPath != "" {
 			serialCfg := cfg
 			serialCfg.Workers = 1
-			serialCfg.Ctx = nil   // keep the serial rerun out of the trace
-			serialCfg.Cache = nil // and out of the cache
 			t0 := time.Now()
-			if _, err := exp.run(serialCfg); err != nil {
+			if _, err := exp.run(context.Background(), serialCfg); err != nil {
 				fmt.Fprintf(os.Stderr, "%s (serial): %v\n", exp.id, err)
 				failed = true
 				continue
@@ -341,7 +340,7 @@ func run(args []string) int {
 		}
 		stagesBefore := stageSums()
 		t0 := time.Now()
-		tab, err := exp.run(cfg)
+		tab, err := exp.run(ctx, cfg)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", exp.id, err)
 			failed = true
@@ -376,7 +375,7 @@ func run(args []string) int {
 			// of the same pooled configuration.
 			if bcache != nil {
 				t0 = time.Now()
-				if _, err := exp.run(cfg); err != nil {
+				if _, err := exp.run(ctx, cfg); err != nil {
 					fmt.Fprintf(os.Stderr, "%s (warm): %v\n", exp.id, err)
 					failed = true
 					continue
@@ -391,7 +390,7 @@ func run(args []string) int {
 	}
 	if *incr {
 		t0 := time.Now()
-		tab, stats, err := experiments.EditStorm(cfg)
+		tab, stats, err := experiments.EditStorm(ctx, cfg)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "e10: %v\n", err)
 			failed = true

@@ -63,7 +63,7 @@ func run() error {
 		artifactMB = flag.Int("artifact-cache-mb", artifactToFlag(env.ArtifactCacheBytes),
 			"hot-artifact cache budget in MiB (0 disables; default $JPGD_ARTIFACT_CACHE_MB or 64)")
 		coalesce = flag.Bool("coalesce", !env.NoCoalesce,
-			"coalesce concurrent identical generate/build requests (default $JPGD_COALESCE)")
+			"coalesce concurrent identical /v1 requests (default $JPGD_COALESCE)")
 		reqTimeout = flag.Duration("request-timeout", env.RequestTimeout,
 			"per-request deadline, 0 = none (default $JPGD_REQUEST_TIMEOUT)")
 	)

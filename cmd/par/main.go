@@ -26,6 +26,7 @@ import (
 	"repro/internal/designs"
 	"repro/internal/device"
 	"repro/internal/flow"
+	"repro/internal/ncd"
 	"repro/internal/netlist"
 	"repro/internal/obs"
 	"repro/internal/timing"
@@ -152,6 +153,10 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	ncdData, err := ncd.Marshal(a.Phys)
+	if err != nil {
+		return err
+	}
 	wrapped := bitfile.Wrap(bitfile.Header{
 		Design: a.Netlist.Name + ".ncd",
 		Part:   part.Name,
@@ -159,7 +164,7 @@ func run() error {
 		Time:   time.Now().Format("15:04:05"),
 	}, a.Bitstream)
 	for suffix, data := range map[string][]byte{
-		".ncd": a.NCD,
+		".ncd": ncdData,
 		".xdl": []byte(a.XDL),
 		".ucf": []byte(a.UCF),
 		".bit": wrapped,

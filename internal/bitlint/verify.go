@@ -65,18 +65,6 @@ func VerifyFor(p *device.Part, full []byte) (*Report, error) {
 	return rep, nil
 }
 
-// VerifyAgainst is Verify with the producer's intent pinned: the decoded
-// image must also equal want, the configuration memory the producer claims
-// it serialised. This is the flow's post-bitgen check.
-func VerifyAgainst(bs []byte, want *frames.Memory) (*Report, error) {
-	rep := DecodeFor(want.Part, bs)
-	ref := frames.New(want.Part)
-	diffApply(rep, ref, bs)
-	diffWant(rep, want, "producer")
-	mVerifies.Inc()
-	return rep, rep.Err()
-}
-
 // VerifyPartial checks a partial bitstream against the base configuration it
 // will be downloaded onto: bitlint overlays the partial on a copy of base,
 // the port VM does the same, and the two must agree frame for frame.
@@ -116,17 +104,6 @@ func VerifySplice(base, partial, full []byte) (*Report, error) {
 		return rep, err
 	}
 	diffWant(rep, wantRep.Frames, "full-rebuild")
-	return rep, rep.Err()
-}
-
-// VerifySpliceMemory is VerifySplice when the producer holds base and target
-// as frame images rather than streams (the incremental flow's edit path).
-func VerifySpliceMemory(base *frames.Memory, partial []byte, want *frames.Memory) (*Report, error) {
-	rep, err := VerifyPartial(base, partial)
-	if err != nil {
-		return rep, err
-	}
-	diffWant(rep, want, "full-rebuild")
 	return rep, rep.Err()
 }
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/cache"
@@ -13,16 +14,16 @@ import (
 // require byte-identical tables after masking measured wall-clock.
 
 func TestE1DeterministicWithCache(t *testing.T) {
-	plain, err := E1(Config{Quick: true, Seed: 3, Workers: 2})
+	plain, err := E1(context.Background(), Config{Quick: true, Seed: 3, Workers: 2})
 	if err != nil {
 		t.Fatalf("E1 uncached: %v", err)
 	}
 	c := cache.New(cache.Options{})
-	cold, err := E1(Config{Quick: true, Seed: 3, Workers: 2, Cache: c})
+	cold, err := E1(cache.With(context.Background(), c), Config{Quick: true, Seed: 3, Workers: 2})
 	if err != nil {
 		t.Fatalf("E1 cold cache: %v", err)
 	}
-	warm, err := E1(Config{Quick: true, Seed: 3, Workers: 2, Cache: c})
+	warm, err := E1(cache.With(context.Background(), c), Config{Quick: true, Seed: 3, Workers: 2})
 	if err != nil {
 		t.Fatalf("E1 warm cache: %v", err)
 	}
@@ -48,26 +49,25 @@ func TestE1CachedDeterministicAcrossWorkers(t *testing.T) {
 	// One cache shared by a serial and a wide run: the wide run is fully
 	// warm, and the table must still match the serial one byte for byte.
 	c := cache.New(cache.Options{})
-	compareAcrossWorkers(t, "E1+cache", func(cfg Config) (*Table, error) {
-		cfg.Cache = c
-		return E1(cfg)
+	compareAcrossWorkers(t, "E1+cache", func(ctx context.Context, cfg Config) (*Table, error) {
+		return E1(cache.With(ctx, c), cfg)
 	})
 }
 
 func TestE1DeterministicWithDiskCache(t *testing.T) {
-	plain, err := E1(Config{Quick: true, Seed: 3, Workers: 2})
+	plain, err := E1(context.Background(), Config{Quick: true, Seed: 3, Workers: 2})
 	if err != nil {
 		t.Fatalf("E1 uncached: %v", err)
 	}
 	dir := t.TempDir()
 	// Two separate cache instances over one directory: the second run warms
 	// purely from disk, as a fresh process would.
-	first, err := E1(Config{Quick: true, Seed: 3, Workers: 2, Cache: cache.New(cache.Options{Dir: dir})})
+	first, err := E1(cache.With(context.Background(), cache.New(cache.Options{Dir: dir})), Config{Quick: true, Seed: 3, Workers: 2})
 	if err != nil {
 		t.Fatalf("E1 disk cold: %v", err)
 	}
 	c2 := cache.New(cache.Options{Dir: dir})
-	second, err := E1(Config{Quick: true, Seed: 3, Workers: 2, Cache: c2})
+	second, err := E1(cache.With(context.Background(), c2), Config{Quick: true, Seed: 3, Workers: 2})
 	if err != nil {
 		t.Fatalf("E1 disk warm: %v", err)
 	}

@@ -75,15 +75,15 @@ func wideWorkers() int {
 	return 4
 }
 
-func compareAcrossWorkers(t *testing.T, name string, run func(Config) (*Table, error)) {
+func compareAcrossWorkers(t *testing.T, name string, run func(context.Context, Config) (*Table, error)) {
 	t.Helper()
 	serialCfg := Config{Quick: true, Seed: 3, Workers: 1}
 	wideCfg := Config{Quick: true, Seed: 3, Workers: wideWorkers()}
-	serial, err := run(serialCfg)
+	serial, err := run(context.Background(), serialCfg)
 	if err != nil {
 		t.Fatalf("%s workers=1: %v", name, err)
 	}
-	wide, err := run(wideCfg)
+	wide, err := run(context.Background(), wideCfg)
 	if err != nil {
 		t.Fatalf("%s workers=%d: %v", name, wideCfg.Workers, err)
 	}
@@ -99,15 +99,15 @@ func TestE1DeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestE1DeterministicWithTracing pins the observability layer's
-// non-interference contract: attaching a collector (Config.Ctx, as jpgbench
-// -trace does) must not change any result — only record it.
+// non-interference contract: attaching a collector to the run context (as
+// jpgbench -trace does) must not change any result — only record it.
 func TestE1DeterministicWithTracing(t *testing.T) {
-	plain, err := E1(Config{Quick: true, Seed: 3, Workers: 2})
+	plain, err := E1(context.Background(), Config{Quick: true, Seed: 3, Workers: 2})
 	if err != nil {
 		t.Fatalf("E1 untraced: %v", err)
 	}
 	col := obs.New()
-	traced, err := E1(Config{Quick: true, Seed: 3, Workers: 2, Ctx: col.Attach(context.Background())})
+	traced, err := E1(col.Attach(context.Background()), Config{Quick: true, Seed: 3, Workers: 2})
 	if err != nil {
 		t.Fatalf("E1 traced: %v", err)
 	}
@@ -125,9 +125,9 @@ func TestE1DeterministicWithTracing(t *testing.T) {
 // within each CAD run, runs within the farm) must still collapse to one
 // result for any pool width.
 func TestE1MultiStartDeterministicAcrossWorkers(t *testing.T) {
-	compareAcrossWorkers(t, "E1 starts=3", func(cfg Config) (*Table, error) {
+	compareAcrossWorkers(t, "E1 starts=3", func(ctx context.Context, cfg Config) (*Table, error) {
 		cfg.Starts = 3
-		return E1(cfg)
+		return E1(ctx, cfg)
 	})
 }
 

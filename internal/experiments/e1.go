@@ -56,9 +56,8 @@ func quickScenario() []RegionSpec {
 // variants needs one full CAD run and one complete bitstream per combination
 // under the conventional flow, versus one base build plus one small
 // constrained run and partial bitstream per variant under the JPG flow.
-func E1(cfg Config) (*Table, error) {
+func E1(ctx context.Context, cfg Config) (*Table, error) {
 	cfg = cfg.withDefaults()
-	ctx := cfg.ctx()
 	scenario := Fig4Scenario()
 	if cfg.Quick {
 		scenario = quickScenario()

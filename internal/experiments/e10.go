@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"time"
@@ -62,15 +63,14 @@ type EditStormStats struct {
 // comparing edit->partial latency of a full conventional re-run per edit
 // against the incremental engine's diff+splice, with byte-identity checked
 // against the from-scratch build after every edit.
-func E10(cfg Config) (*Table, error) {
-	t, _, err := EditStorm(cfg)
+func E10(ctx context.Context, cfg Config) (*Table, error) {
+	t, _, err := EditStorm(ctx, cfg)
 	return t, err
 }
 
 // EditStorm runs E10 and also returns its machine-readable stats.
-func EditStorm(cfg Config) (*Table, *EditStormStats, error) {
+func EditStorm(ctx context.Context, cfg Config) (*Table, *EditStormStats, error) {
 	cfg = cfg.withDefaults()
-	ctx := cfg.ctx()
 	part, err := device.ByName(cfg.Part)
 	if err != nil {
 		return nil, nil, err

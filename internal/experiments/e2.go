@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -12,7 +13,7 @@ import (
 // E2 reproduces §2.1's size claim: a partial bitstream covering a fraction
 // of the device's columns is proportionally smaller than the complete
 // bitstream, across the Virtex family.
-func E2(cfg Config) (*Table, error) {
+func E2(_ context.Context, cfg Config) (*Table, error) {
 	cfg = cfg.withDefaults()
 	parts := []string{"XCV50", "XCV300", "XCV1000"}
 	fractions := []int{8, 6, 4, 3, 2, 1} // denominators: 1/8 .. 1/1

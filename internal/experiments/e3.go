@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"time"
@@ -14,9 +15,8 @@ import (
 // bitstream reconfigures the device proportionally faster than a complete
 // download. Times come from the simulated board's SelectMAP model
 // (8 bits per 50 MHz configuration clock).
-func E3(cfg Config) (*Table, error) {
+func E3(ctx context.Context, cfg Config) (*Table, error) {
 	cfg = cfg.withDefaults()
-	ctx := cfg.ctx()
 	parts := []string{"XCV50", "XCV300", "XCV1000"}
 	fractions := []int{8, 4, 3, 2}
 	if cfg.Quick {

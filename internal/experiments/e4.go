@@ -14,9 +14,8 @@ import (
 // E4 reproduces §4.1's CAD-time claim: implementing one constrained
 // sub-module is significantly cheaper than implementing the complete design,
 // because place-and-route cost grows superlinearly with design size.
-func E4(cfg Config) (*Table, error) {
+func E4(ctx context.Context, cfg Config) (*Table, error) {
 	cfg = cfg.withDefaults()
-	ctx := cfg.ctx()
 	part, err := device.ByName(cfg.Part)
 	if err != nil {
 		return nil, err

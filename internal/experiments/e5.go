@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -18,9 +19,8 @@ import (
 // frame level (nothing outside the module's columns changes) and
 // functionally (the design extracted from the reconfigured device behaves
 // like the intended variant while the untouched module keeps working).
-func E5(cfg Config) (*Table, error) {
+func E5(ctx context.Context, cfg Config) (*Table, error) {
 	cfg = cfg.withDefaults()
-	ctx := cfg.ctx()
 	part, err := device.ByName(cfg.Part)
 	if err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -16,9 +17,8 @@ import (
 // variant with JPG versus the PARBIT and JBitsDiff methodologies. JPG needs
 // only a small constrained CAD run per variant; the bitstream-transforming
 // tools each need a complete re-implementation of the full design first.
-func E6(cfg Config) (*Table, error) {
+func E6(ctx context.Context, cfg Config) (*Table, error) {
 	cfg = cfg.withDefaults()
-	ctx := cfg.ctx()
 	part, err := device.ByName(cfg.Part)
 	if err != nil {
 		return nil, err

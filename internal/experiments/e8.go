@@ -16,9 +16,8 @@ import (
 // runs "could mean more highly optimized designs in the same design time":
 // sweeping placer effort trades place-and-route time against routed
 // wirelength and achievable clock frequency.
-func E8(cfg Config) (*Table, error) {
+func E8(ctx context.Context, cfg Config) (*Table, error) {
 	cfg = cfg.withDefaults()
-	ctx := cfg.ctx()
 	part, err := device.ByName(cfg.Part)
 	if err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/designs"
@@ -12,9 +13,8 @@ import (
 // "NGD and guide file" step): re-implementing a revised module seeded by its
 // previous placement at low effort versus a from-scratch run, measuring CAD
 // time and placement stability.
-func E9(cfg Config) (*Table, error) {
+func E9(ctx context.Context, cfg Config) (*Table, error) {
 	cfg = cfg.withDefaults()
-	ctx := cfg.ctx()
 	part, err := device.ByName(cfg.Part)
 	if err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -9,9 +10,9 @@ func quickCfg() Config { return Config{Quick: true, Seed: 1} }
 
 // runAndCheck runs an experiment and asserts basic table shape plus a PASS
 // verdict where the experiment emits one.
-func runAndCheck(t *testing.T, name string, f func(Config) (*Table, error), wantVerdict bool) *Table {
+func runAndCheck(t *testing.T, name string, f func(context.Context, Config) (*Table, error), wantVerdict bool) *Table {
 	t.Helper()
-	tab, err := f(quickCfg())
+	tab, err := f(context.Background(), quickCfg())
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
@@ -151,15 +152,15 @@ func TestE9Quick(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
-	if c.Part != "XCV50" || c.Effort != 1.0 || c.Seed != 1 {
+	if c.Part != "XCV50" || c.Seed != 1 {
 		t.Fatalf("defaults = %+v", c)
 	}
-	c2 := Config{Part: "XCV100", Seed: 7, Effort: 2}.withDefaults()
-	if c2.Part != "XCV100" || c2.Seed != 7 || c2.Effort != 2 {
+	c2 := Config{Part: "XCV100", Seed: 7}.withDefaults()
+	if c2.Part != "XCV100" || c2.Seed != 7 {
 		t.Fatalf("explicit config overridden: %+v", c2)
 	}
 	// Unknown part propagates as an error from part-resolving experiments.
-	if _, err := E5(Config{Part: "XCV9", Quick: true}); err == nil {
+	if _, err := E5(context.Background(), Config{Part: "XCV9", Quick: true}); err == nil {
 		t.Fatal("unknown part accepted")
 	}
 }

@@ -2,15 +2,19 @@
 // materialises one claim from §2.1/§4.1/Figure 4 as a table (see DESIGN.md's
 // experiment index). The functions are deterministic given their config and
 // are exercised by cmd/jpgbench and the repository benchmarks.
+//
+// Every E* function takes the run's context first. An obs.Collector
+// attached to it records the run, and a build cache attached with
+// cache.With memoizes its CAD stages. Neither changes a result, only what
+// gets recorded and the wall-clock, so experiments whose verdicts compare
+// measured times (E4/E8/E9) should be given a cold cache or none.
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"time"
 
-	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/faults"
@@ -103,8 +107,6 @@ type Config struct {
 	Part string
 	// Seed drives all randomised algorithms.
 	Seed int64
-	// Effort scales the placer (default 1.0).
-	Effort float64
 	// Quick shrinks sweeps for test runs.
 	Quick bool
 	// Workers bounds the pool the experiments farm their independent CAD
@@ -122,16 +124,6 @@ type Config struct {
 	// the run on any error finding. Execution-only: results are
 	// byte-identical with it on or off (see flow.Options.Verify).
 	Verify bool
-	// Ctx carries the run's observability context (an obs.Collector
-	// attached by jpgbench -trace); nil means context.Background().
-	// Tracing never changes results — only what gets recorded.
-	Ctx context.Context
-	// Cache optionally memoizes CAD stage results (see internal/cache); the
-	// flow consults it via the run context.
-	// Caching never changes results — byte-identical cold, warm or off —
-	// only wall-clock, so experiments whose verdicts compare *measured
-	// times* (E4/E8/E9) should be given a cold cache or none at all.
-	Cache *cache.Cache
 	// Faults is a fault-injection spec (see internal/faults.Parse) applied
 	// to every board the experiments download to; empty disables injection.
 	// With a spec set, boards are wrapped in a ReliableHWIF so the injected
@@ -173,16 +165,6 @@ func (c Config) board(p *device.Part) (xhwif.HWIF, error) {
 	return hw, nil
 }
 
-// ctx resolves the run context, attaching the config's cache so the flow
-// layer sees it.
-func (c Config) ctx() context.Context {
-	ctx := c.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return cache.With(ctx, c.Cache)
-}
-
 // pool renders the config's worker bound as pool options for
 // parallel.Map/Do dispatches inside experiments.
 func (c Config) pool() []parallel.Option {
@@ -190,10 +172,10 @@ func (c Config) pool() []parallel.Option {
 }
 
 // flowOpts renders the config as flow options for one CAD run with the given
-// seed — the single point where experiment knobs (effort, multi-start width,
-// pool width) reach the flow layer.
+// seed — the single point where experiment knobs (multi-start width, pool
+// width) reach the flow layer. Effort stays 0, which the placer reads as 1.0.
 func (c Config) flowOpts(seed int64) flow.Options {
-	return flow.Options{Seed: seed, Effort: c.Effort, Starts: c.Starts, Workers: c.Workers, Verify: c.Verify}
+	return flow.Options{Seed: seed, Starts: c.Starts, Workers: c.Workers, Verify: c.Verify}
 }
 
 // genOpts stamps the config's verification knob onto partial-generation
@@ -214,9 +196,6 @@ func (c Config) flowOptsEffort(seed int64, effort float64) flow.Options {
 func (c Config) withDefaults() Config {
 	if c.Part == "" {
 		c.Part = "XCV50"
-	}
-	if c.Effort == 0 {
-		c.Effort = 1.0
 	}
 	if c.Seed == 0 {
 		c.Seed = 1

@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -149,9 +148,6 @@ func Parse(s string) (Spec, error) {
 	}
 	return spec, nil
 }
-
-// FromEnv parses $JPG_FAULTS (disabled spec when unset).
-func FromEnv() (Spec, error) { return Parse(os.Getenv(Env)) }
 
 // Injection metrics (always on; see internal/obs).
 var (

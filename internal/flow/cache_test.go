@@ -137,7 +137,7 @@ func TestCachedBuildByteIdentical(t *testing.T) {
 		if run.a.XDL != plain.XDL {
 			t.Errorf("%s cache changed the XDL", run.name)
 		}
-		if !bytes.Equal(run.a.NCD, plain.NCD) {
+		if !bytes.Equal(ncdOf(t, run.a), ncdOf(t, plain)) {
 			t.Errorf("%s cache changed the NCD", run.name)
 		}
 		if run.a.UCF != plain.UCF {
@@ -256,6 +256,7 @@ func TestUnusableStageEntriesRecompute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	otherNCD := ncdOf(t, other)
 	// Implement without constraints routes unconfined ("none").
 	kPlace := PlaceKey(p, nl, nil, opts)
 	keys := map[string]cache.Key{"place": kPlace, "route": RouteKey(kPlace, "none")}
@@ -264,7 +265,7 @@ func TestUnusableStageEntriesRecompute(t *testing.T) {
 		dir := t.TempDir()
 		seed := cache.New(cache.Options{Dir: dir})
 		for _, stage := range planted {
-			seed.GetOrCompute(ctx, stage, keys[stage], func() ([]byte, error) { return other.NCD, nil })
+			seed.GetOrCompute(ctx, stage, keys[stage], func() ([]byte, error) { return otherNCD, nil })
 		}
 		// A fresh cache over the same directory reads the entries from disk.
 		c := cache.New(cache.Options{Dir: dir})
@@ -272,13 +273,13 @@ func TestUnusableStageEntriesRecompute(t *testing.T) {
 		if err != nil {
 			t.Fatalf("planted %v: %v", planted, err)
 		}
-		if !bytes.Equal(got.Bitstream, plain.Bitstream) || got.XDL != plain.XDL || !bytes.Equal(got.NCD, plain.NCD) {
+		if !bytes.Equal(got.Bitstream, plain.Bitstream) || got.XDL != plain.XDL || !bytes.Equal(ncdOf(t, got), ncdOf(t, plain)) {
 			t.Errorf("planted %v: cached build differs from the uncached one", planted)
 		}
 		for _, probe := range []*cache.Cache{c, cache.New(cache.Options{Dir: dir})} {
 			for _, stage := range planted {
 				v, _, _ := probe.GetOrCompute(ctx, stage, keys[stage], func() ([]byte, error) { return nil, nil })
-				if bytes.Equal(v, other.NCD) {
+				if bytes.Equal(v, otherNCD) {
 					t.Errorf("planted %v: the bad %s entry is still served", planted, stage)
 				}
 			}

@@ -80,7 +80,6 @@ type Artifacts struct {
 	Phys      *phys.Design
 	UCF       string // constraint file text
 	XDL       string // ASCII physical design
-	NCD       []byte // binary physical database
 	Bitstream []byte // complete bitstream
 	Times     StageTimes
 }

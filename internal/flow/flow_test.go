@@ -10,11 +10,22 @@ import (
 	"repro/internal/designs"
 	"repro/internal/device"
 	"repro/internal/frames"
+	"repro/internal/ncd"
 	"repro/internal/netlist"
 	"repro/internal/parallel"
 	"repro/internal/ucf"
 	"repro/internal/xdl"
 )
+
+// ncdOf encodes a run's physical design as NCD, the bytes cmd/par writes.
+func ncdOf(tb testing.TB, a *Artifacts) []byte {
+	tb.Helper()
+	data, err := ncd.Marshal(a.Phys)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return data
+}
 
 func twoInstances() []designs.Instance {
 	return []designs.Instance{
@@ -73,7 +84,7 @@ func TestBuildBase(t *testing.T) {
 		}
 	}
 	// Artifacts are complete and consistent.
-	if base.UCF == "" || base.XDL == "" || len(base.NCD) == 0 || len(base.Bitstream) == 0 {
+	if base.UCF == "" || base.XDL == "" || base.Phys == nil || len(base.Bitstream) == 0 {
 		t.Fatal("missing artifacts")
 	}
 	if _, err := xdl.Load(base.XDL); err != nil {
@@ -317,11 +328,11 @@ func TestMultiStartBuildByteIdenticalAcrossWorkers(t *testing.T) {
 			name      string
 			got, want []byte
 		}{
-			{"base NCD", b.NCD, refBase.NCD},
+			{"base NCD", ncdOf(t, &b.Artifacts), ncdOf(t, &refBase.Artifacts)},
 			{"base XDL", []byte(b.XDL), []byte(refBase.XDL)},
 			{"base UCF", []byte(b.UCF), []byte(refBase.UCF)},
 			{"base bitstream", b.Bitstream, refBase.Bitstream},
-			{"variant NCD", v.NCD, refVar.NCD},
+			{"variant NCD", ncdOf(t, v), ncdOf(t, refVar)},
 			{"variant XDL", []byte(v.XDL), []byte(refVar.XDL)},
 			{"variant bitstream", v.Bitstream, refVar.Bitstream},
 		} {

@@ -41,7 +41,7 @@ func fuzzVariant(tb testing.TB) (p *device.Part, nl *netlist.Design, routed, pla
 	if placed, err = ncd.Marshal(pd); err != nil {
 		tb.Fatal(err)
 	}
-	return p, v.Netlist, v.NCD, placed
+	return p, v.Netlist, ncdOf(tb, v), placed
 }
 
 // checkBind is FuzzBindNCD's property: bindNCD — the decode path of every

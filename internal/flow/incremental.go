@@ -9,7 +9,6 @@ import (
 	"repro/internal/bitstream"
 	"repro/internal/frames"
 	"repro/internal/jbitsdiff"
-	"repro/internal/ncd"
 	"repro/internal/netlist"
 	"repro/internal/obs"
 	"repro/internal/phys"
@@ -47,13 +46,9 @@ type IncrementalStats struct {
 	Path string
 	// InitEdits counts the edited cells on the splice path.
 	InitEdits int
-	// DirtyFrames and DirtyColumns describe the touched configuration state
-	// after a splice: exactly the frames whose content changed.
-	DirtyFrames  int
-	DirtyColumns []int
-	// Diff and Apply are the wall-clock costs of diffing the netlists and of
-	// absorbing the edit (splice or rebuild).
-	Diff, Apply time.Duration
+	// DirtyFrames counts the frames a splice touched: exactly the frames
+	// whose content changed.
+	DirtyFrames int
 }
 
 // IncrementalResult is the outcome of absorbing one edit.
@@ -74,11 +69,6 @@ type IncrementalResult struct {
 // tracking enabled) and absorbs a stream of netlist edits. Sessions are not
 // safe for concurrent use.
 type EditSession struct {
-	// EmitFiles controls whether splices re-emit XDL/NCD artifacts. The hot
-	// edit loop leaves it false — the downstream consumer (core.Project)
-	// takes the live physical design — and identity tests set it true.
-	EmitFiles bool
-
 	// job is what a structural edit is rebuilt with (its netlist aside).
 	job
 
@@ -140,9 +130,6 @@ func (s *EditSession) rebind(a *Artifacts) error {
 	return nil
 }
 
-// Prev returns the artifacts of the session's current revision.
-func (s *EditSession) Prev() *Artifacts { return s.prev }
-
 // Cons returns the constraints the session implements against.
 func (s *EditSession) Cons() *ucf.Constraints { return s.cons }
 
@@ -160,27 +147,25 @@ func (s *EditSession) Edit(ctx context.Context, next *netlist.Design) (*Incremen
 	diff := netlist.Diff(s.prev.Netlist, next)
 	dsp.SetStr("class", diff.Class())
 	dsp.End()
-	diffTime := time.Since(t0)
 	sp.SetStr("class", diff.Class())
 
 	switch {
 	case !s.valid || diff.Structural():
-		return s.rebuild(ctx, next, diff, diffTime)
+		return s.rebuild(ctx, next, diff)
 	case diff.Empty():
 		return &IncrementalResult{
 			Artifacts: s.prev,
-			Stats:     IncrementalStats{Class: diff.Class(), Path: "reuse", Diff: diffTime},
+			Stats:     IncrementalStats{Class: diff.Class(), Path: "reuse"},
 		}, nil
 	default:
-		return s.splice(ctx, next, diff, diffTime)
+		return s.splice(ctx, next, diff)
 	}
 }
 
 // splice absorbs an INIT-only edit: transfer the previous placement and
 // routes onto the edited netlist, reprogram only the edited cells' frames,
 // and package the dirty frames as the delta.
-func (s *EditSession) splice(ctx context.Context, next *netlist.Design, diff *netlist.DesignDiff,
-	diffTime time.Duration) (*IncrementalResult, error) {
+func (s *EditSession) splice(ctx context.Context, next *netlist.Design, diff *netlist.DesignDiff) (*IncrementalResult, error) {
 	t0 := time.Now()
 	ctx, sp := obs.Start(ctx, "splice")
 	sp.SetInt("edits", int64(len(diff.InitEdits)))
@@ -191,7 +176,7 @@ func (s *EditSession) splice(ctx context.Context, next *netlist.Design, diff *ne
 	if err != nil {
 		// A diff the transfer disagrees with (defensive; should not happen)
 		// is handled like any structural edit.
-		return s.rebuild(ctx, next, diff, diffTime)
+		return s.rebuild(ctx, next, diff)
 	}
 
 	s.mem.ResetDirty()
@@ -230,27 +215,16 @@ func (s *EditSession) splice(ctx context.Context, next *netlist.Design, diff *ne
 			return nil, err
 		}
 	}
-	if s.EmitFiles {
-		if a.XDL, err = xdl.Emit(pd); err != nil {
-			return nil, err
-		}
-		if a.NCD, err = ncd.Marshal(pd); err != nil {
-			return nil, err
-		}
-	}
 	s.prev = a
 
 	return &IncrementalResult{
 		Artifacts: a,
 		Delta:     delta,
 		Stats: IncrementalStats{
-			Class:        diff.Class(),
-			Path:         "splice",
-			InitEdits:    len(diff.InitEdits),
-			DirtyFrames:  len(dirty),
-			DirtyColumns: s.mem.DirtyCLBColumns(),
-			Diff:         diffTime,
-			Apply:        time.Since(t0),
+			Class:       diff.Class(),
+			Path:        "splice",
+			InitEdits:   len(diff.InitEdits),
+			DirtyFrames: len(dirty),
 		},
 	}, nil
 }
@@ -259,9 +233,7 @@ func (s *EditSession) splice(ctx context.Context, next *netlist.Design, diff *ne
 // stage sequence (cache-accelerated when a cache is attached) and rebasing
 // the session on the result. The delta against the previous configuration
 // is still reported when one exists.
-func (s *EditSession) rebuild(ctx context.Context, next *netlist.Design, diff *netlist.DesignDiff,
-	diffTime time.Duration) (*IncrementalResult, error) {
-	t0 := time.Now()
+func (s *EditSession) rebuild(ctx context.Context, next *netlist.Design, diff *netlist.DesignDiff) (*IncrementalResult, error) {
 	ctx, sp := obs.Start(ctx, "rebuild")
 	defer sp.End()
 	mIncrRebuilds.Inc()
@@ -286,12 +258,7 @@ func (s *EditSession) rebuild(ctx context.Context, next *netlist.Design, diff *n
 	return &IncrementalResult{
 		Artifacts: s.prev,
 		Delta:     delta,
-		Stats: IncrementalStats{
-			Class: diff.Class(),
-			Path:  "rebuild",
-			Diff:  diffTime,
-			Apply: time.Since(t0),
-		},
+		Stats:     IncrementalStats{Class: diff.Class(), Path: "rebuild"},
 	}, nil
 }
 
@@ -316,15 +283,24 @@ func implementRegionFn(cons *ucf.Constraints) (func(*netlist.Net) *frames.Region
 
 // Incremental is the one-shot entry point: re-implement next against a
 // previous implementation, splicing whatever the edit leaves untouched. It
-// is NewEditSession + one Edit with file emission on; callers absorbing an
-// edit stream should hold an EditSession instead so the configuration
-// memory persists across edits.
+// is NewEditSession + one Edit, with the result's XDL emitted (a held
+// session leaves a splice's XDL empty: its consumer, core.Project, takes the
+// live physical design). Callers absorbing an edit stream should hold an
+// EditSession instead so the configuration memory persists across edits.
 func Incremental(ctx context.Context, prev *Artifacts, next *netlist.Design, cons *ucf.Constraints,
 	opts Options) (*IncrementalResult, error) {
 	s, err := NewEditSession(prev, cons, opts)
 	if err != nil {
 		return nil, err
 	}
-	s.EmitFiles = true
-	return s.Edit(ctx, next)
+	res, err := s.Edit(ctx, next)
+	if err != nil || res.Artifacts.XDL != "" {
+		return res, err
+	}
+	a := *res.Artifacts
+	if a.XDL, err = xdl.Emit(a.Phys); err != nil {
+		return nil, err
+	}
+	res.Artifacts = &a
+	return res, nil
 }

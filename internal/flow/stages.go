@@ -81,16 +81,13 @@ var stages = [numStages]stage{
 		name: "route", memo: "route", hist: mRouteNS,
 		key:     func(r *runner) cache.Key { return RouteKey(r.keys[sPlace], r.regionFP) },
 		compute: routeStage,
-		encode: func(r *runner) (data []byte, err error) {
-			r.ncd, err = ncd.Marshal(r.pd)
-			return r.ncd, err
-		},
+		encode:  func(r *runner) ([]byte, error) { return ncd.Marshal(r.pd) },
 		decode: func(r *runner, data []byte) error {
 			pd, err := bindNCD(data, r.part, r.nl)
 			if err != nil {
 				return err
 			}
-			r.pd, r.ncd = pd, data
+			r.pd = pd
 			return nil
 		},
 	},
@@ -112,9 +109,12 @@ var stages = [numStages]stage{
 	},
 	sEmit: {
 		name: "emit", memo: "xdl", hist: mEmitNS,
-		key:     func(r *runner) cache.Key { return XDLKey(r.keys[sRoute]) },
-		compute: emitStage,
-		encode:  func(r *runner) ([]byte, error) { return []byte(r.xdl), nil },
+		key: func(r *runner) cache.Key { return XDLKey(r.keys[sRoute]) },
+		compute: func(_ context.Context, r *runner) (err error) {
+			r.xdl, err = xdl.Emit(r.pd)
+			return err
+		},
+		encode: func(r *runner) ([]byte, error) { return []byte(r.xdl), nil },
 		decode: func(r *runner, data []byte) error {
 			r.xdl = string(data)
 			return nil
@@ -139,18 +139,6 @@ func routeStage(ctx context.Context, r *runner) error {
 	return route.RouteCtx(ctx, r.pd, route.Options{RegionForNet: r.rfn})
 }
 
-// emitStage writes the routed design as XDL, and as NCD unless the route
-// stage already encoded it for the cache.
-func emitStage(_ context.Context, r *runner) (err error) {
-	if r.xdl, err = xdl.Emit(r.pd); err != nil {
-		return err
-	}
-	if r.ncd == nil {
-		r.ncd, err = ncd.Marshal(r.pd)
-	}
-	return err
-}
-
 // job is one implementation run's inputs.
 type job struct {
 	part    *device.Part
@@ -173,7 +161,6 @@ type runner struct {
 	placed []byte // a placement served by the cache, not yet bound
 	pd     *phys.Design
 	bs     []byte
-	ncd    []byte
 	xdl    string
 	times  [numStages]time.Duration
 }
@@ -197,7 +184,7 @@ func (j job) run(ctx context.Context) (Artifacts, error) {
 	}
 	a := Artifacts{
 		Part: r.part, Netlist: r.nl, Phys: r.pd,
-		XDL: r.xdl, NCD: r.ncd, Bitstream: r.bs,
+		XDL: r.xdl, Bitstream: r.bs,
 		Times: StageTimes{
 			Synthesis: r.times[sMap],
 			Place:     r.times[sPlace],

@@ -1,10 +1,6 @@
 package frames
 
-import (
-	"sort"
-
-	"repro/internal/device"
-)
+import "repro/internal/device"
 
 // Dirty-frame tracking: an opt-in per-frame bitset recording which frames'
 // contents have changed since tracking started (or was last reset). This is
@@ -87,25 +83,4 @@ func (m *Memory) DirtyFARs() []device.FAR {
 		}
 	}
 	return out
-}
-
-// DirtyCLBColumns returns the 0-based CLB columns owning at least one dirty
-// frame, ascending. Dirty frames outside the CLB block (BRAM content) are
-// not represented here; use DirtyFARs for the full set.
-func (m *Memory) DirtyCLBColumns() []int {
-	seen := map[int]bool{}
-	var cols []int
-	for _, f := range m.DirtyFARs() {
-		if f.BlockType() != device.BlockCLB {
-			continue
-		}
-		col := f.Major() - 1
-		if col < 0 || col >= m.Part.Cols || seen[col] {
-			continue
-		}
-		seen[col] = true
-		cols = append(cols, col)
-	}
-	sort.Ints(cols)
-	return cols
 }

@@ -29,9 +29,8 @@ func TestDirtyTrackingSetBit(t *testing.T) {
 	if m.DirtyCount() != 1 || !m.FrameDirty(bc.FAR) {
 		t.Fatalf("changing write not tracked: %d dirty", m.DirtyCount())
 	}
-	cols := m.DirtyCLBColumns()
-	if len(cols) != 1 || cols[0] != 3 {
-		t.Fatalf("dirty columns %v, want [3]", cols)
+	if fars := m.DirtyFARs(); len(fars) != 1 || fars[0] != bc.FAR {
+		t.Fatalf("dirty frames %v, want [%v]", fars, bc.FAR)
 	}
 
 	m.ResetDirty()

@@ -122,15 +122,6 @@ func (j *JBits) GetPadMode(pad device.Pad, ctl int) (bool, error) {
 	return j.Mem.Bit(j.Part.PadModeBit(pad, ctl)), nil
 }
 
-// ClearCLB zeroes every configuration bit owned by a CLB (logic and PIPs).
-// JPG uses this to blank a region before replaying a variant module.
-func (j *JBits) ClearCLB(row, col int) error {
-	if err := j.checkCLB(row, col); err != nil {
-		return err
-	}
-	return j.ClearRegion(frames.Region{R1: row, C1: col, R2: row, C2: col})
-}
-
 // ClearRegion blanks every CLB in the region. The region's rows own one bit
 // range in each frame of its columns, so it clears that range frame by
 // frame rather than bit by bit.

@@ -16,8 +16,10 @@ package jpgd
 //
 //  2. Request coalescing. Concurrent identical requests single-flight on the
 //     same key (cache.Group): one leader executes the endpoint, every
-//     follower shares the encoded artifact, failures included. N
-//     simultaneous requests for the same partial cost one flow execution.
+//     follower shares the encoded artifact, failures included — except a
+//     failure caused by the leader's client hanging up, after which a
+//     follower is promoted to execute. N simultaneous requests for the same
+//     partial cost one flow execution.
 //
 //  3. Admission control. Endpoint executions pass a bounded semaphore
 //     (parallel.Semaphore): MaxInflight requests run, Queue more wait
@@ -302,31 +304,45 @@ func (s *Server) dispatch(route string, r *http.Request, ep endpoint) (*artifact
 		defer p.release()
 		p.mExec.Inc()
 		art := s.execute(ctx, route, ep, body.Bytes(), key)
-		if art.status == http.StatusOK && p.artifacts != nil {
-			p.artifacts.put(key, art)
+		if art.status == http.StatusOK {
+			if p.artifacts != nil {
+				p.artifacts.put(key, art)
+			}
+			return art, nil
+		}
+		// A failure because this caller's client hung up answers only this
+		// caller. Returned as an error, it makes cache.Group promote a
+		// waiting follower, which runs the endpoint under its own context.
+		// A deadline failure stays shared: followers get its 503.
+		if errors.Is(ctx.Err(), context.Canceled) {
+			return art, ctx.Err()
 		}
 		return art, nil
 	}
 
+	var (
+		v      any
+		shared bool
+	)
 	if p.opts.NoCoalesce {
-		v, err := exec()
-		if err != nil {
-			return s.shed(ctx, route, err), ""
-		}
-		return v.(*artifact), "miss"
+		v, err = exec()
+	} else {
+		v, shared, err = p.flights.Do(ctx, key, exec)
 	}
-	v, shared, err := p.flights.Do(ctx, key, exec)
-	if err != nil {
-		// This caller either led and was shed at admission, or its own
-		// context ended while waiting on the leader.
+	art, ok := v.(*artifact)
+	if !ok {
+		// This caller either was shed at admission, or its own context
+		// ended while waiting on a leader.
 		return s.shed(ctx, route, err), ""
 	}
 	if shared {
 		p.mCoalFollower.Inc()
-		return v.(*artifact), "coalesced"
+		return art, "coalesced"
 	}
-	p.mCoalLeader.Inc()
-	return v.(*artifact), "miss"
+	if !p.opts.NoCoalesce {
+		p.mCoalLeader.Inc()
+	}
+	return art, "miss"
 }
 
 // execute runs the endpoint and freezes its answer as a shareable artifact:

@@ -137,6 +137,61 @@ func TestCoalescedGeneratesSingleExecution(t *testing.T) {
 	}
 }
 
+// TestCancelledLeaderPromotesFollower: when a leader's client hangs up
+// mid-execution, its cancellation is not the answer for the identical
+// requests coalesced onto it. A waiting follower is promoted, runs the
+// endpoint under its own context and answers what a fresh request answers.
+func TestCancelledLeaderPromotesFollower(t *testing.T) {
+	f := buildFixture(t)
+	reg := obs.NewRegistry()
+	srv, ts := newTestServer(t, jpgd.Config{Registry: reg})
+	// The injected latency is waited on the request context, so the leader
+	// is still executing when its client cancels.
+	body := generateBody(t, f, &jpgd.DownloadRequest{Faults: "latency=300ms"})
+
+	lctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	leader := make(chan error, 1)
+	go func() {
+		req, err := http.NewRequestWithContext(lctx, "POST", ts.URL+"/v1/generate", bytes.NewReader(body))
+		if err == nil {
+			var resp *http.Response
+			if resp, err = http.DefaultClient.Do(req); err == nil {
+				resp.Body.Close()
+			}
+		}
+		leader <- err
+	}()
+	waitFor(t, "the leader to execute", func() bool {
+		return reg.GetCounter("jpgd.exec").Value() == 1
+	})
+	follower := make(chan result, 1)
+	go func() { follower <- post(ts.URL, "/v1/generate", body, nil) }()
+	waitFor(t, "the follower to wait on the leader", func() bool {
+		return srv.FlightWaiters("generate", body) == 1
+	})
+	cancel()
+	if err := <-leader; err == nil {
+		t.Fatal("the cancelled leader's client got an answer")
+	}
+
+	r := <-follower
+	if r.err != nil || r.status != http.StatusOK {
+		t.Fatalf("follower of a cancelled leader: %v status %d X-Cache %q: %s", r.err, r.status, r.xcache, r.body)
+	}
+	if execs := reg.GetCounter("jpgd.exec").Value(); execs != 2 {
+		t.Fatalf("jpgd.exec = %d, want 2 (the leader's and the promoted follower's)", execs)
+	}
+	_, fresh := newTestServer(t, jpgd.Config{Serve: jpgd.ServeOptions{NoCoalesce: true, ArtifactCacheBytes: -1}})
+	want := post(fresh.URL, "/v1/generate", body, nil)
+	if want.err != nil || want.status != http.StatusOK {
+		t.Fatalf("fresh request: %v status %d: %s", want.err, want.status, want.body)
+	}
+	if !bytes.Equal(r.body, want.body) {
+		t.Fatal("the promoted follower's body differs from a fresh request's")
+	}
+}
+
 // TestArtifactCacheServesRepeats pins the zero-rebuild hot path: a repeat
 // request is answered from the artifact cache (X-Cache: hit), byte-identical,
 // without another handler execution, and revalidates via If-None-Match.

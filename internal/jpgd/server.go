@@ -56,6 +56,9 @@ import (
 // DefaultMaxBodyBytes bounds request bodies (base bitstreams dominate).
 const DefaultMaxBodyBytes = 64 << 20
 
+// shutdownTimeout bounds the graceful drain of in-flight requests.
+const shutdownTimeout = 10 * time.Second
+
 // Config assembles a Server.
 type Config struct {
 	// Logger receives every structured event. nil disables logging.
@@ -78,9 +81,6 @@ type Config struct {
 	// DrainDelay is how long readiness reports not-ready before shutdown
 	// starts, giving load balancers time to stop routing (0 = immediate).
 	DrainDelay time.Duration
-	// ShutdownTimeout bounds the graceful drain of in-flight requests
-	// (default 10s).
-	ShutdownTimeout time.Duration
 	// Serve tunes the throughput pipeline (request coalescing, hot-artifact
 	// cache, admission control). The zero value enables everything with
 	// defaults; see ServeOptions.
@@ -113,9 +113,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = DefaultMaxBodyBytes
-	}
-	if cfg.ShutdownTimeout <= 0 {
-		cfg.ShutdownTimeout = 10 * time.Second
 	}
 	s := &Server{
 		cfg: cfg,
@@ -645,8 +642,8 @@ func (s *Server) build(ctx context.Context, body []byte) (any, error) {
 // drains gracefully: readiness flips to 503, DrainDelay passes (load
 // balancers stop routing), new API requests are shed, and every request
 // already in the pipeline — executing, queued for admission, or waiting as
-// a coalesced follower — gets ShutdownTimeout to finish. The returned error
-// is nil on a clean drain.
+// a coalesced follower — gets shutdownTimeout to finish. The returned
+// error is nil on a clean drain.
 func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -680,7 +677,7 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	// handlers the HTTP server sees as active, but also requests queued for
 	// admission and coalesced followers waiting on a leader's flight.
 	s.BeginDrain()
-	sctx, cancel := context.WithTimeout(context.Background(), s.cfg.ShutdownTimeout)
+	sctx, cancel := context.WithTimeout(context.Background(), shutdownTimeout)
 	defer cancel()
 	drainErr := s.Drain(sctx)
 	if drainErr != nil {

@@ -9,10 +9,11 @@ import (
 
 // Bind reconstructs a physical design from its serialised form onto an
 // EXISTING netlist, matching cells, ports and nets by name. This is how the
-// flow's build cache rehydrates a memoized placement or routing: unlike
-// Unflatten, which builds a fresh netlist, Bind keeps the caller's live
-// netlist as the design's backbone, so pointer-keyed consumers (pad lookups
-// via nl.Ports, bitgen walking nl.Cells) see the objects they already hold.
+// flow's build cache rehydrates a memoized placement or routing, and how
+// Unflatten finishes once it has built a fresh netlist: Bind keeps the
+// caller's netlist as the design's backbone, so pointer-keyed consumers (pad
+// lookups via nl.Ports, bitgen walking nl.Cells) see the objects they
+// already hold.
 //
 // The netlist must be structurally identical to the one the Flat was
 // produced from — the cache guarantees that by keying on the netlist

@@ -111,15 +111,16 @@ func (d *Design) Flatten() (*Flat, error) {
 	return f, nil
 }
 
-// Unflatten reconstructs a physical design (netlist, placement, routing)
-// from its serialised form and validates it structurally.
+// Unflatten reconstructs a physical design from its serialised form: it
+// builds the netlist (cells, nets, ports and their connectivity) and
+// validates it, then binds placement and routing onto it with Bind, the
+// one place sites, pads and PIPs are resolved and checked.
 func Unflatten(f *Flat) (*Design, error) {
 	part, err := device.ByName(f.Part)
 	if err != nil {
 		return nil, err
 	}
 	nl := netlist.NewDesign(f.Design)
-	d := NewDesign(part, nl)
 
 	for _, fc := range f.Cells {
 		var kind netlist.CellKind
@@ -131,14 +132,9 @@ func Unflatten(f *Flat) (*Design, error) {
 		default:
 			return nil, fmt.Errorf("phys: cell %q has unknown kind %q", fc.Name, fc.Kind)
 		}
-		c, err := nl.NewRawCell(fc.Name, kind, fc.Init)
-		if err != nil {
+		if _, err := nl.NewRawCell(fc.Name, kind, fc.Init); err != nil {
 			return nil, err
 		}
-		if !fc.Site.Valid(part) {
-			return nil, fmt.Errorf("phys: cell %q site %v invalid for %s", fc.Name, fc.Site, part.Name)
-		}
-		d.Cells[c] = fc.Site
 	}
 
 	netByName := map[string]*netlist.Net{}
@@ -162,10 +158,6 @@ func Unflatten(f *Flat) (*Design, error) {
 		default:
 			return nil, fmt.Errorf("phys: port %q has bad direction %q", fp.Name, fp.Dir)
 		}
-		pad, err := device.ParsePad(fp.Pad)
-		if err != nil {
-			return nil, err
-		}
 		// The port's net is found from the net records; ports with no net
 		// record are dangling.
 		var net *netlist.Net
@@ -178,16 +170,9 @@ func Unflatten(f *Flat) (*Design, error) {
 		if net == nil {
 			return nil, fmt.Errorf("phys: port %q not referenced by any net", fp.Name)
 		}
-		var p *netlist.Port
-		if dir == netlist.In {
-			p, err = nl.AddPort(fp.Name, dir, net)
-		} else {
-			p, err = nl.AddPort(fp.Name, dir, net)
-		}
-		if err != nil {
+		if _, err := nl.AddPort(fp.Name, dir, net); err != nil {
 			return nil, err
 		}
-		d.Ports[p] = pad
 	}
 
 	for _, fn := range f.Nets {
@@ -210,17 +195,6 @@ func Unflatten(f *Flat) (*Design, error) {
 				return nil, err
 			}
 		}
-		if len(fn.PIPs) > 0 || fn.Global >= 0 {
-			r := &Route{Net: n, Global: fn.Global}
-			for _, fp := range fn.PIPs {
-				pip, err := resolvePIP(part, fp)
-				if err != nil {
-					return nil, fmt.Errorf("phys: net %q: %w", fn.Name, err)
-				}
-				r.PIPs = append(r.PIPs, pip)
-			}
-			d.Routes[n] = r
-		}
 	}
 
 	if err := nl.FinishRaw(); err != nil {
@@ -229,10 +203,7 @@ func Unflatten(f *Flat) (*Design, error) {
 	if err := nl.Validate(); err != nil {
 		return nil, err
 	}
-	if err := d.CheckPlacement(); err != nil {
-		return nil, err
-	}
-	return d, nil
+	return Bind(f, part, nl)
 }
 
 func resolvePIP(part *device.Part, fp FlatPIP) (device.PIP, error) {

@@ -37,7 +37,7 @@ func NewNetBencher(d *phys.Design) (*NetBencher, error) {
 	}
 	nb := &NetBencher{r: r, nets: nets}
 	for _, fn := range nets {
-		if err := r.routeNet(fn, r.opts.PresentFactor); err != nil {
+		if err := r.routeNet(fn, presentFactor); err != nil {
 			nb.Close()
 			return nil, err
 		}
@@ -50,7 +50,7 @@ func (n *NetBencher) Step() error {
 	fn := n.nets[n.idx]
 	n.idx = (n.idx + 1) % len(n.nets)
 	n.r.ripUp(fn)
-	return n.r.routeNet(fn, n.r.opts.PresentFactor)
+	return n.r.routeNet(fn, presentFactor)
 }
 
 // Close returns the router scratch to the pool.

@@ -33,13 +33,17 @@ import (
 	"repro/internal/phys"
 )
 
+// PathFinder's schedule: at most maxIters iterations; presentFactor is the
+// first iteration's present-sharing cost factor and historyFactor the
+// history cost an overused node gains per extra user (see negotiate).
+const (
+	maxIters      = 48
+	presentFactor = 0.6
+	historyFactor = 0.35
+)
+
 // Options configures a routing run.
 type Options struct {
-	// MaxIters bounds PathFinder iterations (default 48).
-	MaxIters int
-	// PresentFactor and HistoryFactor tune congestion negotiation; zero
-	// values select defaults (0.6, 0.35).
-	PresentFactor, HistoryFactor float64
 	// RegionForNet optionally constrains nets to floorplan regions (see
 	// region.go); return nil for unconstrained nets. Clock nets are always
 	// unconstrained (they ride global lines).
@@ -92,18 +96,9 @@ type router struct {
 	searches, retries, pushes, reroutes int64
 }
 
-// newRouter returns a router over the placed design with opts' zero values
-// replaced by the defaults. The caller attaches the scratch.
+// newRouter returns a router over the placed design. The caller attaches
+// the scratch.
 func newRouter(d *phys.Design, opts Options) *router {
-	if opts.MaxIters <= 0 {
-		opts.MaxIters = 48
-	}
-	if opts.PresentFactor <= 0 {
-		opts.PresentFactor = 0.6
-	}
-	if opts.HistoryFactor <= 0 {
-		opts.HistoryFactor = 0.35
-	}
 	return &router{d: d, g: device.NewGraph(d.Part), opts: opts}
 }
 
@@ -256,8 +251,8 @@ func (r *router) routeFabric(ctx context.Context) error {
 	}
 	mNets.Add(int64(len(nets)))
 
-	presentFac := r.opts.PresentFactor
-	for iter := 0; iter < r.opts.MaxIters; iter++ {
+	presentFac := presentFactor
+	for iter := 0; iter < maxIters; iter++ {
 		_, sp := obs.Start(ctx, "route.iter")
 		sp.SetInt("iter", int64(iter))
 		rerouted := 0
@@ -286,7 +281,7 @@ func (r *router) routeFabric(ctx context.Context) error {
 		presentFac = r.negotiate(presentFac)
 	}
 	return fmt.Errorf("route: congestion unresolved after %d iterations (%d overused nodes)",
-		r.opts.MaxIters, r.overusedNodes())
+		maxIters, r.overusedNodes())
 }
 
 // turn is one net's turn in a PathFinder iteration, in the fixed net
@@ -318,7 +313,7 @@ func (r *router) congested(fn *fabricNet) bool {
 func (r *router) negotiate(presentFac float64) float64 {
 	for i, u := range r.s.occ {
 		if u > 1 {
-			r.s.hist[i] += r.opts.HistoryFactor * float64(u-1)
+			r.s.hist[i] += historyFactor * float64(u-1)
 		}
 	}
 	return presentFac * 1.7

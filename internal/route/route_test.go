@@ -224,7 +224,7 @@ func TestRegionConstrainedRoutingFailsWhenPadsFar(t *testing.T) {
 	cons.NetLocs["out1"] = "P_T4"
 	cons.NetLocs["clk"] = "P_T3"
 	d := placeDesign(t, "XCV50", nl, cons, 2)
-	opts := Options{MaxIters: 6, RegionForNet: func(n *netlist.Net) *frames.Region { return &rg }}
+	opts := Options{RegionForNet: func(n *netlist.Net) *frames.Region { return &rg }}
 	if err := RouteCtx(context.Background(), d, opts); err == nil {
 		t.Fatal("routing escaped its region to reach a far pad")
 	}
@@ -263,10 +263,10 @@ func TestRerouteOnlyCongestedNets(t *testing.T) {
 		return false
 	}
 
-	presentFac := r.opts.PresentFactor
+	presentFac := presentFactor
 	iters, rerouted, skipped := 0, 0, 0
 	for {
-		if iters == r.opts.MaxIters {
+		if iters == maxIters {
 			t.Fatalf("no convergence in %d iterations", iters)
 		}
 		for _, fn := range nets {

@@ -26,7 +26,8 @@ import (
 	jpglog "repro/internal/obs/log"
 )
 
-// DefaultClockHz is the default SelectMAP configuration clock.
+// DefaultClockHz is the SelectMAP configuration clock a Board's download
+// time model runs at.
 const DefaultClockHz = 50e6
 
 // HWIF is the hardware-access interface, mirroring XHWIF's role: a device
@@ -83,8 +84,6 @@ var (
 // Board is a simulated FPGA board holding one device.
 type Board struct {
 	Part *device.Part
-	// ClockHz is the SelectMAP configuration clock (DefaultClockHz if 0).
-	ClockHz float64
 
 	// mu guards the configuration memory, the running flag and the
 	// cumulative counters: downloads are dispatched from parallel workers
@@ -105,7 +104,7 @@ var _ HWIF = (*Board)(nil)
 
 // NewBoard returns a board with a blank (unconfigured) device.
 func NewBoard(p *device.Part) *Board {
-	return &Board{Part: p, ClockHz: DefaultClockHz, mem: frames.New(p)}
+	return &Board{Part: p, mem: frames.New(p)}
 }
 
 // PartName implements HWIF.
@@ -139,10 +138,6 @@ func (b *Board) Totals() (downloads, bytes int, modelTime time.Duration) {
 // and forces a full reconfiguration — the recovery path ReliableHWIF exists
 // to avoid.
 func (b *Board) Download(bs []byte) (DownloadStats, error) {
-	clock := b.ClockHz
-	if clock == 0 {
-		clock = DefaultClockHz
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	staging := b.mem.Clone()
@@ -150,7 +145,7 @@ func (b *Board) Download(bs []byte) (DownloadStats, error) {
 	ds := DownloadStats{
 		Bytes:         len(bs),
 		FramesWritten: stats.FramesWritten,
-		ModelTime:     time.Duration(float64(len(bs)) / clock * float64(time.Second)),
+		ModelTime:     time.Duration(float64(len(bs)) / DefaultClockHz * float64(time.Second)),
 		Started:       stats.Started,
 		Attempts:      1,
 	}

@@ -57,16 +57,6 @@ func TestDownloadTimeModel(t *testing.T) {
 	if ds.ModelTime != want {
 		t.Fatalf("model time %v, want %v", ds.ModelTime, want)
 	}
-	// Halving the clock doubles the time.
-	b2 := NewBoard(device.MustByName("XCV50"))
-	b2.ClockHz = DefaultClockHz / 2
-	ds2, err := b2.Download(bs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ds2.ModelTime != 2*ds.ModelTime {
-		t.Fatalf("clock scaling broken: %v vs %v", ds2.ModelTime, ds.ModelTime)
-	}
 }
 
 func TestCumulativeCounters(t *testing.T) {

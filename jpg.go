@@ -77,7 +77,8 @@ type (
 	FlowOptions = flow.Options
 	// BaseBuild is a Phase-1 result: base design, floorplan, artifacts.
 	BaseBuild = flow.BaseBuild
-	// Artifacts bundles one CAD run's outputs (XDL, UCF, NCD, bitstream).
+	// Artifacts bundles one CAD run's outputs (netlist, physical design,
+	// XDL, UCF, bitstream).
 	Artifacts = flow.Artifacts
 
 	// The workload generator library.
