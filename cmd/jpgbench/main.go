@@ -69,11 +69,22 @@ var all = []struct {
 	{"e9", experiments.E9},
 }
 
+// perfVersion is the schema version of the perf record. Version 3 added
+// build-cache statistics (nullable speedups, warm-rerun timings and
+// per-stage hit rates) to the jpgbench record.
+// Version 4 added derived histogram quantiles (p50/p95/p99) to metric
+// snapshots and error status (err) to span records.
+// Version 5 added multi-start placement metadata (requested_starts) and a
+// per-stage breakdown (seconds and fraction of CAD time in map, place,
+// route and bitgen) to each jpgbench experiment record, the numbers CI's
+// stage-time regression gate compares against its committed baseline.
+const perfVersion = 5
+
 // perfRecord is the schema of the -json output: wall-clock of each selected
 // experiment run serially (Workers=1) and through the worker pool, so PRs
 // that touch the execution layer have a trajectory to compare against. The
 // record is self-describing: Version is the schema version (bumped on
-// incompatible change; see obs.ExportVersion) and Metrics snapshots the
+// incompatible change; see perfVersion) and Metrics snapshots the
 // process-wide registry after the pooled runs — since version 4 each
 // histogram carries derived p50/p95/p99 upper-bound estimates, so the
 // record captures tail latency, not just mean and count.
@@ -415,7 +426,7 @@ func run(args []string) int {
 			obs.GetCounter("xhwif.download_aborts").Value(),
 			obs.GetCounter("xhwif.verify_failures").Value())
 	}
-	record.Version = obs.ExportVersion
+	record.Version = perfVersion
 	if bcache != nil {
 		record.Cache = newCacheRecord(bcache)
 	}

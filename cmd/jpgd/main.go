@@ -4,10 +4,16 @@
 // IDs, Prometheus metrics on /metrics, health/readiness probes, a
 // flight-recorder dump of recent spans and errors, and pprof.
 //
+// Logs go to stderr as JSON lines. Each completed span of a request is one
+// line named after the span, at info level, or warn if it failed; the
+// request's own jpgd.request line is its access line. -log-level warn
+// keeps only failures, the point events (download retries and aborts,
+// injected faults) and drain problems.
+//
 // Usage:
 //
 //	jpgd [-addr :8080] [-log-level info] [-cache] [-cache-dir DIR]
-//	     [-flightrec 1024] [-span-logs] [-drain 0s]
+//	     [-flightrec 1024] [-drain 0s]
 //	     [-max-inflight N] [-queue N] [-artifact-cache-mb MB]
 //	     [-coalesce] [-request-timeout 0s]
 //
@@ -51,7 +57,6 @@ func run() error {
 		useCache = flag.Bool("cache", cache.EnvEnabled(), "memoize CAD stages across requests (default $JPG_CACHE/$JPG_CACHE_DIR)")
 		cacheDir = flag.String("cache-dir", os.Getenv(cache.EnvDir), "persist the cache on disk under this directory (implies -cache)")
 		frCap    = flag.Int("flightrec", flightrec.DefaultCapacity, "flight recorder capacity (recent spans kept)")
-		spanLogs = flag.Bool("span-logs", false, "also log every completed span (debug level, high volume)")
 		drain    = flag.Duration("drain", 0, "delay between failing readiness and starting shutdown")
 	)
 	env := jpgd.ServeOptionsFromEnv()
@@ -76,7 +81,6 @@ func run() error {
 	cfg := jpgd.Config{
 		Logger:     jpglog.New(os.Stderr, level),
 		Recorder:   flightrec.New(*frCap),
-		LogSpans:   *spanLogs,
 		DrainDelay: *drain,
 		Serve: jpgd.ServeOptions{
 			MaxInflight:        *maxInflight,

@@ -19,6 +19,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"time"
 
 	"repro/internal/bitfile"
@@ -109,7 +110,13 @@ func run() error {
 			return err
 		}
 		a = &base.Artifacts
-		for prefix, rg := range base.Regions {
+		prefixes := make([]string, 0, len(base.Regions))
+		for prefix := range base.Regions {
+			prefixes = append(prefixes, prefix)
+		}
+		sort.Strings(prefixes)
+		for _, prefix := range prefixes {
+			rg := base.Regions[prefix]
 			fmt.Printf("region %s -> columns %d..%d\n", prefix, rg.C1+1, rg.C2+1)
 		}
 	case *varSpec != "" && *baseSpec == "":
@@ -163,18 +170,21 @@ func run() error {
 		Date:   time.Now().Format("2006/01/02"),
 		Time:   time.Now().Format("15:04:05"),
 	}, a.Bitstream)
-	for suffix, data := range map[string][]byte{
-		".ncd": ncdData,
-		".xdl": []byte(a.XDL),
-		".ucf": []byte(a.UCF),
-		".bit": wrapped,
-		".net": []byte(netText),
+	for _, f := range []struct {
+		suffix string
+		data   []byte
+	}{
+		{".ncd", ncdData},
+		{".xdl", []byte(a.XDL)},
+		{".ucf", []byte(a.UCF)},
+		{".bit", wrapped},
+		{".net", []byte(netText)},
 	} {
-		path := *outStem + suffix
-		if err := os.WriteFile(path, data, 0o644); err != nil {
+		path := *outStem + f.suffix
+		if err := os.WriteFile(path, f.data, 0o644); err != nil {
 			return err
 		}
-		fmt.Printf("wrote %s (%d bytes)\n", path, len(data))
+		fmt.Printf("wrote %s (%d bytes)\n", path, len(f.data))
 	}
 	if col != nil {
 		f, err := os.Create(*trace)

@@ -18,7 +18,6 @@ import (
 	"repro/internal/frames"
 	"repro/internal/jbits"
 	"repro/internal/obs"
-	jpglog "repro/internal/obs/log"
 	"repro/internal/parallel"
 	"repro/internal/phys"
 	"repro/internal/ucf"
@@ -172,8 +171,8 @@ func (p *Project) GeneratePartial(m *Module, opts GenerateOptions) (*Result, err
 }
 
 // GeneratePartialCtx is GeneratePartial under a context, the service entry
-// point: the generation runs as a "core.partial" span and every log event
-// it emits inherits the context's collector, logger and correlation ID.
+// point: the generation runs as a "core.partial" span under the context's
+// collector, carrying the partial's bytes, frames and changed frames.
 func (p *Project) GeneratePartialCtx(ctx context.Context, m *Module, opts GenerateOptions) (res *Result, err error) {
 	_, sp := obs.Start(ctx, "core.partial")
 	sp.SetStr("module", m.Name)
@@ -181,9 +180,11 @@ func (p *Project) GeneratePartialCtx(ctx context.Context, m *Module, opts Genera
 	res, err = p.computePartial(m, opts)
 	if err != nil {
 		obs.CountError("partial")
-		jpglog.Warn(ctx, "core.partial", "module", m.Name, "error", err.Error())
 		return nil, err
 	}
+	sp.SetInt("bytes", int64(len(res.Bitstream)))
+	sp.SetInt("frames", int64(len(res.FARs)))
+	sp.SetInt("changed", int64(res.FramesChanged))
 	if opts.Verify {
 		// With WriteBack the base has already advanced, so the partial
 		// verifies as an idempotent overlay of the new base.
@@ -197,8 +198,6 @@ func (p *Project) GeneratePartialCtx(ctx context.Context, m *Module, opts Genera
 	mPartialBytes.Add(int64(len(res.Bitstream)))
 	mPartialBytesHit.Observe(int64(len(res.Bitstream)))
 	mRegionFraction.Observe(int64(100 * len(res.FARs) / p.Part.TotalFrames()))
-	jpglog.Info(ctx, "core.partial", "module", m.Name,
-		"bytes", len(res.Bitstream), "frames", len(res.FARs), "changed", res.FramesChanged)
 	return res, nil
 }
 
@@ -315,18 +314,17 @@ func (p *Project) GenerateAndDownload(ctx context.Context, m *Module, board xhwi
 	if err != nil {
 		return nil, xhwif.DownloadStats{}, err
 	}
-	_, sp := obs.Start(ctx, "core.download")
+	dctx, sp := obs.Start(ctx, "core.download")
 	sp.SetStr("module", m.Name)
-	ds, err := board.DownloadCtx(ctx, res.Bitstream)
+	ds, err := board.DownloadCtx(dctx, res.Bitstream)
+	sp.SetInt("bytes", int64(len(res.Bitstream)))
+	sp.SetInt("frames", int64(ds.FramesWritten))
+	sp.SetInt("attempts", int64(ds.Attempts))
 	sp.EndErr(err)
 	if err != nil {
 		obs.CountError("download")
-		jpglog.Warn(ctx, "download", "module", m.Name, "bytes", len(res.Bitstream),
-			"attempts", ds.Attempts, "error", err.Error())
 		return res, ds, fmt.Errorf("core: download: %w", err)
 	}
-	jpglog.Info(ctx, "download", "module", m.Name, "bytes", len(res.Bitstream),
-		"frames", ds.FramesWritten, "attempts", ds.Attempts)
 	// Commit: replay the accepted stream onto the base, which reproduces
 	// exactly the state the device now holds (the partial carries every
 	// frame of its columns).

@@ -7,7 +7,6 @@ import (
 	"repro/internal/bitlint"
 	"repro/internal/device"
 	"repro/internal/obs"
-	jpglog "repro/internal/obs/log"
 )
 
 // Partial-bitstream verification (GenerateOptions.Verify): before a partial
@@ -27,15 +26,16 @@ func (p *Project) verifyResult(ctx context.Context, m *Module, res *Result) erro
 	if err == nil {
 		err = p.checkDeclaredFrames(rep, res)
 	}
+	if rep != nil {
+		sp.SetInt("findings", int64(len(rep.Findings)))
+		sp.SetInt("frames", int64(rep.FramesWritten))
+	}
 	sp.EndErr(err)
 	if err != nil {
 		obs.CountError("verify")
-		jpglog.Warn(ctx, "core.verify", "module", m.Name, "error", err.Error())
 		return fmt.Errorf("core: partial verification for %s: %w", m.Name, err)
 	}
 	mVerifyRuns.Inc()
-	jpglog.Info(ctx, "core.verify", "module", m.Name,
-		"findings", len(rep.Findings), "frames", rep.FramesWritten)
 	return nil
 }
 

@@ -273,7 +273,7 @@ func TestGraphAdjacency(t *testing.T) {
 		if pip.Src != p.TileWireNode(3, 3, OutWire(0, OutX)) {
 			t.Fatalf("adjacency returned foreign pip %s", p.pipString(pip))
 		}
-		if got, ok := p.FindPIP(pip.Row, pip.Col, pip.Src, pip.Dst); !ok || got.CatalogIdx != pip.CatalogIdx {
+		if cat := p.TilePIPs(pip.Row, pip.Col); pip.CatalogIdx >= len(cat) || cat[pip.CatalogIdx] != pip {
 			t.Fatalf("pip %s not found in catalog", p.pipString(pip))
 		}
 	}

@@ -104,8 +104,7 @@ func (g *Graph) From(n NodeID) []PIP {
 }
 
 // FindPIP looks up a PIP by owning tile and endpoints using the prebuilt
-// adjacency — much faster than Part.FindPIP, which re-enumerates the tile
-// catalog on every call.
+// adjacency, so no tile catalog is rebuilt per lookup.
 func (g *Graph) FindPIP(row, col int, src, dst NodeID) (PIP, bool) {
 	for _, pip := range g.From(src) {
 		if pip.Dst == dst && pip.Row == row && pip.Col == col {

@@ -215,14 +215,3 @@ func (p *Part) TilePIPs(row, col int) []PIP {
 	}
 	return pips
 }
-
-// FindPIP looks up a PIP in tile (row, col)'s catalog by source and
-// destination node.
-func (p *Part) FindPIP(row, col int, src, dst NodeID) (PIP, bool) {
-	for _, pip := range p.TilePIPs(row, col) {
-		if pip.Src == src && pip.Dst == dst {
-			return pip, true
-		}
-	}
-	return PIP{}, false
-}

@@ -18,7 +18,6 @@ import (
 	"repro/internal/frames"
 	"repro/internal/netlist"
 	"repro/internal/obs"
-	jpglog "repro/internal/obs/log"
 	"repro/internal/parallel"
 	"repro/internal/phys"
 	"repro/internal/place"
@@ -39,18 +38,6 @@ var (
 	mVariantBuilds = obs.GetCounter("flow.variant_builds")
 	mFullBuilds    = obs.GetCounter("flow.full_builds")
 )
-
-// logStage emits one structured event per completed CAD stage — with a
-// request-scoped logger attached (jpgd), every stage of a build shares the
-// request's correlation ID. No-op without a logger on the context.
-func logStage(ctx context.Context, stage string, dur time.Duration) {
-	jpglog.Info(ctx, "flow.stage", jpglog.FieldStage, stage, "dur_us", dur.Microseconds())
-}
-
-// logCache emits one structured event per stage-cache lookup.
-func logCache(ctx context.Context, stage string, hit bool) {
-	jpglog.Info(ctx, "cache", jpglog.FieldStage, stage, "result", hitStr(hit))
-}
 
 // StageTimes records per-stage wall-clock times of one CAD run.
 type StageTimes struct {

@@ -199,8 +199,8 @@ func (j job) run(ctx context.Context) (Artifacts, error) {
 }
 
 // step runs stage i and does its bookkeeping right after it ends, whether
-// it computed or was served by the cache: the span, the flow.<stage>_ns
-// sample, the flow.stage (and cache) log events, and on failure the
+// it computed or was served by the cache: the span (with its cache attr
+// when a cache is attached), the flow.<stage>_ns sample, and on failure the
 // errors_total.<stage> count.
 func (r *runner) step(ctx context.Context, i int) error {
 	st := &stages[i]
@@ -210,7 +210,6 @@ func (r *runner) step(ctx context.Context, i int) error {
 	r.times[i] = time.Since(t0)
 	if r.cache != nil {
 		sp.SetStr("cache", hitStr(hit))
-		logCache(ctx, st.name, hit)
 	}
 	sp.EndErr(err)
 	if err != nil {
@@ -218,7 +217,6 @@ func (r *runner) step(ctx context.Context, i int) error {
 		return err
 	}
 	st.hist.Observe(r.times[i].Nanoseconds())
-	logStage(ctx, st.name, r.times[i])
 	if st.check != nil {
 		return st.check(ctx, r)
 	}

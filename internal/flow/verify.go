@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/bitlint"
 	"repro/internal/obs"
-	jpglog "repro/internal/obs/log"
 )
 
 // Post-bitgen verification (Options.Verify): every bitstream the flow emits
@@ -29,14 +28,10 @@ func verifyBitstream(ctx context.Context, opts Options, bs []byte) error {
 	if err == nil {
 		err = rep.Err()
 	}
-	sp.EndErr(err)
+	endVerify(sp, rep, err)
 	if err != nil {
-		obs.CountError("verify")
 		return fmt.Errorf("flow: bitstream verification failed: %w", err)
 	}
-	mVerifyRuns.Inc()
-	jpglog.Info(ctx, "flow.verify", jpglog.FieldStage, "verify",
-		"findings", len(rep.Findings), "frames", rep.FramesWritten)
 	return nil
 }
 
@@ -48,17 +43,29 @@ func verifySplice(ctx context.Context, opts Options, baseFull, partial, full []b
 		return nil
 	}
 	_, sp := obs.Start(ctx, "verify")
+	sp.SetBool("splice", true)
 	rep, err := bitlint.VerifySplice(baseFull, partial, full)
 	if err == nil && rep != nil {
 		err = rep.Err()
 	}
+	endVerify(sp, rep, err)
+	if err != nil {
+		return fmt.Errorf("flow: splice verification failed: %w", err)
+	}
+	return nil
+}
+
+// endVerify ends a verify span with the report's finding and frame counts,
+// and counts the run or its failure.
+func endVerify(sp *obs.Span, rep *bitlint.Report, err error) {
+	if rep != nil {
+		sp.SetInt("findings", int64(len(rep.Findings)))
+		sp.SetInt("frames", int64(rep.FramesWritten))
+	}
 	sp.EndErr(err)
 	if err != nil {
 		obs.CountError("verify")
-		return fmt.Errorf("flow: splice verification failed: %w", err)
+		return
 	}
 	mVerifyRuns.Inc()
-	jpglog.Info(ctx, "flow.verify", jpglog.FieldStage, "verify-splice",
-		"findings", len(rep.Findings), "frames", rep.FramesWritten)
-	return nil
 }

@@ -95,7 +95,7 @@ func (j *JBits) GetSliceCtl(row, col, slice, ctl int) (bool, error) {
 }
 
 // SetPIP turns a PIP on or off. The PIP must come from the part's catalog
-// (device.TilePIPs / FindPIP / the routing graph).
+// (device.TilePIPs or the routing graph, including Graph.FindPIP).
 func (j *JBits) SetPIP(pip device.PIP, on bool) {
 	j.Mem.SetBit(j.Part.PIPBit(pip), on)
 }

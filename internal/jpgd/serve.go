@@ -49,7 +49,6 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/obs"
-	jpglog "repro/internal/obs/log"
 	"repro/internal/parallel"
 )
 
@@ -279,14 +278,14 @@ func (s *Server) dispatch(route string, r *http.Request, ep endpoint) (*artifact
 	ctx := r.Context()
 	p := s.pipe
 	if r.Method != http.MethodPost {
-		return s.fail(ctx, route, &statusError{http.StatusMethodNotAllowed, fmt.Errorf("POST required")}), ""
+		return fail(&statusError{http.StatusMethodNotAllowed, fmt.Errorf("POST required")}), ""
 	}
 	if p.draining.Load() {
-		return s.shed(ctx, route, errDraining), ""
+		return s.shed(errDraining), ""
 	}
 	body, err := readBody(r)
 	if err != nil {
-		return s.fail(ctx, route, err), ""
+		return fail(err), ""
 	}
 	defer putBuf(body)
 	key := requestKey(route, body.Bytes())
@@ -303,7 +302,7 @@ func (s *Server) dispatch(route string, r *http.Request, ep endpoint) (*artifact
 		}
 		defer p.release()
 		p.mExec.Inc()
-		art := s.execute(ctx, route, ep, body.Bytes(), key)
+		art := execute(ctx, ep, body.Bytes(), key)
 		if art.status == http.StatusOK {
 			if p.artifacts != nil {
 				p.artifacts.put(key, art)
@@ -333,7 +332,7 @@ func (s *Server) dispatch(route string, r *http.Request, ep endpoint) (*artifact
 	if !ok {
 		// This caller either was shed at admission, or its own context
 		// ended while waiting on a leader.
-		return s.shed(ctx, route, err), ""
+		return s.shed(err), ""
 	}
 	if shared {
 		p.mCoalFollower.Inc()
@@ -349,17 +348,17 @@ func (s *Server) dispatch(route string, r *http.Request, ep endpoint) (*artifact
 // the indented JSON of its response, or the error envelope of its failure.
 // The ETag derives from the request key: the body is a pure function of the
 // request, so the key identifies the representation.
-func (s *Server) execute(ctx context.Context, route string, ep endpoint, body []byte, key cache.Key) *artifact {
+func execute(ctx context.Context, ep endpoint, body []byte, key cache.Key) *artifact {
 	v, err := ep(ctx, body)
 	if err != nil {
-		return s.fail(ctx, route, err)
+		return fail(err)
 	}
 	buf := getBuf()
 	defer putBuf(buf)
 	enc := json.NewEncoder(buf)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(v); err != nil {
-		return s.fail(ctx, route, err)
+		return fail(err)
 	}
 	return &artifact{
 		status: http.StatusOK,
@@ -368,12 +367,12 @@ func (s *Server) execute(ctx context.Context, route string, ep endpoint, body []
 	}
 }
 
-// fail records a failed request in the flight recorder and the log, and
-// freezes its answer: the error envelope under the status a statusError
-// carries, or 500 (4xx are client mistakes, 5xx are failures worth a
-// post-mortem). A 5xx the request's deadline caused answers 503 instead:
-// the work was shed, not broken.
-func (s *Server) fail(ctx context.Context, route string, err error) *artifact {
+// fail freezes a failed request's answer: the error envelope under the
+// status a statusError carries, or 500 (4xx are client mistakes, 5xx are
+// failures worth a post-mortem). A 5xx the request's deadline caused
+// answers 503 instead: the work was shed, not broken. The artifact keeps
+// err for the request span, which records the failure.
+func fail(err error) *artifact {
 	status := http.StatusInternalServerError
 	var se *statusError
 	if errors.As(err, &se) {
@@ -382,15 +381,18 @@ func (s *Server) fail(ctx context.Context, route string, err error) *artifact {
 	if status >= 500 && errors.Is(err, context.DeadlineExceeded) {
 		status = http.StatusServiceUnavailable
 	}
-	s.rec.RecordError("jpgd."+route, jpglog.RequestIDFrom(ctx), err)
-	jpglog.Warn(ctx, "request.failed", "route", route, "status", status, "error", err.Error())
 	body, _ := json.Marshal(apiError{Error: err.Error()}) // one string field cannot fail to encode
-	return &artifact{status: status, body: append(body, '\n')}
+	return &artifact{status: status, body: append(body, '\n'), err: err}
 }
 
 // shed answers a request the pipeline refused: 429 for a full queue, 503
-// for deadlines and draining.
-func (s *Server) shed(ctx context.Context, route string, err error) *artifact {
+// for deadlines and draining. A request whose own client hung up while it
+// waited was not refused; it fails like any cancelled request, and
+// instrument counts it as client_closed.
+func (s *Server) shed(err error) *artifact {
+	if errors.Is(err, context.Canceled) {
+		return fail(err)
+	}
 	p := s.pipe
 	p.mShed.Inc()
 	status := http.StatusServiceUnavailable
@@ -403,7 +405,7 @@ func (s *Server) shed(ctx context.Context, route string, err error) *artifact {
 	default:
 		p.mShedDeadline.Inc()
 	}
-	return s.fail(ctx, route, &statusError{status, err})
+	return fail(&statusError{status, err})
 }
 
 // deliver writes an artifact: one header fill and one body Write, shared
@@ -412,7 +414,7 @@ func (s *Server) shed(ctx context.Context, route string, err error) *artifact {
 // A 429 or 503 — shed or timed out, not broken — carries Retry-After, so
 // well-behaved clients back off deterministically; a follower that shared
 // such a failure gets the header too. It returns the status and the body
-// bytes written, for the access log.
+// bytes written, for the request span.
 func (s *Server) deliver(w http.ResponseWriter, r *http.Request, art *artifact, src string) (status, n int) {
 	hdr := w.Header()
 	hdr.Set("Content-Type", "application/json")
@@ -481,12 +483,14 @@ func putBuf(b *bytes.Buffer) {
 }
 
 // artifact is one fully-encoded JSON response: status, deterministic ETag
-// (successes only) and the exact body bytes. Shared read-only between the
-// leader, its followers, and the artifact cache.
+// (successes only), the exact body bytes and, for a failure, the error
+// behind it. Shared read-only between the leader, its followers, and the
+// artifact cache.
 type artifact struct {
 	status int
 	etag   string
 	body   []byte
+	err    error
 }
 
 // artifactCache is the byte-bounded LRU of hot artifacts.

@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/jpgd"
 	"repro/internal/obs"
+	"repro/internal/obs/flightrec"
 )
 
 func waitFor(t *testing.T, what string, cond func() bool) {
@@ -141,6 +142,7 @@ func TestCoalescedGeneratesSingleExecution(t *testing.T) {
 // mid-execution, its cancellation is not the answer for the identical
 // requests coalesced onto it. A waiting follower is promoted, runs the
 // endpoint under its own context and answers what a fresh request answers.
+// The leader's hang-up is counted as a closed client, not a server error.
 func TestCancelledLeaderPromotesFollower(t *testing.T) {
 	f := buildFixture(t)
 	reg := obs.NewRegistry()
@@ -182,6 +184,15 @@ func TestCancelledLeaderPromotesFollower(t *testing.T) {
 	if execs := reg.GetCounter("jpgd.exec").Value(); execs != 2 {
 		t.Fatalf("jpgd.exec = %d, want 2 (the leader's and the promoted follower's)", execs)
 	}
+	if err := srv.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if n := reg.GetCounter("jpgd.http_errors").Value(); n != 0 {
+		t.Fatalf("jpgd.http_errors = %d, want 0 (the leader's client hung up)", n)
+	}
+	if n := reg.GetCounter("jpgd.client_closed").Value(); n != 1 {
+		t.Fatalf("jpgd.client_closed = %d, want 1", n)
+	}
 	_, fresh := newTestServer(t, jpgd.Config{Serve: jpgd.ServeOptions{NoCoalesce: true, ArtifactCacheBytes: -1}})
 	want := post(fresh.URL, "/v1/generate", body, nil)
 	if want.err != nil || want.status != http.StatusOK {
@@ -189,6 +200,72 @@ func TestCancelledLeaderPromotesFollower(t *testing.T) {
 	}
 	if !bytes.Equal(r.body, want.body) {
 		t.Fatal("the promoted follower's body differs from a fresh request's")
+	}
+}
+
+// TestQueuedClientHangUpIsNotShed: a request queued for admission whose
+// client hangs up was neither shed by the server nor failed by it. It
+// counts as a closed client, and its jpgd.request span is not a failure.
+func TestQueuedClientHangUpIsNotShed(t *testing.T) {
+	f := buildFixture(t)
+	reg := obs.NewRegistry()
+	rec := flightrec.New(256)
+	srv, ts := newTestServer(t, jpgd.Config{
+		Registry: reg,
+		Recorder: rec,
+		Serve:    jpgd.ServeOptions{MaxInflight: 1, Queue: 8},
+	})
+	// The injected latency holds the only admission slot well past the
+	// queued request's hang-up.
+	slow := make(chan result, 1)
+	go func() {
+		slow <- post(ts.URL, "/v1/generate", generateBody(t, f, &jpgd.DownloadRequest{Faults: "latency=1s"}), nil)
+	}()
+	waitFor(t, "the slow request to hold the admission slot", func() bool {
+		return srv.ServeStats().Inflight == 1
+	})
+
+	qctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	queued := make(chan error, 1)
+	go func() {
+		req, err := http.NewRequestWithContext(qctx, "POST", ts.URL+"/v1/generate", bytes.NewReader(generateBody(t, f, nil)))
+		if err == nil {
+			var resp *http.Response
+			if resp, err = http.DefaultClient.Do(req); err == nil {
+				resp.Body.Close()
+			}
+		}
+		queued <- err
+	}()
+	waitFor(t, "a request to queue for admission", func() bool {
+		return srv.ServeStats().Queued == 1
+	})
+	cancel()
+	if err := <-queued; err == nil {
+		t.Fatal("the queued request's cancelled client got an answer")
+	}
+	if r := <-slow; r.err != nil || r.status != http.StatusOK {
+		t.Fatalf("slow request: %v status %d: %s", r.err, r.status, r.body)
+	}
+	if err := srv.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, c := range []struct {
+		name string
+		want int64
+	}{
+		{"jpgd.shed.deadline", 0}, {"jpgd.shed", 0}, {"jpgd.http_errors", 0}, {"jpgd.client_closed", 1},
+	} {
+		if n := reg.GetCounter(c.name).Value(); n != c.want {
+			t.Fatalf("%s = %d, want %d", c.name, n, c.want)
+		}
+	}
+	for _, e := range rec.Dump().Errors {
+		if e.Source == "jpgd.request" {
+			t.Fatalf("a closed client's request recorded as failed: %+v", e)
+		}
 	}
 }
 

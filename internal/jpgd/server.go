@@ -5,11 +5,13 @@
 // readiness probes, a flight-recorder dump and pprof.
 //
 // Every request runs under one correlation ID (minted per request or
-// adopted from X-Request-ID), a request-scoped structured logger, and a
-// per-request span collector whose completed spans feed the process-wide
-// flight recorder. A generate request therefore leaves a single-ID trail
-// through every layer it touches: HTTP entry, flow stages, cache lookups,
-// partial generation, board downloads and fault injections.
+// adopted from X-Request-ID) and a per-request span collector. Its
+// completed spans feed the process-wide flight recorder and, with a logger
+// configured, become one log line each under the request's ID. A generate
+// request therefore leaves a single-ID trail through every layer it
+// touches: flow stages and their cache lookups, partial generation, board
+// downloads, retries and fault injections, and the jpgd.request span,
+// which is the access line and the failure record.
 //
 // Endpoints:
 //
@@ -61,23 +63,21 @@ const shutdownTimeout = 10 * time.Second
 
 // Config assembles a Server.
 type Config struct {
-	// Logger receives every structured event. nil disables logging.
+	// Logger receives every structured event: each completed span of a
+	// request, and the point events and lifecycle lines. nil disables
+	// logging.
 	Logger *slog.Logger
 	// Registry is the metrics registry /metrics exposes (obs.Default when
 	// nil — the registry every instrumented package reports to).
 	Registry *obs.Registry
-	// Recorder is the flight recorder completed spans and request errors
-	// feed (a DefaultCapacity recorder when nil).
+	// Recorder is the flight recorder completed spans feed (a
+	// DefaultCapacity recorder when nil).
 	Recorder *flightrec.Recorder
 	// Cache, when set, memoizes CAD stages across requests (attached to
 	// each request context).
 	Cache *cache.Cache
 	// MaxBodyBytes bounds request bodies (DefaultMaxBodyBytes when <= 0).
 	MaxBodyBytes int64
-	// LogSpans also emits every completed span as a debug-level log line
-	// through the request's logger (high volume; spans always reach the
-	// flight recorder regardless).
-	LogSpans bool
 	// DrainDelay is how long readiness reports not-ready before shutdown
 	// starts, giving load balancers time to stop routing (0 = immediate).
 	DrainDelay time.Duration
@@ -95,12 +95,13 @@ type Server struct {
 	pipe  *pipeline
 	ready atomic.Bool
 
-	mRequests  *obs.Counter
-	mErrors    *obs.Counter
-	mInflight  *obs.Gauge
-	mRequestNS *obs.Histogram
-	mGenerates *obs.Counter
-	mBuilds    *obs.Counter
+	mRequests     *obs.Counter
+	mErrors       *obs.Counter
+	mClientClosed *obs.Counter
+	mInflight     *obs.Gauge
+	mRequestNS    *obs.Histogram
+	mGenerates    *obs.Counter
+	mBuilds       *obs.Counter
 }
 
 // New assembles a server from the config.
@@ -119,20 +120,18 @@ func New(cfg Config) *Server {
 		reg: cfg.Registry,
 		rec: cfg.Recorder,
 
-		mRequests:  cfg.Registry.GetCounter("jpgd.requests"),
-		mErrors:    cfg.Registry.GetCounter("jpgd.http_errors"),
-		mInflight:  cfg.Registry.GetGauge("jpgd.inflight"),
-		mRequestNS: cfg.Registry.GetHistogram("jpgd.request_ns"),
-		mGenerates: cfg.Registry.GetCounter("jpgd.generates"),
-		mBuilds:    cfg.Registry.GetCounter("jpgd.builds"),
+		mRequests:     cfg.Registry.GetCounter("jpgd.requests"),
+		mErrors:       cfg.Registry.GetCounter("jpgd.http_errors"),
+		mClientClosed: cfg.Registry.GetCounter("jpgd.client_closed"),
+		mInflight:     cfg.Registry.GetGauge("jpgd.inflight"),
+		mRequestNS:    cfg.Registry.GetHistogram("jpgd.request_ns"),
+		mGenerates:    cfg.Registry.GetCounter("jpgd.generates"),
+		mBuilds:       cfg.Registry.GetCounter("jpgd.builds"),
 	}
 	s.pipe = newPipeline(cfg.Serve, cfg.Registry)
 	s.ready.Store(true)
 	return s
 }
-
-// Recorder returns the server's flight recorder.
-func (s *Server) Recorder() *flightrec.Recorder { return s.rec }
 
 // SetReady flips the /readyz state (false while starting or draining).
 func (s *Server) SetReady(ready bool) { s.ready.Store(ready) }
@@ -166,8 +165,8 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// multiSink fans completed spans out to several sinks (the flight recorder
-// always, the span-to-log bridge when enabled).
+// multiSink fans completed spans out to several sinks: the flight recorder
+// and the request's span-to-log bridge.
 type multiSink []obs.Sink
 
 func (m multiSink) Record(rec obs.SpanRecord) {
@@ -178,29 +177,29 @@ func (m multiSink) Record(rec obs.SpanRecord) {
 
 // instrument wraps an API endpoint with the per-request observability stack
 // — correlation ID (minted or adopted from X-Request-ID), request-bound
-// logger, per-request span collector feeding the flight recorder, request
-// span, metrics and the access log — then runs the request through the
-// serving pipeline (see serve.go) and delivers its answer.
+// logger, per-request span collector feeding the flight recorder and the
+// log, the jpgd.request span and metrics — then runs the request through
+// the serving pipeline (see serve.go) and delivers its answer.
+//
+// The jpgd.request span is the request's access line and failure record.
+// A request whose own client hung up counts in jpgd.client_closed and is
+// not failed: no one received its answer.
 func (s *Server) instrument(route string, ep endpoint) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		t0 := time.Now()
-		ctx := r.Context()
+		client := r.Context()
 
 		id := r.Header.Get("X-Request-ID")
 		if id == "" {
 			id = jpglog.NewRequestID()
 		}
-		ctx = jpglog.Attach(ctx, s.cfg.Logger)
-		ctx = jpglog.WithRequestID(ctx, id)
+		ctx := jpglog.WithRequestID(jpglog.Attach(client, s.cfg.Logger), id)
 
-		sinks := multiSink{s.rec}
-		if s.cfg.LogSpans {
-			if l := jpglog.From(ctx); l != nil {
-				sinks = append(sinks, jpglog.SpanSink(l))
-			}
+		var sink obs.Sink = s.rec
+		if l := jpglog.From(ctx); l != nil {
+			sink = multiSink{s.rec, jpglog.SpanSink(l)}
 		}
-		col := obs.New(obs.WithSink(sinks))
-		ctx = col.Attach(ctx)
+		ctx = obs.New(obs.WithSink(sink)).Attach(ctx)
 		if s.cfg.Cache != nil {
 			ctx = cache.With(ctx, s.cfg.Cache)
 		}
@@ -213,6 +212,8 @@ func (s *Server) instrument(route string, ep endpoint) http.Handler {
 		ctx, sp := obs.Start(ctx, "jpgd.request")
 		sp.SetStr("request_id", id)
 		sp.SetStr("route", route)
+		sp.SetStr("method", r.Method)
+		sp.SetStr("path", r.URL.Path)
 
 		s.mRequests.Inc()
 		s.mInflight.Add(1)
@@ -231,16 +232,21 @@ func (s *Server) instrument(route string, ep endpoint) http.Handler {
 		art, src := s.dispatch(route, r, ep)
 		status, n := s.deliver(w, r, art, src)
 
-		dur := time.Since(t0)
 		sp.SetInt("status", int64(status))
-		if status >= 400 {
+		sp.SetInt("bytes", int64(n))
+		if src != "" {
+			sp.SetStr("cache", src)
+		}
+		switch {
+		case errors.Is(client.Err(), context.Canceled):
+			s.mClientClosed.Inc()
+			sp.SetBool("client_closed", true)
+		case status >= 400:
 			s.mErrors.Inc()
-			sp.Fail(fmt.Errorf("http %d", status))
+			sp.Fail(art.err)
 		}
 		sp.End()
-		s.mRequestNS.Observe(dur.Nanoseconds())
-		jpglog.Info(ctx, "http.request", "method", r.Method, "path", r.URL.Path,
-			"route", route, "status", status, "dur_us", dur.Microseconds(), "bytes", n)
+		s.mRequestNS.Observe(time.Since(t0).Nanoseconds())
 	})
 }
 
@@ -456,7 +462,7 @@ type VerifyResponse struct {
 // are the response, not an HTTP failure: an unsafe stream still answers 200
 // with OK=false — only a malformed request envelope (bad base64,
 // undecodable base) is a 4xx.
-func (s *Server) verify(ctx context.Context, body []byte) (any, error) {
+func (s *Server) verify(_ context.Context, body []byte) (any, error) {
 	var req VerifyRequest
 	if err := decodeJSON(body, &req); err != nil {
 		return nil, err
@@ -500,7 +506,6 @@ func (s *Server) verify(ctx context.Context, body []byte) (any, error) {
 			Code: f.Code, Severity: f.Severity.String(), Offset: f.Offset, Detail: f.Detail,
 		})
 	}
-	jpglog.Info(ctx, "jpgd.verify", "part", resp.Part, "ok", resp.OK, "findings", len(resp.Findings))
 	return resp, nil
 }
 
@@ -568,7 +573,7 @@ type VariantResult struct {
 
 // BuildResponse is the /v1/build result. As with GenerateResponse, the
 // correlation ID lives in the X-Request-ID header only, and stage times go
-// to the flow.stage log events, the spans and flow.<stage>_ns, so a cached
+// to the stage spans (and their log lines) and flow.<stage>_ns, so a cached
 // or coalesced body is byte-identical to a fresh one.
 type BuildResponse struct {
 	Part      string            `json:"part"`

@@ -323,14 +323,32 @@ func TestConcurrentGenerates(t *testing.T) {
 	}
 }
 
+// logLines parses a JSON-lines log buffer.
+func logLines(t *testing.T, logs *syncBuffer) []map[string]any {
+	t.Helper()
+	var out []map[string]any
+	for _, line := range strings.Split(strings.TrimSpace(logs.String()), "\n") {
+		if line == "" {
+			continue
+		}
+		var m map[string]any
+		if err := json.Unmarshal([]byte(line), &m); err != nil {
+			t.Fatalf("bad log line %q: %v", line, err)
+		}
+		out = append(out, m)
+	}
+	return out
+}
+
 // TestLogCorrelation is the acceptance check: one request's structured log
-// lines — HTTP entry, flow stages, cache events, partial generation and
-// download events — all carry the same correlation ID.
+// lines — one per span it completed, from the flow stages and their cache
+// lookups through partial generation and the board download to the
+// jpgd.request line — all carry the same correlation ID.
 func TestLogCorrelation(t *testing.T) {
 	f := buildFixture(t)
 	var logs syncBuffer
 	srv, ts := newTestServer(t, jpgd.Config{
-		Logger: jpglog.New(&logs, slog.LevelDebug),
+		Logger: jpglog.New(&logs, slog.LevelInfo),
 		Cache:  cache.New(cache.Options{}),
 	})
 
@@ -368,40 +386,103 @@ func TestLogCorrelation(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("generate status %d", resp.StatusCode)
 	}
-	// The access log line is written after the response is flushed; wait
-	// for both handlers to return before reading the logs.
+	// The request span ends after the response is flushed; wait for both
+	// handlers to return before reading the logs.
 	if err := srv.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
+	const stageLine = "a stage line with its cache attr"
+	stages := map[string]bool{"map": true, "place": true, "route": true, "bitgen": true, "emit": true}
 	byID := map[string]map[string]bool{} // request_id -> set of msg
-	for _, line := range strings.Split(strings.TrimSpace(logs.String()), "\n") {
-		var m map[string]any
-		if err := json.Unmarshal([]byte(line), &m); err != nil {
-			t.Fatalf("bad log line %q: %v", line, err)
-		}
+	for _, m := range logLines(t, &logs) {
 		id, _ := m["request_id"].(string)
 		msg, _ := m["msg"].(string)
 		if id == "" {
-			t.Fatalf("log line without request_id: %s", line)
+			t.Fatalf("log line without request_id: %v", m)
 		}
 		if byID[id] == nil {
 			byID[id] = map[string]bool{}
 		}
 		byID[id][msg] = true
+		if attrs, _ := m["attrs"].(map[string]any); stages[msg] && attrs["cache"] != nil {
+			byID[id][stageLine] = true
+		}
 	}
 	if len(byID) != 2 {
 		t.Fatalf("expected exactly 2 correlation IDs, got %v", byID)
 	}
-	for _, msg := range []string{"flow.stage", "cache", "core.partial", "http.request"} {
+	for _, msg := range []string{stageLine, "core.partial", "jpgd.request"} {
 		if !byID["corr-build"][msg] {
 			t.Fatalf("build request logs lack %q: %v", msg, byID["corr-build"])
 		}
 	}
-	for _, msg := range []string{"core.partial", "download", "board.download", "http.request"} {
+	for _, msg := range []string{"core.partial", "core.download", "xhwif.download", "jpgd.request"} {
 		if !byID["corr-gen"][msg] {
 			t.Fatalf("generate request logs lack %q: %v", msg, byID["corr-gen"])
 		}
+	}
+}
+
+// TestRequestLogLine pins the log contract of a request that touches no
+// inner layer: under info level a /v1/verify writes exactly one line, its
+// jpgd.request span, which says how it was served; a failed request's line
+// is a warning carrying the endpoint's error, and the failure is one
+// jpgd-level event in the flight recorder's error ring.
+func TestRequestLogLine(t *testing.T) {
+	f := buildFixture(t)
+	var logs syncBuffer
+	rec := flightrec.New(64)
+	srv, ts := newTestServer(t, jpgd.Config{Logger: jpglog.New(&logs, slog.LevelInfo), Recorder: rec})
+	body, err := json.Marshal(jpgd.VerifyRequest{Bitstream: base64.StdEncoding.EncodeToString(f.base.Bitstream)})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// requestLine sends one verify body and returns the one line it logged.
+	requestLine := func(body []byte, wantStatus int) map[string]any {
+		t.Helper()
+		before := len(logLines(t, &logs))
+		r := post(ts.URL, "/v1/verify", body, map[string]string{"X-Request-ID": "line-1"})
+		if r.err != nil || r.status != wantStatus {
+			t.Fatalf("verify: %v status %d, want %d: %s", r.err, r.status, wantStatus, r.body)
+		}
+		if err := srv.Drain(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		lines := logLines(t, &logs)[before:]
+		if len(lines) != 1 {
+			t.Fatalf("one verify request wrote %d log lines, want 1: %v", len(lines), lines)
+		}
+		m := lines[0]
+		if m["msg"] != "jpgd.request" || m["request_id"] != "line-1" {
+			t.Fatalf("log line is not the request's jpgd.request line: %v", m)
+		}
+		return m
+	}
+	for _, want := range []string{"miss", "hit"} {
+		m := requestLine(body, http.StatusOK)
+		attrs, _ := m["attrs"].(map[string]any)
+		if m["level"] != "INFO" || attrs["status"] != float64(200) || attrs["cache"] != want ||
+			attrs["route"] != "verify" || attrs["method"] != "POST" || attrs["path"] != "/v1/verify" {
+			t.Fatalf("cache %s: request line %v", want, m)
+		}
+	}
+
+	m := requestLine([]byte(`{}`), http.StatusBadRequest)
+	attrs, _ := m["attrs"].(map[string]any)
+	if m["level"] != "WARN" || m["error"] != "bitstream is required" || attrs["status"] != float64(400) {
+		t.Fatalf("failed request line %v", m)
+	}
+	var events []flightrec.ErrorEvent
+	for _, e := range rec.Dump().Errors {
+		if strings.HasPrefix(e.Source, "jpgd.") {
+			events = append(events, e)
+		}
+	}
+	if len(events) != 1 || events[0].Source != "jpgd.request" ||
+		events[0].Err != "bitstream is required" || events[0].RequestID != "line-1" {
+		t.Fatalf("jpgd-level error events %+v, want one jpgd.request event", events)
 	}
 }
 

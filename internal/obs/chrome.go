@@ -96,43 +96,6 @@ func (c *Collector) WriteChromeTrace(w io.Writer, processName string) error {
 	return err
 }
 
-// Export is the plain-JSON dump of one tool run: every span plus a metrics
-// snapshot, under a schema version for downstream consumers.
-type Export struct {
-	Version int               `json:"version"`
-	Process string            `json:"process"`
-	Lanes   map[string]string `json:"lanes,omitempty"`
-	Spans   []SpanRecord      `json:"spans"`
-	Metrics Snapshot          `json:"metrics"`
-}
-
-// ExportVersion is the schema version of Export and of the perf records the
-// CLIs emit. Version 3 added build-cache statistics (nullable speedups,
-// warm-rerun timings and per-stage hit rates) to the jpgbench record.
-// Version 4 added derived histogram quantiles (p50/p95/p99) to metric
-// snapshots and error status (err) to span records.
-// Version 5 added multi-start placement metadata (requested_starts) and a
-// per-stage breakdown (seconds and fraction of CAD time in map, place,
-// route and bitgen) to each jpgbench experiment record, the numbers CI's
-// stage-time regression gate compares against its committed baseline.
-const ExportVersion = 5
-
-// Export snapshots the collector's spans together with the registry's
-// metrics.
-func (c *Collector) Export(processName string, reg *Registry) Export {
-	lanes := map[string]string{}
-	for id, name := range c.LaneNames() {
-		lanes[fmt.Sprint(id)] = name
-	}
-	return Export{
-		Version: ExportVersion,
-		Process: processName,
-		Lanes:   lanes,
-		Spans:   c.Spans(),
-		Metrics: reg.Snapshot(),
-	}
-}
-
 // StageSummary aggregates completed spans by name — count and total
 // duration, sorted by descending total — the per-stage table `jpg -v` and
 // `jpgbench -metrics` print. Span hierarchy is flattened: a parent's time

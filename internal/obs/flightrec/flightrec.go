@@ -36,8 +36,9 @@ type RecordedSpan struct {
 	Rec obs.SpanRecord `json:"rec"`
 }
 
-// ErrorEvent is one captured failure: an error-tagged span or an explicit
-// RecordError call.
+// ErrorEvent is one captured failure: an error-tagged span. Source is the
+// span's name; RequestID is its request_id attr, which jpgd's request span
+// carries.
 type ErrorEvent struct {
 	Seq       int64     `json:"seq"`
 	At        time.Time `json:"at"`
@@ -78,34 +79,20 @@ func New(capacity int) *Recorder {
 }
 
 // Record implements obs.Sink: the span enters the ring, and error-tagged
-// spans also enter the error ring (request_id recovered from the span's
-// attrs when a request-entry span set one).
+// spans also enter the error ring.
 func (r *Recorder) Record(rec obs.SpanRecord) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.total++
-	r.spans[r.next] = RecordedSpan{Seq: r.total, At: r.now(), Rec: rec}
+	at := r.now()
+	r.spans[r.next] = RecordedSpan{Seq: r.total, At: at, Rec: rec}
 	r.next = (r.next + 1) % len(r.spans)
-	if rec.Err != "" {
-		r.recordErrorLocked(rec.Name, rec.Err, rec.Attr("request_id"))
-	}
-}
-
-// RecordError captures a failure that has no span of its own (e.g. a
-// request rejected before any work started).
-func (r *Recorder) RecordError(source, requestID string, err error) {
-	if err == nil {
+	if rec.Err == "" {
 		return
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.recordErrorLocked(source, err.Error(), requestID)
-}
-
-func (r *Recorder) recordErrorLocked(source, msg, requestID string) {
 	r.errTotal++
 	r.errs[r.errNext] = ErrorEvent{
-		Seq: r.errTotal, At: r.now(), Source: source, Err: msg, RequestID: requestID,
+		Seq: r.errTotal, At: at, Source: rec.Name, Err: rec.Err, RequestID: rec.Attr("request_id"),
 	}
 	r.errNext = (r.errNext + 1) % len(r.errs)
 }

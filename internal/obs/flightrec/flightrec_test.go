@@ -3,7 +3,6 @@ package flightrec
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -55,26 +54,28 @@ func TestPartialRing(t *testing.T) {
 	}
 }
 
-func TestErrorRingCapturesTaggedSpansAndExplicitErrors(t *testing.T) {
+func TestErrorRingCapturesTaggedSpans(t *testing.T) {
 	r := New(64)
 	r.now = fixedClock()
 	r.Record(obs.SpanRecord{Name: "fine"})
 	r.Record(obs.SpanRecord{
-		Name: "broken", Err: "exploded",
+		Name: "jpgd.request", Err: "bitstream is required",
 		Attrs: []obs.Attr{{Key: "request_id", Value: "req-1"}},
 	})
-	r.RecordError("jpgd.generate", "req-2", errors.New("rejected"))
-	r.RecordError("ignored", "x", nil) // nil error: no event
+	r.Record(obs.SpanRecord{Name: "core.download", Err: "context canceled"})
 
 	d := r.Dump()
 	if d.TotalErrors != 2 || len(d.Errors) != 2 {
 		t.Fatalf("error totals: %+v", d)
 	}
-	if e := d.Errors[0]; e.Source != "broken" || e.Err != "exploded" || e.RequestID != "req-1" {
-		t.Fatalf("span-derived error event: %+v", e)
+	if e := d.Errors[0]; e.Source != "jpgd.request" || e.Err != "bitstream is required" || e.RequestID != "req-1" {
+		t.Fatalf("request span error event: %+v", e)
 	}
-	if e := d.Errors[1]; e.Source != "jpgd.generate" || e.RequestID != "req-2" {
-		t.Fatalf("explicit error event: %+v", e)
+	if e := d.Errors[1]; e.Source != "core.download" || e.RequestID != "" {
+		t.Fatalf("inner span error event: %+v", e)
+	}
+	if e := d.Errors[0]; !e.At.Equal(d.Spans[1].At) {
+		t.Fatalf("error event at %v, its span at %v", e.At, d.Spans[1].At)
 	}
 }
 

@@ -1,22 +1,24 @@
 // Package log is the operational logging layer of the reproduction: leveled
 // structured JSON logging on log/slog, with per-request correlation IDs
 // minted at the service and CLI entry points and threaded through context.
-// Every event an instrumented package emits while handling one request —
-// flow stage completions, cache hits and misses, download attempts and
-// retries, fault injections — carries the same request_id, so one
-// generate-over-HTTP request can be followed across every layer it touches
-// from a single log grep.
+//
+// A layer's timed work is recorded once, as an obs span; SpanSink turns
+// each completed span into one log line, so a jpgd request's lines — flow
+// stages, partial generation, downloads, the request itself — all carry the
+// same request_id and one grep follows the request across every layer it
+// touches. The package helpers (Info, Warn) are for the few events that
+// have no duration: download retries and aborts, injected faults, and the
+// daemon's lifecycle.
 //
 // Design rules mirror internal/obs:
 //
-//   - The logger is carried by context. With no logger attached, every
-//     helper (Debug/Info/Warn/Error) is a cheap no-op — the batch CLIs pay
-//     nothing unless they opt in.
+//   - The logger is carried by context. With no logger attached, Info and
+//     Warn write nothing.
 //   - Logging may never influence tool output: artifacts stay byte-identical
 //     with logging on or off, at any level, for any worker count.
 //   - Events are structured key/value pairs, not formatted prose: the
-//     message names the event ("flow.stage", "cache", "download.retry") and
-//     the attributes carry the data.
+//     message names the event or span ("route", "jpgd.request",
+//     "download.retry") and the attributes carry the data.
 package log
 
 import (
@@ -32,14 +34,9 @@ import (
 	"repro/internal/obs"
 )
 
-// Canonical attribute names, so log consumers can rely on one spelling.
-const (
-	// FieldRequestID is the correlation ID attribute every event carries
-	// once WithRequestID has run for the request's context.
-	FieldRequestID = "request_id"
-	// FieldStage names the flow/cache stage an event belongs to.
-	FieldStage = "stage"
-)
+// FieldRequestID is the correlation ID attribute every event carries once
+// WithRequestID has run for the request's context.
+const FieldRequestID = "request_id"
 
 type ctxKey int
 
@@ -120,22 +117,10 @@ func RequestIDFrom(ctx context.Context) string {
 	return id
 }
 
-// Enabled reports whether an event at the given level would be written —
-// use it to skip building expensive attributes.
-func Enabled(ctx context.Context, level slog.Level) bool {
-	l := From(ctx)
-	return l != nil && l.Enabled(ctx, level)
-}
-
 func emit(ctx context.Context, level slog.Level, msg string, args ...any) {
 	if l := From(ctx); l != nil && l.Enabled(ctx, level) {
 		l.Log(ctx, level, msg, args...)
 	}
-}
-
-// Debug emits a debug event under the context's logger (no-op without one).
-func Debug(ctx context.Context, msg string, args ...any) {
-	emit(ctx, slog.LevelDebug, msg, args...)
 }
 
 // Info emits an info event under the context's logger (no-op without one).
@@ -148,11 +133,6 @@ func Warn(ctx context.Context, msg string, args ...any) {
 	emit(ctx, slog.LevelWarn, msg, args...)
 }
 
-// Error emits an error event under the context's logger (no-op without one).
-func Error(ctx context.Context, msg string, args ...any) {
-	emit(ctx, slog.LevelError, msg, args...)
-}
-
 // spanSink bridges spans to the log: every completed span becomes one
 // structured line. jpgd attaches one per request, built over the
 // request-bound logger, so span lines share the request's correlation ID.
@@ -160,24 +140,24 @@ type spanSink struct {
 	l *slog.Logger
 }
 
-// SpanSink returns an obs.Sink logging each completed span through l: debug
-// for clean spans, warn for error-tagged ones. Attach it with
-// obs.WithSink(log.SpanSink(requestLogger)).
+// SpanSink returns an obs.Sink logging each completed span through l as one
+// line named after the span: info for clean spans, warn for error-tagged
+// ones. Attach it with obs.WithSink(log.SpanSink(requestLogger)).
 func SpanSink(l *slog.Logger) obs.Sink {
 	return spanSink{l: l}
 }
 
 // Record implements obs.Sink.
 func (s spanSink) Record(rec obs.SpanRecord) {
-	level := slog.LevelDebug
+	level := slog.LevelInfo
 	if rec.Err != "" {
 		level = slog.LevelWarn
 	}
 	if !s.l.Enabled(context.Background(), level) {
 		return
 	}
-	args := make([]any, 0, 8+2*len(rec.Attrs))
-	args = append(args, "span", rec.Name, "dur_us", rec.Dur.Microseconds(), "lane", rec.Lane)
+	args := make([]any, 0, 6+2*len(rec.Attrs))
+	args = append(args, "dur_us", rec.Dur.Microseconds(), "lane", rec.Lane)
 	if rec.Err != "" {
 		args = append(args, "error", rec.Err)
 	}
@@ -188,5 +168,5 @@ func (s spanSink) Record(rec obs.SpanRecord) {
 		}
 		args = append(args, slog.Group("attrs", kvs...))
 	}
-	s.l.Log(context.Background(), level, "span", args...)
+	s.l.Log(context.Background(), level, rec.Name, args...)
 }

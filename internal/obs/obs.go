@@ -1,8 +1,8 @@
 // Package obs is the repository's zero-dependency observability layer:
 // hierarchical spans over the CAD flow (map, place, route, bitgen, partial
 // generation, board download), an always-on registry of atomic counters,
-// gauges and histograms, and exporters for both a plain JSON snapshot and
-// the Chrome trace-event format (chrome://tracing / Perfetto).
+// gauges and histograms, a plain JSON snapshot of that registry, and a span
+// exporter in the Chrome trace-event format (chrome://tracing / Perfetto).
 //
 // The paper's quantitative claims are all about where time and bytes go —
 // CAD runs saved (C1), partial-bitstream bytes proportional to the region
@@ -196,6 +196,14 @@ func (s *Span) SetInt(key string, v int64) {
 
 // SetStr annotates the span. No-op on a nil span.
 func (s *Span) SetStr(key, v string) {
+	if s == nil {
+		return
+	}
+	s.attrs = append(s.attrs, Attr{Key: key, Value: v})
+}
+
+// SetBool annotates the span. No-op on a nil span.
+func (s *Span) SetBool(key string, v bool) {
 	if s == nil {
 		return
 	}

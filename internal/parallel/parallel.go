@@ -29,7 +29,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	jpglog "repro/internal/obs/log"
 )
 
 // EnvWorkers is the environment variable overriding the default worker
@@ -108,7 +107,6 @@ func runTask(ctx context.Context, i int, batchStart time.Time, fn func(ctx conte
 	sp.EndErr(err)
 	if err != nil {
 		obs.CountError("task")
-		jpglog.Warn(ctx, "parallel.task_failed", "index", i, "error", err.Error())
 	}
 	return err
 }

@@ -188,7 +188,7 @@ func (r *router) routeClocks() error {
 			if !ok {
 				return fmt.Errorf("route: clock net %q sink %s is not a pin", n.Name, r.d.Part.NodeName(sink))
 			}
-			pip, ok := r.d.Part.FindPIP(row, col, src, sink)
+			pip, ok := r.g.FindPIP(row, col, src, sink)
 			if !ok {
 				return fmt.Errorf("route: no global tap for %s", r.d.Part.NodeName(sink))
 			}

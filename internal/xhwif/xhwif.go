@@ -23,7 +23,6 @@ import (
 	"repro/internal/device"
 	"repro/internal/frames"
 	"repro/internal/obs"
-	jpglog "repro/internal/obs/log"
 )
 
 // DefaultClockHz is the SelectMAP configuration clock a Board's download
@@ -168,21 +167,22 @@ func (b *Board) Download(bs []byte) (DownloadStats, error) {
 	return ds, nil
 }
 
-// DownloadCtx implements HWIF: Download gated on the context, with one
-// structured log event per outcome (debug on success, warn on a rolled-back
-// stream) so request-scoped logs see the board's side of every download.
+// DownloadCtx implements HWIF: Download gated on the context, run as an
+// "xhwif.download" span carrying the bytes, frames written, modelled
+// transfer time and start-up flag, and failed with a rolled-back stream's
+// error, so a traced request sees the board's side of every download.
 func (b *Board) DownloadCtx(ctx context.Context, bs []byte) (DownloadStats, error) {
 	if err := ctx.Err(); err != nil {
 		return DownloadStats{}, err
 	}
+	_, sp := obs.Start(ctx, "xhwif.download")
 	ds, err := b.Download(bs)
-	if err != nil {
-		jpglog.Warn(ctx, "board.download", "bytes", len(bs), "error", err.Error())
-		return ds, err
-	}
-	jpglog.Debug(ctx, "board.download", "bytes", ds.Bytes, "frames", ds.FramesWritten,
-		"model_us", ds.ModelTime.Microseconds(), "started", ds.Started)
-	return ds, nil
+	sp.SetInt("bytes", int64(ds.Bytes))
+	sp.SetInt("frames", int64(ds.FramesWritten))
+	sp.SetInt("model_us", ds.ModelTime.Microseconds())
+	sp.SetBool("started", ds.Started)
+	sp.EndErr(err)
+	return ds, err
 }
 
 // Readback implements HWIF: a copy of the current configuration memory, as
