@@ -13,6 +13,7 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"sort"
 
 	jpg "repro"
 )
@@ -34,7 +35,13 @@ func main() {
 	}
 	fmt.Printf("base design on %s: %d bytes full bitstream, CAD %v\n",
 		part.Name, len(base.Bitstream), base.Times.Total().Round(1000))
-	for prefix, rg := range base.Regions {
+	prefixes := make([]string, 0, len(base.Regions))
+	for prefix := range base.Regions {
+		prefixes = append(prefixes, prefix)
+	}
+	sort.Strings(prefixes)
+	for _, prefix := range prefixes {
+		rg := base.Regions[prefix]
 		fmt.Printf("  region %s: columns %d..%d\n", prefix, rg.C1+1, rg.C2+1)
 	}
 

@@ -175,7 +175,8 @@ func TestGeneratePartialDelta(t *testing.T) {
 
 // TestEditLoopTracesPartial checks that a board-less edit generates its
 // partial under the caller's context: an attached collector records the
-// core.partial span as a child of the edit's core.edit span.
+// core.partial span as a child of the edit's core.edit span, and the
+// partial's core.verify span as a child of core.partial.
 func TestEditLoopTracesPartial(t *testing.T) {
 	base, variant := setup(t)
 	proj, err := NewProject(base.Bitstream)
@@ -186,7 +187,7 @@ func TestEditLoopTracesPartial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loop := NewEditLoop(proj, sess, "u1_lfsr", GenerateOptions{})
+	loop := NewEditLoop(proj, sess, "u1_lfsr", GenerateOptions{Verify: true})
 	next := variant.Netlist.Clone()
 	for _, c := range next.Cells {
 		if c.Kind == netlist.KindLUT4 {
@@ -201,7 +202,7 @@ func TestEditLoopTracesPartial(t *testing.T) {
 	if _, err := loop.Edit(col.Attach(context.Background()), next); err != nil {
 		t.Fatal(err)
 	}
-	var edit, partial *obs.SpanRecord
+	var edit, partial, verify *obs.SpanRecord
 	spans := col.Spans()
 	for i := range spans {
 		switch spans[i].Name {
@@ -209,12 +210,18 @@ func TestEditLoopTracesPartial(t *testing.T) {
 			edit = &spans[i]
 		case "core.partial":
 			partial = &spans[i]
+		case "core.verify":
+			verify = &spans[i]
 		}
 	}
-	if edit == nil || partial == nil {
-		t.Fatalf("collector missed a span: core.edit %v, core.partial %v", edit != nil, partial != nil)
+	if edit == nil || partial == nil || verify == nil {
+		t.Fatalf("collector missed a span: core.edit %v, core.partial %v, core.verify %v",
+			edit != nil, partial != nil, verify != nil)
 	}
 	if partial.Parent != edit.ID {
 		t.Fatalf("core.partial parent %d, want the core.edit span %d", partial.Parent, edit.ID)
+	}
+	if verify.Parent != partial.ID {
+		t.Fatalf("core.verify parent %d, want the core.partial span %d", verify.Parent, partial.ID)
 	}
 }

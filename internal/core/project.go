@@ -172,9 +172,10 @@ func (p *Project) GeneratePartial(m *Module, opts GenerateOptions) (*Result, err
 
 // GeneratePartialCtx is GeneratePartial under a context, the service entry
 // point: the generation runs as a "core.partial" span under the context's
-// collector, carrying the partial's bytes, frames and changed frames.
+// collector, carrying the partial's bytes, frames and changed frames. With
+// Verify, the "core.verify" span is its child.
 func (p *Project) GeneratePartialCtx(ctx context.Context, m *Module, opts GenerateOptions) (res *Result, err error) {
-	_, sp := obs.Start(ctx, "core.partial")
+	ctx, sp := obs.Start(ctx, "core.partial")
 	sp.SetStr("module", m.Name)
 	defer func() { sp.EndErr(err) }()
 	res, err = p.computePartial(m, opts)

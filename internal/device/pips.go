@@ -215,3 +215,113 @@ func (p *Part) TilePIPs(row, col int) []PIP {
 	}
 	return pips
 }
+
+// HopTarget is a routing-search target decoded once for HopBound: the tile
+// of a slice input pin, or the tile next to an output pad.
+type HopTarget struct {
+	row, col int
+	kind     hopKind
+}
+
+type hopKind uint8
+
+const (
+	hopNone hopKind = iota // no tile to aim at: HopBound is 0
+	hopPin
+	hopPad
+)
+
+// HopTarget decodes a search target: an input pin or an output-pad node.
+// Any other node decodes to a target whose bound is 0 everywhere.
+func (p *Part) HopTarget(target NodeID) HopTarget {
+	in := int(target)
+	switch {
+	case in >= 0 && in < p.rowLongBase() && in%WiresPerTile >= WireInPinBase:
+		t := in / WiresPerTile
+		return HopTarget{row: t / p.Cols, col: t % p.Cols, kind: hopPin}
+	case in >= p.padBase() && in < p.NumNodes() && (in-p.padBase())%2 == 1:
+		row, col := p.PadTile(p.padAt((in - p.padBase()) / 2))
+		return HopTarget{row: row, col: col, kind: hopPad}
+	}
+	return HopTarget{}
+}
+
+// dirRow and dirCol are the tile offsets of one step in each direction.
+var (
+	dirRow = [NumDirs]int{DirN: -1, DirS: 1}
+	dirCol = [NumDirs]int{DirE: 1, DirW: -1}
+)
+
+// HopBound returns a lower bound on the number of nodes any path from n to
+// t must claim after n, the target included. It reads the reach rules of
+// TilePIPs:
+//
+//   - only OUT wires drive hexes and long lines, and an OUT of tile T feeds
+//     T's pins and pads directly;
+//   - a single driven by T toward D ends at tile A = T+D and feeds only A's
+//     singles and pins, T's pads and, for E singles, T's pins, so each
+//     single hop advances at most one tile;
+//   - a hex driven by T toward D feeds only the singles of T+3D and T+6D;
+//   - pins feed nothing.
+//
+// Long lines, globals and pads get 0. With m the Manhattan distance in
+// tiles and t the target tile (the pad's tile P for an output pad):
+//
+//	node             pin in tile t                       output pad, tile P
+//	OUT of T         1 if T = t, else 2                  1 if T = P, else 2
+//	single T→D       1 if A = t or (D = E, T = t),       1 if T = P,
+//	                 else m(A,t)+1                       else m(A,P)+2
+//	hex T→D          min over X ∈ {T+3D, T+6D}           min over X
+//	                 of max(m(X,t),1)+1                  of m(X,P)+2
+//
+// Every node a router claims costs at least 1, so the bound never
+// overestimates a path's cost and A* searches stay exact.
+func (p *Part) HopBound(n NodeID, t HopTarget) int {
+	in := int(n)
+	if t.kind == hopNone || in < 0 || in >= p.rowLongBase() {
+		return 0
+	}
+	tile, w := in/WiresPerTile, in%WiresPerTile
+	row, col := tile/p.Cols, tile%p.Cols
+	here := row == t.row && col == t.col
+	switch {
+	case w < WireSingleBase: // OUT
+		if here {
+			return 1
+		}
+		return 2
+	case w < WireHexBase: // single
+		d := (w - WireSingleBase) / SinglesPerDir
+		m := t.dist(row+dirRow[d], col+dirCol[d])
+		if t.kind == hopPad {
+			if here {
+				return 1
+			}
+			return m + 2
+		}
+		if m == 0 || (d == DirE && here) {
+			return 1
+		}
+		return m + 1
+	case w < WireInPinBase: // hex
+		d := (w - WireHexBase) / HexesPerDir
+		m := min(t.dist(row+3*dirRow[d], col+3*dirCol[d]), t.dist(row+6*dirRow[d], col+6*dirCol[d]))
+		if t.kind == hopPad {
+			return m + 2
+		}
+		return max(m, 1) + 1
+	}
+	return 0 // input pin
+}
+
+// dist is the Manhattan distance in tiles from (row, col) to the target.
+func (t HopTarget) dist(row, col int) int {
+	return abs(row-t.row) + abs(col-t.col)
+}
+
+func abs(x int) int {
+	if x < 0 {
+		return -x
+	}
+	return x
+}

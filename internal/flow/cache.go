@@ -76,7 +76,7 @@ func PlaceKey(p *device.Part, nl *netlist.Design, cons *ucf.Constraints, opts Op
 // RouteKey chains the placement key with the router's region constraints
 // (regionFP canonically describes the caller's RegionForNet function).
 func RouteKey(placeKey cache.Key, regionFP string) cache.Key {
-	h := cache.NewHasher("flow.route/v2")
+	h := cache.NewHasher("flow.route/v3")
 	h.Key("place", placeKey)
 	h.Str("regions", regionFP)
 	return h.Sum()

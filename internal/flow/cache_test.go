@@ -87,9 +87,9 @@ func TestStageKeysGolden(t *testing.T) {
 
 	want := map[string]string{
 		"place":  "4fcbc885080650edbd519d3230526901d28e1936a8e497442ee17f52f88af4b0",
-		"route":  "375bdfbb1d3263825288201d6eafe954fd119ca650ee4864fd2502172f577e91",
-		"bitgen": "8bca7eb12ba2afeae468275e120e983514342b3eaeb566e609d8f808a3704a50",
-		"xdl":    "52ad0ee56408807d39dc27ff7cf9f842bb8d4589003aa06e72f2fee76a79bed3",
+		"route":  "8b7428309226bc9d82cd614a1ab08ef064002f716dc4f32fd88723073dd42b6e",
+		"bitgen": "f5ae00bc1f8c89793339a4dccb76d7810f50754974d34e55ab443e2204459886",
+		"xdl":    "087dddd7600142827762d10955de2263cd7cca29007cba964b92ad9e1df62233",
 	}
 	got := map[string]string{
 		"place":  kPlace.String(),

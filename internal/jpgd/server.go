@@ -210,7 +210,7 @@ func (s *Server) instrument(route string, ep endpoint) http.Handler {
 		}
 
 		ctx, sp := obs.Start(ctx, "jpgd.request")
-		sp.SetStr("request_id", id)
+		sp.SetStr(jpglog.FieldRequestID, id)
 		sp.SetStr("route", route)
 		sp.SetStr("method", r.Method)
 		sp.SetStr("path", r.URL.Path)

@@ -426,9 +426,10 @@ func TestLogCorrelation(t *testing.T) {
 
 // TestRequestLogLine pins the log contract of a request that touches no
 // inner layer: under info level a /v1/verify writes exactly one line, its
-// jpgd.request span, which says how it was served; a failed request's line
-// is a warning carrying the endpoint's error, and the failure is one
-// jpgd-level event in the flight recorder's error ring.
+// jpgd.request span, which says how it was served and carries request_id
+// once, at the top level; a failed request's line is a warning carrying the
+// endpoint's error, and the failure is one jpgd-level event in the flight
+// recorder's error ring.
 func TestRequestLogLine(t *testing.T) {
 	f := buildFixture(t)
 	var logs syncBuffer
@@ -457,6 +458,9 @@ func TestRequestLogLine(t *testing.T) {
 		m := lines[0]
 		if m["msg"] != "jpgd.request" || m["request_id"] != "line-1" {
 			t.Fatalf("log line is not the request's jpgd.request line: %v", m)
+		}
+		if attrs, _ := m["attrs"].(map[string]any); attrs["request_id"] != nil {
+			t.Fatalf("log line repeats request_id in its attrs: %v", m)
 		}
 		return m
 	}

@@ -142,7 +142,9 @@ type spanSink struct {
 
 // SpanSink returns an obs.Sink logging each completed span through l as one
 // line named after the span: info for clean spans, warn for error-tagged
-// ones. Attach it with obs.WithSink(log.SpanSink(requestLogger)).
+// ones. Attach it with obs.WithSink(log.SpanSink(requestLogger)). A span's
+// request_id attr is left out of the line's attrs group: the request-bound
+// logger already stamps it once per line.
 func SpanSink(l *slog.Logger) obs.Sink {
 	return spanSink{l: l}
 }
@@ -164,7 +166,9 @@ func (s spanSink) Record(rec obs.SpanRecord) {
 	if len(rec.Attrs) > 0 {
 		kvs := make([]any, 0, 2*len(rec.Attrs))
 		for _, a := range rec.Attrs {
-			kvs = append(kvs, slog.Any(a.Key, a.Value))
+			if a.Key != FieldRequestID {
+				kvs = append(kvs, slog.Any(a.Key, a.Value))
+			}
 		}
 		args = append(args, slog.Group("attrs", kvs...))
 	}

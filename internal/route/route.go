@@ -11,11 +11,16 @@
 // assigned a global line and taps it at every sink's CLK pin, as on the real
 // device.
 //
+// Each A* search is guided by device.HopBound, a lower bound on the nodes a
+// path to the sink still has to claim, read off the wire catalog's reach
+// rules. Every node costs at least 1, so the bound is admissible and every
+// search returns a cheapest path; it is tight enough that a search over the
+// whole graph stays near its net.
+//
 // The inner loop is allocation-free in steady state: the per-device A*
 // scratch (distance/visited/predecessor arrays, the frontier heap, the path
 // buffers, the region node masks) lives in a sync.Pool keyed by graph size,
-// visited state is epoch-stamped instead of cleared, and searches are
-// bounded to a window around the net before falling back to the full graph.
+// and visited state is epoch-stamped instead of cleared.
 package route
 
 import (
@@ -57,7 +62,6 @@ var (
 	mNets       = obs.GetCounter("route.nets")
 	mIters      = obs.GetCounter("route.iterations")
 	mSearches   = obs.GetCounter("route.searches")
-	mRetries    = obs.GetCounter("route.search_retries")
 	mHeapPushes = obs.GetCounter("route.heap_pushes")
 	mReroutes   = obs.GetCounter("route.reroutes")
 )
@@ -80,7 +84,6 @@ func RouteCtx(ctx context.Context, d *phys.Design, opts Options) error {
 		return err
 	}
 	mSearches.Add(r.searches)
-	mRetries.Add(r.retries)
 	mHeapPushes.Add(r.pushes)
 	mReroutes.Add(r.reroutes)
 	return d.CheckRoutes()
@@ -93,7 +96,7 @@ type router struct {
 	s    *scratch
 
 	// Inner-loop counters, flushed to the obs registry once per run.
-	searches, retries, pushes, reroutes int64
+	searches, pushes, reroutes int64
 }
 
 // newRouter returns a router over the placed design. The caller attaches
@@ -375,64 +378,20 @@ func (r *router) routeNet(fn *fabricNet, presentFac float64) error {
 // treeRootPIP marks tree roots in prevPIP.
 var treeRootPIP = device.PIP{Row: -1}
 
-// errNoPath reports a starved search. A sentinel, not fmt.Errorf: bounded
-// searches fail routinely (the unbounded retry absorbs them) and the hot
-// loop must not allocate for an expected outcome.
+// errNoPath reports a target the net cannot reach, as when its region cuts
+// it off. A sentinel, not fmt.Errorf: the search loop allocates nothing.
 var errNoPath = errors.New("no path")
 
-// searchMargin expands the A* window (in tiles) beyond the bounding box of
-// the source tree and the target. Optimal detours under congestion stay
-// local; anything the window cannot reach is caught by the unbounded retry.
-const searchMargin = 3
-
 // search finds a cheapest path from any tree node to the target using A*,
-// returning the new edges in source-to-sink order. The first attempt
-// restricts expansion to a window around the net (plus every off-fabric
-// node: globals, long lines, pads); if the window starves it retries over
-// the whole graph so completeness is never lost.
+// returning the new edges in source-to-sink order. Its heuristic,
+// device.HopBound, counts nodes and nodeCost never falls below 1, so the
+// first pop of the target is a cheapest path.
 func (r *router) search(tree []device.NodeID, target device.NodeID, presentFac float64, region *regionMask) ([]treeEdge, error) {
 	r.searches++
-	path, err := r.searchWindow(tree, target, presentFac, region, true)
-	if err == nil {
-		return path, nil
-	}
-	r.retries++
-	return r.searchWindow(tree, target, presentFac, region, false)
-}
-
-func (r *router) searchWindow(tree []device.NodeID, target device.NodeID, presentFac float64, region *regionMask, bounded bool) ([]treeEdge, error) {
 	part := r.d.Part
 	s := r.s
 	epoch := s.nextEpoch()
-	tRow, tCol, _, tIsTile := part.NodeTile(target)
-
-	// The search window: tree ∪ target bounding box, expanded by the margin.
-	// Off-fabric nodes carry no tile and are always admitted.
-	minR, maxR, minC, maxC := 0, 0, 0, 0
-	bounded = bounded && tIsTile
-	if bounded {
-		minR, maxR, minC, maxC = tRow, tRow, tCol, tCol
-		for _, n := range tree {
-			if row, col, _, ok := part.NodeTile(n); ok {
-				minR, maxR = min(minR, row), max(maxR, row)
-				minC, maxC = min(minC, col), max(maxC, col)
-			}
-		}
-		minR, maxR = minR-searchMargin, maxR+searchMargin
-		minC, maxC = minC-searchMargin, maxC+searchMargin
-	}
-
-	h := func(n device.NodeID) float64 {
-		if !tIsTile {
-			return 0
-		}
-		row, col, _, ok := part.NodeTile(n)
-		if !ok {
-			return 0
-		}
-		d := abs(row-tRow) + abs(col-tCol)
-		return float64(d) / 6.0 // hex wires cover 6 tiles per node: keep admissible
-	}
+	goal := part.HopTarget(target)
 
 	pq := &s.pq
 	pq.reset()
@@ -440,7 +399,7 @@ func (r *router) searchWindow(tree []device.NodeID, target device.NodeID, presen
 		s.dist[n] = 0
 		s.prevPIP[n] = treeRootPIP
 		s.seen[n] = epoch
-		pq.push(pqItem{node: n, prio: h(n)})
+		pq.push(pqItem{node: n, prio: float64(part.HopBound(n, goal))})
 	}
 	pushes := int64(len(tree))
 	for pq.len() > 0 {
@@ -456,12 +415,6 @@ func (r *router) searchWindow(tree []device.NodeID, target device.NodeID, presen
 			if region != nil && !region.allows(pip) {
 				continue
 			}
-			if bounded {
-				if row, col, _, ok := part.NodeTile(pip.Dst); ok &&
-					(row < minR || row > maxR || col < minC || col > maxC) {
-					continue
-				}
-			}
 			nd := cur.cost + r.nodeCost(pip.Dst, presentFac)
 			if s.seen[pip.Dst] == epoch && nd >= s.dist[pip.Dst] {
 				continue
@@ -469,7 +422,7 @@ func (r *router) searchWindow(tree []device.NodeID, target device.NodeID, presen
 			s.seen[pip.Dst] = epoch
 			s.dist[pip.Dst] = nd
 			s.prevPIP[pip.Dst] = pip
-			pq.push(pqItem{node: pip.Dst, cost: nd, prio: nd + h(pip.Dst)})
+			pq.push(pqItem{node: pip.Dst, cost: nd, prio: nd + float64(part.HopBound(pip.Dst, goal))})
 			pushes++
 		}
 	}
@@ -495,13 +448,6 @@ func (r *router) unwind(target device.NodeID) []treeEdge {
 	}
 	r.s.rev = rev
 	return rev
-}
-
-func abs(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // pqItem is an A* frontier entry.
