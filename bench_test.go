@@ -11,7 +11,6 @@ package jpg
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -251,28 +250,6 @@ func BenchmarkRouteNet(b *testing.B) {
 		if err := nb.Step(); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkMultiStartPlace measures K-start placement at 1 worker vs all
-// cores; the ns/op ratio is the multi-start pool's wall-clock speedup. The
-// chosen placement is byte-identical across the sub-benchmarks (see
-// internal/place's determinism tests).
-func BenchmarkMultiStartPlace(b *testing.B) {
-	p := device.MustByName("XCV50")
-	for _, workers := range []int{1, runtime.NumCPU()} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				nl, err := designs.Standalone(designs.SBoxBank{N: 12, Seed: 5}, "sb", "u1/")
-				if err != nil {
-					b.Fatal(err)
-				}
-				_, err = place.PlaceCtx(context.Background(), p, nl, place.Options{Seed: 7, Starts: 8, Workers: workers})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

@@ -10,9 +10,6 @@
 //	jpgbench -quick          # shrunken sweeps (seconds instead of minutes)
 //	jpgbench -part XCV100    # device for the CAD-heavy experiments
 //	jpgbench -workers 1      # strictly serial CAD runs (results identical)
-//	jpgbench -starts 4       # multi-start placement: 4 seeded anneals per CAD
-//	                         # run, best placement wins (deterministic for any
-//	                         # worker count)
 //	jpgbench -json out.json  # also time each experiment serial vs parallel
 //	                         # and write a perf record (BENCH_parallel.json)
 //	jpgbench -trace t.json   # write a Chrome trace (chrome://tracing) of the
@@ -74,11 +71,12 @@ var all = []struct {
 // per-stage hit rates) to the jpgbench record.
 // Version 4 added derived histogram quantiles (p50/p95/p99) to metric
 // snapshots and error status (err) to span records.
-// Version 5 added multi-start placement metadata (requested_starts) and a
-// per-stage breakdown (seconds and fraction of CAD time in map, place,
-// route and bitgen) to each jpgbench experiment record, the numbers CI's
-// stage-time regression gate compares against its committed baseline.
-const perfVersion = 5
+// Version 5 added a per-stage breakdown (seconds and fraction of CAD time
+// in map, place, route and bitgen) to each jpgbench experiment record, the
+// numbers CI's stage-time regression gate compares against its committed
+// baseline.
+// Version 6 dropped requested_starts with multi-start placement.
+const perfVersion = 6
 
 // perfRecord is the schema of the -json output: wall-clock of each selected
 // experiment run serially (Workers=1) and through the worker pool, so PRs
@@ -99,12 +97,9 @@ type perfRecord struct {
 	// pool width it resolved to (all cores, or $JPG_WORKERS). Recording both
 	// makes a null speedup diagnosable: a pooled run that was accidentally
 	// serial shows requested 0 resolved to 1.
-	RequestedWorkers int `json:"requested_workers"`
-	Workers          int `json:"workers"`
-	// RequestedStarts is the -starts flag: annealing starts per placement
-	// (0 = single-start).
-	RequestedStarts int              `json:"requested_starts,omitempty"`
-	Experiments     []perfExperiment `json:"experiments"`
+	RequestedWorkers int              `json:"requested_workers"`
+	Workers          int              `json:"workers"`
+	Experiments      []perfExperiment `json:"experiments"`
 	// Cache summarises the build cache after the runs (nil when -cache is
 	// off): bounds, per-stage hits/misses and hit rates.
 	Cache *cacheRecord `json:"cache,omitempty"`
@@ -245,7 +240,6 @@ func run(args []string) int {
 		part     = fs.String("part", "XCV50", "device for CAD-heavy experiments")
 		seed     = fs.Int64("seed", 1, "random seed")
 		workers  = fs.Int("workers", 0, "worker pool width for independent CAD runs (0 = all cores, or $JPG_WORKERS)")
-		starts   = fs.Int("starts", 0, "annealing starts per placement; the best placement wins (0/1 = single start)")
 		jsonPath = fs.String("json", "", "write a serial-vs-parallel perf record to this file")
 		tracePth = fs.String("trace", "", "write a Chrome trace (chrome://tracing / Perfetto) of the pooled runs to this file")
 		metrics  = fs.Bool("metrics", false, "print the metrics registry snapshot and per-stage span summary after the run")
@@ -301,7 +295,7 @@ func run(args []string) int {
 		}()
 	}
 	cfg := experiments.Config{
-		Part: *part, Seed: *seed, Quick: *quick, Workers: *workers, Starts: *starts,
+		Part: *part, Seed: *seed, Quick: *quick, Workers: *workers,
 		Verify: *verify,
 		Faults: *faultStr, Retries: *retries, DownloadTimeout: *dlTmout,
 	}
@@ -323,7 +317,6 @@ func run(args []string) int {
 	record := perfRecord{
 		Tool: "jpgbench", Part: *part, Seed: *seed, Quick: *quick,
 		NumCPU: runtime.NumCPU(), RequestedWorkers: *workers, Workers: *workers,
-		RequestedStarts: *starts,
 	}
 	if record.Workers == 0 {
 		record.Workers = parallel.DefaultWorkers()

@@ -51,8 +51,6 @@ func run() error {
 		outStem  = flag.String("o", "design", "output file stem (writes stem.ncd/.xdl/.ucf/.bit)")
 		seed     = flag.Int64("seed", 1, "random seed for placement")
 		effort   = flag.Float64("effort", 1.0, "placer effort")
-		starts   = flag.Int("starts", 1, "independently seeded placement starts; the best placement wins (deterministic for any worker count)")
-		workers  = flag.Int("workers", 0, "worker pool width for multi-start placement (0 = all cores or $JPG_WORKERS)")
 		trace    = flag.String("trace", "", "write a Chrome trace (chrome://tracing) of the run to this file")
 		useCache = flag.Bool("cache", cache.EnvEnabled(), "memoize CAD stage results (content-addressed; default $JPG_CACHE/$JPG_CACHE_DIR)")
 		cacheDir = flag.String("cache-dir", os.Getenv(cache.EnvDir), "persist the cache on disk under this directory (implies -cache)")
@@ -71,7 +69,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	opts := flow.Options{Seed: *seed, Effort: *effort, Starts: *starts, Workers: *workers}
+	opts := flow.Options{Seed: *seed, Effort: *effort}
 
 	var a *flow.Artifacts
 	switch {

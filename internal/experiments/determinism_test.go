@@ -120,17 +120,6 @@ func TestE1DeterministicWithTracing(t *testing.T) {
 	}
 }
 
-// TestE1MultiStartDeterministicAcrossWorkers repeats the E1 worker-count
-// invariance with multi-start placement turned on: the extra fan-out (starts
-// within each CAD run, runs within the farm) must still collapse to one
-// result for any pool width.
-func TestE1MultiStartDeterministicAcrossWorkers(t *testing.T) {
-	compareAcrossWorkers(t, "E1 starts=3", func(ctx context.Context, cfg Config) (*Table, error) {
-		cfg.Starts = 3
-		return E1(ctx, cfg)
-	})
-}
-
 func TestE4DeterministicAcrossWorkers(t *testing.T) {
 	compareAcrossWorkers(t, "E4", E4)
 }

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/designs"
-	"repro/internal/device"
 	"repro/internal/flow"
 	"repro/internal/parallel"
 )
@@ -62,7 +61,7 @@ func E1(ctx context.Context, cfg Config) (*Table, error) {
 	if cfg.Quick {
 		scenario = quickScenario()
 	}
-	part, err := device.ByName(cfg.Part)
+	part, err := cfg.cadPart()
 	if err != nil {
 		return nil, err
 	}

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/designs"
-	"repro/internal/device"
 	"repro/internal/flow"
 	"repro/internal/netlist"
 )
@@ -71,7 +70,7 @@ func E10(ctx context.Context, cfg Config) (*Table, error) {
 // EditStorm runs E10 and also returns its machine-readable stats.
 func EditStorm(ctx context.Context, cfg Config) (*Table, *EditStormStats, error) {
 	cfg = cfg.withDefaults()
-	part, err := device.ByName(cfg.Part)
+	part, err := cfg.cadPart()
 	if err != nil {
 		return nil, nil, err
 	}

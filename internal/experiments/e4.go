@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/designs"
-	"repro/internal/device"
 	"repro/internal/flow"
 	"repro/internal/parallel"
 )
@@ -16,7 +15,7 @@ import (
 // because place-and-route cost grows superlinearly with design size.
 func E4(ctx context.Context, cfg Config) (*Table, error) {
 	cfg = cfg.withDefaults()
-	part, err := device.ByName(cfg.Part)
+	part, err := cfg.cadPart()
 	if err != nil {
 		return nil, err
 	}

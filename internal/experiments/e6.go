@@ -19,7 +19,7 @@ import (
 // tools each need a complete re-implementation of the full design first.
 func E6(ctx context.Context, cfg Config) (*Table, error) {
 	cfg = cfg.withDefaults()
-	part, err := device.ByName(cfg.Part)
+	part, err := cfg.cadPart()
 	if err != nil {
 		return nil, err
 	}

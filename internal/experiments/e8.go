@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/designs"
-	"repro/internal/device"
 	"repro/internal/flow"
 	"repro/internal/parallel"
 	"repro/internal/timing"
@@ -18,7 +17,7 @@ import (
 // wirelength and achievable clock frequency.
 func E8(ctx context.Context, cfg Config) (*Table, error) {
 	cfg = cfg.withDefaults()
-	part, err := device.ByName(cfg.Part)
+	part, err := cfg.cadPart()
 	if err != nil {
 		return nil, err
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/designs"
-	"repro/internal/device"
 	"repro/internal/flow"
 )
 
@@ -15,7 +14,7 @@ import (
 // time and placement stability.
 func E9(ctx context.Context, cfg Config) (*Table, error) {
 	cfg = cfg.withDefaults()
-	part, err := device.ByName(cfg.Part)
+	part, err := cfg.cadPart()
 	if err != nil {
 		return nil, err
 	}
@@ -40,7 +39,6 @@ func E9(ctx context.Context, cfg Config) (*Table, error) {
 		{Prefix: "u1/", Gen: revised, Opts: cfg.flowOpts(cfg.Seed + 2)},
 		{Prefix: "u1/", Gen: revised, Opts: flow.Options{
 			Seed: cfg.Seed + 3, Effort: 0.05, Guide: flow.GuideFrom(original),
-			Workers: cfg.Workers,
 		}},
 	}, cfg.pool()...)
 	if err != nil {

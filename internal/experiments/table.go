@@ -114,11 +114,6 @@ type Config struct {
 	// $JPG_WORKERS), 1 forces strictly serial execution. Results are
 	// byte-identical for any value — only wall-clock changes.
 	Workers int
-	// Starts runs every placement as this many independently seeded
-	// multi-start anneals, keeping the best (see flow.Options.Starts).
-	// Unlike Workers it changes which placement wins, so results depend on
-	// it — but not on how many workers ran the starts. <= 0 means 1.
-	Starts int
 	// Verify runs the independent bitstream verifier (internal/bitlint)
 	// over every full and partial bitstream the experiments emit, failing
 	// the run on any error finding. Execution-only: results are
@@ -172,10 +167,10 @@ func (c Config) pool() []parallel.Option {
 }
 
 // flowOpts renders the config as flow options for one CAD run with the given
-// seed — the single point where experiment knobs (multi-start width, pool
-// width) reach the flow layer. Effort stays 0, which the placer reads as 1.0.
+// seed — the single point where experiment knobs reach the flow layer.
+// Effort stays 0, which the placer reads as 1.0.
 func (c Config) flowOpts(seed int64) flow.Options {
-	return flow.Options{Seed: seed, Starts: c.Starts, Workers: c.Workers, Verify: c.Verify}
+	return flow.Options{Seed: seed, Verify: c.Verify}
 }
 
 // genOpts stamps the config's verification knob onto partial-generation
@@ -191,6 +186,18 @@ func (c Config) flowOptsEffort(seed int64, effort float64) flow.Options {
 	o := c.flowOpts(seed)
 	o.Effort = effort
 	return o
+}
+
+// cadPart resolves the config's part for an experiment that times CAD runs
+// and builds the part's routing graph first. The graph is built once per
+// process, on first use; built here, its cost lands in no table cell.
+func (c Config) cadPart() (*device.Part, error) {
+	p, err := device.ByName(c.Part)
+	if err != nil {
+		return nil, err
+	}
+	device.NewGraph(p)
+	return p, nil
 }
 
 func (c Config) withDefaults() Config {

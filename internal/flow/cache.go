@@ -33,23 +33,17 @@ import (
 
 // Fingerprint returns a stable content hash of the options, for use as a
 // CAD cache key component. Effort is normalised the way the placer
-// normalises it (<= 0 means 1.0), Starts the way the multi-start placer
-// normalises it (<= 0 means 1), and the guide map is hashed in sorted order
-// since its iteration order is irrelevant to placement. Workers is
-// deliberately absent: it changes scheduling, never results.
+// normalises it (<= 0 means 1.0), and the guide map is hashed in sorted
+// order since its iteration order is irrelevant to placement. Workers and
+// Verify are deliberately absent: they never change results.
 func (o Options) Fingerprint() string {
-	h := cache.NewHasher("flow.options/v2")
+	h := cache.NewHasher("flow.options/v3")
 	h.Int("seed", o.Seed)
 	effort := o.Effort
 	if effort <= 0 {
 		effort = 1.0
 	}
 	h.Float("effort", effort)
-	starts := o.Starts
-	if starts <= 0 {
-		starts = 1
-	}
-	h.Int("starts", int64(starts))
 	h.Int("guide", int64(len(o.Guide)))
 	names := make([]string, 0, len(o.Guide))
 	for name := range o.Guide {
@@ -65,7 +59,7 @@ func (o Options) Fingerprint() string {
 // PlaceKey is the cache key of the placement stage: part + netlist content
 // + constraints + options. Exported for the key-stability golden test.
 func PlaceKey(p *device.Part, nl *netlist.Design, cons *ucf.Constraints, opts Options) cache.Key {
-	h := cache.NewHasher("flow.place/v1")
+	h := cache.NewHasher("flow.place/v2")
 	h.Str("part", p.Name)
 	h.Str("netlist", nl.Fingerprint())
 	h.Str("ucf", cons.Fingerprint())

@@ -86,10 +86,10 @@ func TestStageKeysGolden(t *testing.T) {
 	kXDL := XDLKey(kRoute)
 
 	want := map[string]string{
-		"place":  "4fcbc885080650edbd519d3230526901d28e1936a8e497442ee17f52f88af4b0",
-		"route":  "8b7428309226bc9d82cd614a1ab08ef064002f716dc4f32fd88723073dd42b6e",
-		"bitgen": "f5ae00bc1f8c89793339a4dccb76d7810f50754974d34e55ab443e2204459886",
-		"xdl":    "087dddd7600142827762d10955de2263cd7cca29007cba964b92ad9e1df62233",
+		"place":  "b89aec49f37ac320c077ca9df1c2fe9b3c755e990ff7edd3ae3ae730c05e3a62",
+		"route":  "a273320c0f80fafc83edfe3658f0e855f1cc27c84e7ee440a82c134dfbf49b15",
+		"bitgen": "bfea2a53172315ab7fc5a3073e890eba7a641e05e98c261bb276e51f6106b7f0",
+		"xdl":    "7d004aac1dc23dd8c2fcfa0053255db88194042048c70d4196087957e095521a",
 	}
 	got := map[string]string{
 		"place":  kPlace.String(),

@@ -79,20 +79,14 @@ type Options struct {
 	// place.Options.Guide); combine with a low Effort for incremental
 	// re-implementation, the role of the Xilinx flow's guide files.
 	Guide map[string]phys.Site
-	// Starts runs this many independently seeded placement starts and keeps
-	// the best (see place.Options.Starts). It changes which placement is
-	// chosen, so it is part of the flow's result identity (fingerprinted
-	// into cache keys); <= 0 means 1.
-	Starts int
-	// Workers bounds the pool the multi-start placement runs on. Execution
-	// only — never part of cache keys, never visible in results; <= 0
-	// selects parallel.DefaultWorkers().
+	// Workers is ignored (see place.Options.Workers). It remains only for
+	// callers that still set it, and is never part of cache keys.
 	Workers int
 	// Verify runs the independent bitstream verifier (internal/bitlint) over
 	// every bitstream the flow emits and fails the build on any error
-	// finding. Like Workers it is execution-only: it never changes what is
-	// built, so it is not part of cache keys — a verified build and an
-	// unverified one are byte-identical.
+	// finding. It is execution-only: it never changes what is built, so it
+	// is not part of cache keys — a verified build and an unverified one are
+	// byte-identical.
 	Verify bool
 }
 
@@ -103,8 +97,6 @@ func (o Options) placeOptions(cons *ucf.Constraints) place.Options {
 		Constraints: cons,
 		Effort:      o.Effort,
 		Guide:       o.Guide,
-		Starts:      o.Starts,
-		Workers:     o.Workers,
 	}
 }
 

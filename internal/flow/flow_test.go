@@ -299,50 +299,6 @@ func TestBuildVariantsMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestMultiStartBuildByteIdenticalAcrossWorkers pins the end-to-end
-// determinism contract of multi-start placement: a base + variant build with
-// Starts > 1 must emit byte-identical artifacts (NCD, XDL, UCF, bitstream)
-// whether the starts anneal on one worker or eight. Worker width is driven
-// through $JPG_WORKERS — the knob operators actually use.
-func TestMultiStartBuildByteIdenticalAcrossWorkers(t *testing.T) {
-	p := device.MustByName("XCV50")
-	build := func() (*BaseBuild, *Artifacts) {
-		t.Helper()
-		base, err := BuildBase(context.Background(), p, twoInstances(), Options{Seed: 5, Starts: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		va, err := BuildVariant(context.Background(), base, "u1/",
-			designs.LFSR{Bits: 6, Taps: []int{5, 2}}, Options{Seed: 6, Starts: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return base, va
-	}
-	t.Setenv(parallel.EnvWorkers, "1")
-	refBase, refVar := build()
-	for _, w := range []string{"2", "8"} {
-		t.Setenv(parallel.EnvWorkers, w)
-		b, v := build()
-		for _, d := range []struct {
-			name      string
-			got, want []byte
-		}{
-			{"base NCD", ncdOf(t, &b.Artifacts), ncdOf(t, &refBase.Artifacts)},
-			{"base XDL", []byte(b.XDL), []byte(refBase.XDL)},
-			{"base UCF", []byte(b.UCF), []byte(refBase.UCF)},
-			{"base bitstream", b.Bitstream, refBase.Bitstream},
-			{"variant NCD", ncdOf(t, v), ncdOf(t, refVar)},
-			{"variant XDL", []byte(v.XDL), []byte(refVar.XDL)},
-			{"variant bitstream", v.Bitstream, refVar.Bitstream},
-		} {
-			if !bytes.Equal(d.got, d.want) {
-				t.Fatalf("%s differs between JPG_WORKERS=1 and JPG_WORKERS=%s", d.name, w)
-			}
-		}
-	}
-}
-
 func TestBuildVariantsReportsLowestIndexError(t *testing.T) {
 	p := device.MustByName("XCV50")
 	base, err := BuildBase(context.Background(), p, twoInstances(), Options{Seed: 4})

@@ -543,13 +543,10 @@ func wrapBoard(board *xhwif.Board, d *DownloadRequest) (xhwif.HWIF, error) {
 // variant re-implements one instance (paper Phase 2) and generates its
 // partial bitstream against the freshly built base.
 type BuildRequest struct {
-	Part      string `json:"part"`
-	Instances string `json:"instances"`
-	Seed      int64  `json:"seed,omitempty"`
-	// Starts runs multi-start placement with this many independently seeded
-	// anneals (best placement wins; deterministic for any worker count).
-	Starts  int             `json:"starts,omitempty"`
-	Variant *VariantRequest `json:"variant,omitempty"`
+	Part      string          `json:"part"`
+	Instances string          `json:"instances"`
+	Seed      int64           `json:"seed,omitempty"`
+	Variant   *VariantRequest `json:"variant,omitempty"`
 }
 
 // VariantRequest names one Phase 2 re-implementation.
@@ -596,7 +593,7 @@ func (s *Server) build(ctx context.Context, body []byte) (any, error) {
 	if err != nil {
 		return nil, badRequest(err)
 	}
-	base, err := flow.BuildBase(ctx, part, insts, flow.Options{Seed: req.Seed, Starts: req.Starts})
+	base, err := flow.BuildBase(ctx, part, insts, flow.Options{Seed: req.Seed})
 	if err != nil {
 		return nil, err
 	}
@@ -613,7 +610,7 @@ func (s *Server) build(ctx context.Context, body []byte) (any, error) {
 		if err != nil {
 			return nil, badRequest(err)
 		}
-		va, err := flow.BuildVariant(ctx, base, v.Prefix, gen, flow.Options{Seed: v.Seed, Starts: req.Starts})
+		va, err := flow.BuildVariant(ctx, base, v.Prefix, gen, flow.Options{Seed: v.Seed})
 		if err != nil {
 			return nil, err
 		}

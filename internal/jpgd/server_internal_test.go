@@ -18,7 +18,7 @@ func FuzzDecodeRequest(f *testing.F) {
 		`{"base":"AAAA","xdl":"design \"d\" XCV50;","ucf":"INST \"u1/*\" AREA_GROUP = \"AG_u1\";",` +
 			`"name":"u1_lfsr","strict":true,"compress":true,"delta":true,"verify":true,` +
 			`"download":{"retries":3,"timeout_ms":50,"verify":true,"faults":"first=1,mode=error,seed=7"}}`,
-		`{"part":"XCV50","instances":"u1/=counter:bits=6;u2/=sbox:n=8,seed=3","seed":1,"starts":2,` +
+		`{"part":"XCV50","instances":"u1/=counter:bits=6;u2/=sbox:n=8,seed=3","seed":1,` +
 			`"variant":{"prefix":"u1/","gen":"lfsr:bits=6","seed":2,"strict":true,"compress":true,"delta":true}}`,
 		`{"bitstream":"qpmZZg==","base":"AAAA"}`,
 		`null`,

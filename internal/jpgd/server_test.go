@@ -642,6 +642,28 @@ func TestBuildEndpoint(t *testing.T) {
 	}
 }
 
+// TestBuildRejectsStarts pins the removal of multi-start placement from
+// /v1/build: a client that still sends "starts" gets a 400 naming the
+// field, not a silently single-start build.
+func TestBuildRejectsStarts(t *testing.T) {
+	_, ts := newTestServer(t, jpgd.Config{})
+	body := `{"part":"XCV50","instances":"u1/=counter:bits=6;u2/=sbox:n=8,seed=3","seed":1,"starts":2}`
+	resp, err := http.Post(ts.URL+"/v1/build", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var e struct {
+		Error string `json:"error"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+		t.Fatalf("error envelope not JSON: %v", err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, `"starts"`) {
+		t.Fatalf("status %d, error %q: want a 400 naming \"starts\"", resp.StatusCode, e.Error)
+	}
+}
+
 // TestIngestionHardening pins the decode-side fixes on the ingestion path:
 // descriptive 400s for empty bodies and trailing JSON, 413 (not 400, and
 // never 500) when the body trips MaxBytesReader.

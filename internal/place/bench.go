@@ -19,7 +19,8 @@ type MoveBencher struct {
 
 // NewMoveBencher prepares a placer for the netlist exactly as a real
 // annealing start would (pack, pad assignment, initial placement, cost
-// model) and exposes its move loop.
+// model) and exposes its move loop, with the whole-region move window an
+// annealing start opens with.
 func NewMoveBencher(p *device.Part, nl *netlist.Design, seed int64) (*MoveBencher, error) {
 	if err := nl.Validate(); err != nil {
 		return nil, err
@@ -29,22 +30,11 @@ func NewMoveBencher(p *device.Part, nl *netlist.Design, seed int64) (*MoveBenche
 		return nil, err
 	}
 	pl := newPlacer(p, nl, les, nil, nil, seed)
-	if err := pl.assignPads(); err != nil {
+	if err := pl.prepare(); err != nil {
 		return nil, err
 	}
-	if err := pl.regions(); err != nil {
-		return nil, err
-	}
-	if err := pl.initial(); err != nil {
-		return nil, err
-	}
-	pl.buildCostModel()
 	mb := &MoveBencher{pl: pl}
-	for i, e := range les {
-		if !e.fixed {
-			mb.movable = append(mb.movable, i)
-		}
-	}
+	mb.movable, pl.window = pl.movable()
 	return mb, nil
 }
 

@@ -1,7 +1,6 @@
 package place
 
 import (
-	"context"
 	"testing"
 
 	"repro/internal/designs"
@@ -20,8 +19,9 @@ func sboxDesign(t *testing.T, n int) *netlist.Design {
 
 // TestIncrementalCostMatchesRescan validates the incremental-HPWL
 // bookkeeping: after any number of accepted/rejected/reverted moves at any
-// temperature, the maintained total must equal a from-scratch rescan of
-// every net. HPWL is integral, so the comparison is exact.
+// temperature and move window, the maintained total must equal a
+// from-scratch rescan of every net. HPWL is integral, so the comparison is
+// exact.
 func TestIncrementalCostMatchesRescan(t *testing.T) {
 	p := device.MustByName("XCV50")
 	for _, nl := range []*netlist.Design{counterDesign(t, 8), sboxDesign(t, 16)} {
@@ -32,15 +32,19 @@ func TestIncrementalCostMatchesRescan(t *testing.T) {
 		if got, want := float64(mb.Cost()), mb.CostFromScratch(); got != want {
 			t.Fatalf("%s: initial cost %v, rescan says %v", nl.Name, got, want)
 		}
+		// The whole-region window, then the range limiter's narrowest ones.
 		// Greedy, hot, and warm phases hit different paths: pure downhill
 		// moves, Metropolis accepts of uphill moves, and reverts.
-		for _, temp := range []float64{32, 4, 0.5, 0} {
-			for i := 0; i < 2000; i++ {
-				mb.Step(temp)
-			}
-			if got, want := float64(mb.Cost()), mb.CostFromScratch(); got != want {
-				t.Fatalf("%s: after moves at temp %v cost %v, rescan says %v",
-					nl.Name, temp, got, want)
+		for _, window := range []int{mb.pl.window, 1, 2} {
+			mb.pl.window = window
+			for _, temp := range []float64{32, 4, 0.5, 0} {
+				for i := 0; i < 2000; i++ {
+					mb.Step(temp)
+				}
+				if got, want := float64(mb.Cost()), mb.CostFromScratch(); got != want {
+					t.Fatalf("%s: after moves at window %d, temp %v cost %v, rescan says %v",
+						nl.Name, window, temp, got, want)
+				}
 			}
 		}
 	}
@@ -62,78 +66,5 @@ func TestAnnealMoveZeroAlloc(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(5000, func() { mb.Step(2.0) }); allocs != 0 {
 		t.Errorf("tryMove allocates %.2f objects per move, want 0", allocs)
-	}
-}
-
-// TestMultiStartDeterministicAcrossWorkers pins multi-start placement's core
-// contract: the winning placement depends on (Seed, Starts) alone, never on
-// how many workers annealed the batch.
-func TestMultiStartDeterministicAcrossWorkers(t *testing.T) {
-	p := device.MustByName("XCV50")
-	nl := sboxDesign(t, 12)
-	ctx := context.Background()
-	ref, err := PlaceCtx(ctx, p, nl, Options{Seed: 42, Starts: 4, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 8} {
-		d, err := PlaceCtx(ctx, p, nl, Options{Seed: 42, Starts: 4, Workers: workers})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		for _, c := range nl.Cells {
-			if d.Cells[c] != ref.Cells[c] {
-				t.Fatalf("cell %q at %v with workers=%d, %v with workers=1",
-					c.Name, d.Cells[c], workers, ref.Cells[c])
-			}
-		}
-		for _, pt := range nl.Ports {
-			if d.Ports[pt] != ref.Ports[pt] {
-				t.Fatalf("port %q at %v with workers=%d, %v with workers=1",
-					pt.Name, d.Ports[pt], workers, ref.Ports[pt])
-			}
-		}
-	}
-}
-
-// TestMultiStartPicksLowestCostStart replays each start's anneal by hand and
-// checks PlaceCtx returns exactly the placement of the lowest-cost start
-// (ties to the lowest index) — the selection rule worker scheduling must
-// never perturb.
-func TestMultiStartPicksLowestCostStart(t *testing.T) {
-	p := device.MustByName("XCV50")
-	nl := sboxDesign(t, 12)
-	const seed, starts = 11, 4
-
-	bestStart, bestCost := 0, int64(0)
-	for s := 0; s < starts; s++ {
-		les, err := pack(nl, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pl := newPlacer(p, nl, les, nil, nil, startSeed(seed, s))
-		if err := pl.run(1.0); err != nil {
-			t.Fatal(err)
-		}
-		if s == 0 || pl.cost < bestCost {
-			bestStart, bestCost = s, pl.cost
-		}
-	}
-
-	got, err := PlaceCtx(context.Background(), p, nl, Options{Seed: seed, Starts: starts})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A single-start run seeded with the winner's derived seed reproduces
-	// the winning anneal exactly.
-	want, err := PlaceCtx(context.Background(), p, nl, Options{Seed: startSeed(seed, bestStart)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range nl.Cells {
-		if got.Cells[c] != want.Cells[c] {
-			t.Fatalf("cell %q: multi-start picked %v, lowest-cost start %d has %v",
-				c.Name, got.Cells[c], bestStart, want.Cells[c])
-		}
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"repro/internal/frames"
 	"repro/internal/netlist"
 	"repro/internal/obs"
-	"repro/internal/parallel"
 	"repro/internal/phys"
 	"repro/internal/ucf"
 )
@@ -29,24 +28,15 @@ type Options struct {
 	// a revised design starts from the old placement instead of randomness,
 	// so low-effort incremental runs converge to comparable quality.
 	Guide map[string]phys.Site
-	// Starts runs this many independently seeded annealing starts and keeps
-	// the lowest-cost placement (ties broken by the lowest start index).
-	// Every start derives its seed from Seed and its index alone, so the
-	// chosen placement is byte-identical for any Workers value. <= 0 means 1
-	// (plain single-start annealing, identical to Starts == 1 with the run
-	// seeded by Seed itself).
-	Starts int
-	// Workers bounds the pool multi-start annealing runs on; it changes
-	// wall-clock only, never the result. <= 0 selects
-	// parallel.DefaultWorkers().
+	// Workers is ignored: placement is one annealing start on the calling
+	// goroutine. It remains only for callers that still set it.
 	Workers int
 }
 
 // Placement metrics (always on; see internal/obs): annealing inner-loop
-// volume and the multi-start fan-out, the counters behind the paper's C3
-// "CAD time" claim at the placement stage.
+// volume, the counters behind the paper's C3 "CAD time" claim at the
+// placement stage.
 var (
-	mStarts   = obs.GetCounter("place.starts")
 	mMoves    = obs.GetCounter("place.moves_proposed")
 	mAccepted = obs.GetCounter("place.moves_accepted")
 	mRecomps  = obs.GetCounter("place.bbox_recomputes")
@@ -54,18 +44,14 @@ var (
 
 // PlaceCtx packs and places the netlist on the part, returning a physical
 // design with Cells and Ports assigned (Routes left for the router). The
-// context carries observability (one "place.start" span per annealing
-// start) and schedules the multi-start pool.
-func PlaceCtx(ctx context.Context, p *device.Part, nl *netlist.Design, opts Options) (*phys.Design, error) {
+// placement is a function of the netlist, constraints, guide, effort and
+// seed alone.
+func PlaceCtx(_ context.Context, p *device.Part, nl *netlist.Design, opts Options) (*phys.Design, error) {
 	if err := nl.Validate(); err != nil {
 		return nil, err
 	}
 	if opts.Effort <= 0 {
 		opts.Effort = 1.0
-	}
-	starts := opts.Starts
-	if starts <= 0 {
-		starts = 1
 	}
 	cons := opts.Constraints
 	if cons != nil {
@@ -77,66 +63,11 @@ func PlaceCtx(ctx context.Context, p *device.Part, nl *netlist.Design, opts Opti
 	if err != nil {
 		return nil, err
 	}
-
-	// Each start is an independent anneal driven solely by its derived seed;
-	// the packed LEs and the netlist are shared read-only. Results are
-	// collected by start index, so the winner — lowest cost, ties to the
-	// lowest index — is byte-identical no matter how many workers ran the
-	// batch (or whether it ran at all: one start short-circuits the pool).
-	runs := make([]*placer, starts)
-	runStart := func(s int) error {
-		pl := newPlacer(p, nl, les, cons, opts.Guide, startSeed(opts.Seed, s))
-		if err := pl.run(opts.Effort); err != nil {
-			return err
-		}
-		runs[s] = pl
-		return nil
+	pl := newPlacer(p, nl, les, cons, opts.Guide, opts.Seed)
+	if err := pl.run(opts.Effort); err != nil {
+		return nil, err
 	}
-	if starts == 1 {
-		if err := runStart(0); err != nil {
-			return nil, err
-		}
-	} else {
-		err := parallel.ForEachN(ctx, starts, func(ctx context.Context, s int) error {
-			_, sp := obs.Start(ctx, "place.start")
-			sp.SetInt("start", int64(s))
-			err := runStart(s)
-			if err == nil {
-				sp.SetInt("cost", runs[s].cost)
-				sp.SetInt("moves", runs[s].moves)
-			}
-			sp.EndErr(err)
-			return err
-		}, parallel.WithWorkers(opts.Workers))
-		if err != nil {
-			return nil, err
-		}
-	}
-	best := runs[0]
-	for _, pl := range runs[1:] {
-		if pl.cost < best.cost {
-			best = pl
-		}
-	}
-	return best.design()
-}
-
-// startSeed derives the seed of one annealing start. Start 0 keeps the
-// caller's seed (so Starts == 1 reproduces a plain Place run bit for bit);
-// later starts mix the index in through a splitmix64 finalizer, decorrelating
-// them from each other and from neighbouring caller seeds (callers commonly
-// use Seed, Seed+1, ...).
-func startSeed(seed int64, s int) int64 {
-	if s == 0 {
-		return seed
-	}
-	z := uint64(seed) + uint64(s)*0x9E3779B97F4A7C15
-	z ^= z >> 30
-	z *= 0xBF58476D1CE4E5B9
-	z ^= z >> 27
-	z *= 0x94D049BB133111EB
-	z ^= z >> 31
-	return int64(z)
+	return pl.design()
 }
 
 // lePin is one logic element's connection to a tracked net: the net's index
@@ -184,6 +115,9 @@ type placer struct {
 	bb      []netBB
 	cost    int64 // total HPWL over tracked nets
 
+	// window is the range limiter's radius in tiles (see propose).
+	window int
+
 	// Inner-loop counters, flushed to the obs registry once per run.
 	moves, accepted, recomputes int64
 }
@@ -200,8 +134,21 @@ func newPlacer(p *device.Part, nl *netlist.Design, les []*le, cons *ucf.Constrai
 	}
 }
 
-// run executes one complete annealing start.
+// run places the packed LEs and anneals the placement.
 func (pl *placer) run(effort float64) error {
+	if err := pl.prepare(); err != nil {
+		return err
+	}
+	pl.anneal(effort)
+	mMoves.Add(pl.moves)
+	mAccepted.Add(pl.accepted)
+	mRecomps.Add(pl.recomputes)
+	return nil
+}
+
+// prepare assigns pads, resolves regions, seeds the initial placement and
+// builds the incremental cost model: everything annealing starts from.
+func (pl *placer) prepare() error {
 	if err := pl.assignPads(); err != nil {
 		return err
 	}
@@ -212,11 +159,6 @@ func (pl *placer) run(effort float64) error {
 		return err
 	}
 	pl.buildCostModel()
-	pl.anneal(effort)
-	mStarts.Inc()
-	mMoves.Add(pl.moves)
-	mAccepted.Add(pl.accepted)
-	mRecomps.Add(pl.recomputes)
 	return nil
 }
 
@@ -634,17 +576,26 @@ func (pl *placer) totalCost() float64 {
 	return cost
 }
 
+// Annealing schedule. Each temperature proposes effort·max(movesFloor,
+// movesPerLE·N) moves over N movable LEs. The range limiter (Betz & Rose,
+// FPL 1997) scales the move window by 1 − targetAccept + a after each
+// temperature, a being that temperature's acceptance ratio, so the window
+// shrinks until about targetAccept of the proposals land; cooling is ×0.9,
+// or ×0.8 once a falls below fastCoolBelow.
+const (
+	movesFloor    = 32
+	movesPerLE    = 12
+	targetAccept  = 0.44
+	fastCoolBelow = 0.15
+)
+
 // anneal runs the simulated-annealing loop.
 func (pl *placer) anneal(effort float64) {
-	movable := make([]int, 0, len(pl.les))
-	for i, e := range pl.les {
-		if !e.fixed {
-			movable = append(movable, i)
-		}
-	}
+	movable, longest := pl.movable()
 	if len(movable) == 0 {
 		return
 	}
+	pl.window = longest
 	// Estimate the cost scale with probing moves (always reverted, so a
 	// guided starting placement survives the calibration).
 	var deltas []float64
@@ -663,12 +614,17 @@ func (pl *placer) anneal(effort float64) {
 	}
 	// Low effort means incremental refinement (e.g. guided re-placement):
 	// start nearly greedy instead of scrambling the seed at high
-	// temperature.
+	// temperature. Such a start also keeps the whole-region window: a
+	// one-tile window accepts every zero-cost local move, and those walk a
+	// guided placement away from its guide.
+	limit := true
 	if effort < 1 {
 		temp = temp*effort + 0.01
+		limit = false
 	}
-	movesPerT := int(effort * float64(max(64, 24*len(movable))))
-	for ; temp > 0.05; temp *= 0.9 {
+	movesPerT := int(effort * float64(max(movesFloor, movesPerLE*len(movable))))
+	rlim := float64(longest)
+	for temp > 0.05 {
 		accepted := 0
 		for m := 0; m < movesPerT; m++ {
 			if _, ok := pl.tryMove(movable, temp); ok {
@@ -678,6 +634,16 @@ func (pl *placer) anneal(effort float64) {
 		if accepted == 0 && temp < 1 {
 			break
 		}
+		a := float64(accepted) / float64(movesPerT)
+		if limit {
+			rlim = min(max(rlim*(1-targetAccept+a), 1), float64(longest))
+			pl.window = int(rlim)
+		}
+		if a < fastCoolBelow {
+			temp *= 0.8
+		} else {
+			temp *= 0.9
+		}
 	}
 	// Greedy clean-up pass.
 	for m := 0; m < movesPerT; m++ {
@@ -685,28 +651,49 @@ func (pl *placer) anneal(effort float64) {
 	}
 }
 
+// movable lists the LEs annealing may move, and the longest side of their
+// regions: the window radius at which every move may reach its whole region.
+func (pl *placer) movable() (movable []int, longest int) {
+	longest = 1
+	for i, e := range pl.les {
+		if !e.fixed {
+			movable = append(movable, i)
+			longest = max(longest, pl.region[i].Rows(), pl.region[i].Cols())
+		}
+	}
+	return movable, longest
+}
+
 // measureOnly makes tryMove compute and report a proposal's delta without
 // keeping it, for temperature calibration.
 const measureOnly = -1.0
+
+// propose draws a target site for LE i: a row and a column within
+// pl.window tiles of its current tile, clipped to its region, then a Slice
+// and an LE. It makes the same four draws whatever the window, so a
+// placement stays a function of the seed alone.
+func (pl *placer) propose(i int) phys.Site {
+	rg, at, w := pl.region[i], pl.siteOf[i], pl.window
+	r1, r2 := max(rg.R1, at.Row-w), min(rg.R2, at.Row+w)
+	c1, c2 := max(rg.C1, at.Col-w), min(rg.C2, at.Col+w)
+	return phys.Site{
+		Row:   r1 + pl.rng.Intn(r2-r1+1),
+		Col:   c1 + pl.rng.Intn(c2-c1+1),
+		Slice: pl.rng.Intn(2),
+		LE:    pl.rng.Intn(2),
+	}
+}
 
 // tryMove proposes one displacement or swap at temperature temp, applying it
 // per the Metropolis criterion. It returns the applied delta.
 //
 // The cost delta falls out of the incremental bounding-box update: apply the
 // move, read the maintained total, and revert on rejection. HPWL is integer
-// arithmetic throughout, so the delta is exact — identical to the historical
-// rescan of every affected net — and the RNG draw sequence is unchanged,
-// which keeps equal seeds producing equal placements across this
-// optimisation.
+// arithmetic throughout, so the delta is exact — identical to a rescan of
+// every affected net.
 func (pl *placer) tryMove(movable []int, temp float64) (float64, bool) {
 	i := movable[pl.rng.Intn(len(movable))]
-	rg := pl.region[i]
-	target := phys.Site{
-		Row:   rg.R1 + pl.rng.Intn(rg.Rows()),
-		Col:   rg.C1 + pl.rng.Intn(rg.Cols()),
-		Slice: pl.rng.Intn(2),
-		LE:    pl.rng.Intn(2),
-	}
+	target := pl.propose(i)
 	pl.moves++
 	from := pl.siteOf[i]
 	if target == from {
@@ -718,8 +705,9 @@ func (pl *placer) tryMove(movable []int, temp float64) (float64, bool) {
 		if pl.les[j].fixed {
 			return 0, false
 		}
-		// The partner must be allowed at our site and vice versa.
-		if !pl.region[j].Contains(from.Row, from.Col) || !pl.region[i].Contains(target.Row, target.Col) {
+		// The partner must be allowed at our site; the target lies in our
+		// region by construction.
+		if !pl.region[j].Contains(from.Row, from.Col) {
 			return 0, false
 		}
 		if !pl.slicePairOK(i, target, j) || !pl.slicePairOK(j, from, i) {
