@@ -1,17 +1,17 @@
 // Command jpgbench regenerates the paper's evaluation: each experiment
-// (E1..E9, see DESIGN.md) prints the table reproducing one claim from
+// (E1..E10, see DESIGN.md) prints the table reproducing one claim from
 // §2.1/§4.1/Figure 4 of the paper.
 //
 // Usage:
 //
 //	jpgbench                 # run everything at full scale, all cores
-//	jpgbench -exp e1,e5      # selected experiments; an unknown id is an
-//	                         # error (-exp none runs no table experiment)
+//	jpgbench -exp e1,e10     # selected experiments; an unknown id is an error
 //	jpgbench -quick          # shrunken sweeps (seconds instead of minutes)
 //	jpgbench -part XCV100    # device for the CAD-heavy experiments
 //	jpgbench -workers 1      # strictly serial CAD runs (results identical)
-//	jpgbench -json out.json  # also time each experiment serial vs parallel
-//	                         # and write a perf record (BENCH_parallel.json)
+//	jpgbench -json out.json  # write a perf record: each experiment's time,
+//	                         # stage breakdown, host and the metrics snapshot
+//	                         # whose work counters CI gates (BENCH_parallel.json)
 //	jpgbench -trace t.json   # write a Chrome trace (chrome://tracing) of the
 //	                         # pooled runs: per-stage spans on per-worker lanes
 //	jpgbench -metrics        # print the metrics registry snapshot after the run
@@ -26,9 +26,6 @@
 //	jpgbench -verify         # re-decode every emitted bitstream with the
 //	                         # independent verifier (internal/bitlint) and fail
 //	                         # on any error finding (results identical)
-//	jpgbench -incremental    # also run the E10 edit storm (delta-driven
-//	                         # incremental flow); with -json the edit->partial
-//	                         # stats land in the record for CI's gate
 //	jpgbench -cpuprofile f   # write a pprof CPU profile of the run
 //	jpgbench -memprofile f   # write a pprof heap profile at exit
 package main
@@ -64,6 +61,7 @@ var all = []struct {
 	{"e7", experiments.E7},
 	{"e8", experiments.E8},
 	{"e9", experiments.E9},
+	{"e10", experiments.E10},
 }
 
 // perfVersion is the schema version of the perf record. Version 3 added
@@ -76,60 +74,53 @@ var all = []struct {
 // numbers CI's stage-time regression gate compares against its committed
 // baseline.
 // Version 6 dropped requested_starts with multi-start placement.
-const perfVersion = 6
+// Version 7 times each experiment once: serial_seconds, speedup, note and
+// requested_workers are gone, parallel_seconds is now seconds, and the
+// host is stated by gomaxprocs and go_version next to num_cpu.
+const perfVersion = 7
 
-// perfRecord is the schema of the -json output: wall-clock of each selected
-// experiment run serially (Workers=1) and through the worker pool, so PRs
-// that touch the execution layer have a trajectory to compare against. The
-// record is self-describing: Version is the schema version (bumped on
-// incompatible change; see perfVersion) and Metrics snapshots the
-// process-wide registry after the pooled runs — since version 4 each
-// histogram carries derived p50/p95/p99 upper-bound estimates, so the
-// record captures tail latency, not just mean and count.
+// perfRecord is the schema of the -json output: the wall-clock of each
+// selected experiment's one run, so PRs have a trajectory to compare
+// against. The record is self-describing: Version is the schema version
+// (bumped on incompatible change; see perfVersion), the host fields say
+// where it was measured, and Metrics snapshots the process-wide registry
+// after the runs. Its work counters (moves proposed, heap pushes, bytes
+// emitted, ...) are what CI's counted-work gate compares against
+// bench/baseline.json; since version 4 each histogram carries derived
+// p50/p95/p99 upper-bound estimates.
 type perfRecord struct {
-	Version int    `json:"version"`
-	Tool    string `json:"tool"`
-	Part    string `json:"part"`
-	Seed    int64  `json:"seed"`
-	Quick   bool   `json:"quick"`
-	NumCPU  int    `json:"num_cpu"`
-	// RequestedWorkers is the raw -workers flag (0 = auto); Workers is the
-	// pool width it resolved to (all cores, or $JPG_WORKERS). Recording both
-	// makes a null speedup diagnosable: a pooled run that was accidentally
-	// serial shows requested 0 resolved to 1.
-	RequestedWorkers int              `json:"requested_workers"`
-	Workers          int              `json:"workers"`
-	Experiments      []perfExperiment `json:"experiments"`
+	Version    int    `json:"version"`
+	Tool       string `json:"tool"`
+	Part       string `json:"part"`
+	Seed       int64  `json:"seed"`
+	Quick      bool   `json:"quick"`
+	NumCPU     int    `json:"num_cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GoVersion  string `json:"go_version"`
+	// Workers is the pool width the runs used: -workers, or all cores /
+	// $JPG_WORKERS when it is 0.
+	Workers     int              `json:"workers"`
+	Experiments []perfExperiment `json:"experiments"`
 	// Cache summarises the build cache after the runs (nil when -cache is
 	// off): bounds, per-stage hits/misses and hit rates.
-	Cache *cacheRecord `json:"cache,omitempty"`
-	// Incremental carries the E10 edit-storm stats (-incremental), the
-	// record CI's regression gate compares against its committed baseline.
-	Incremental *experiments.EditStormStats `json:"incremental,omitempty"`
-	Metrics     obs.Snapshot                `json:"metrics"`
+	Cache   *cacheRecord `json:"cache,omitempty"`
+	Metrics obs.Snapshot `json:"metrics"`
 }
 
 type perfExperiment struct {
-	ID            string  `json:"id"`
-	SerialSeconds float64 `json:"serial_seconds"`
-	// ParallelSeconds times the pooled run with a cold cache (or no cache).
-	ParallelSeconds float64 `json:"parallel_seconds"`
-	// Speedup is serial/parallel; null when no parallelism is possible
-	// (workers <= 1 or a single-CPU host), where the "parallel" run is just
-	// a second serial run and the ratio would be measurement noise.
-	Speedup *float64 `json:"speedup"`
-	// WarmSeconds/WarmSpeedup time a cache-warm rerun of the pooled
+	ID string `json:"id"`
+	// Seconds times the run with a cold cache (or no cache).
+	Seconds float64 `json:"seconds"`
+	// WarmSeconds/WarmSpeedup time a cache-warm rerun of the same
 	// configuration (only with -cache); WarmSpeedup is cold/warm.
 	WarmSeconds *float64 `json:"warm_seconds,omitempty"`
 	WarmSpeedup *float64 `json:"warm_speedup,omitempty"`
-	// Stages breaks the pooled run down by CAD stage: seconds spent inside
-	// map, place, route and bitgen summed over every CAD run of the
-	// experiment (all workers), and each stage's fraction of that total.
-	// Fractions are wall-clock-independent-ish — a stage whose share grows
-	// got slower relative to the others — which is what CI's stage-time
-	// regression gate compares against the committed baseline.
+	// Stages breaks the run down by CAD stage: seconds spent inside map,
+	// place, route and bitgen summed over every CAD run of the experiment
+	// (all workers), and each stage's fraction of that total. A stage whose
+	// share grows got slower relative to the others, which is what CI's
+	// stage-time regression gate compares against the committed baseline.
 	Stages map[string]stageSeconds `json:"stages,omitempty"`
-	Note   string                  `json:"note,omitempty"`
 }
 
 // stageSeconds is one CAD stage's share of an experiment's pooled run.
@@ -158,7 +149,7 @@ func stageSums() map[string]int64 {
 }
 
 // stageBreakdown converts before/after histogram sums into the per-stage
-// seconds and fractions of one pooled run (nil if no stage ran).
+// seconds and fractions of one run (nil if no stage ran).
 func stageBreakdown(before, after map[string]int64) map[string]stageSeconds {
 	var total float64
 	for _, s := range cadStages {
@@ -208,11 +199,10 @@ func newCacheRecord(c *cache.Cache) *cacheRecord {
 
 func main() { os.Exit(run(os.Args[1:])) }
 
-// selectExperiments parses -exp: ids from the experiment table, "all", or
-// "none" (no table experiment, e.g. to run only the -incremental edit
-// storm). An unknown id is an error that names the valid ones.
+// selectExperiments parses -exp: ids from the experiment table, or "all".
+// An unknown id is an error that names the valid ones.
 func selectExperiments(list string) (map[string]bool, error) {
-	valid := map[string]bool{"all": true, "none": true}
+	valid := map[string]bool{"all": true}
 	ids := make([]string, 0, len(all))
 	for _, exp := range all {
 		valid[exp.id] = true
@@ -222,7 +212,7 @@ func selectExperiments(list string) (map[string]bool, error) {
 	for _, e := range strings.Split(list, ",") {
 		id := strings.TrimSpace(strings.ToLower(e))
 		if !valid[id] {
-			return nil, fmt.Errorf("jpgbench: unknown experiment %q in -exp; valid ids: %s, all, none (E10 runs with -incremental)",
+			return nil, fmt.Errorf("jpgbench: unknown experiment %q in -exp; valid ids: %s, all",
 				id, strings.Join(ids, ", "))
 		}
 		want[id] = true
@@ -235,20 +225,19 @@ func selectExperiments(list string) (map[string]bool, error) {
 func run(args []string) int {
 	fs := flag.NewFlagSet("jpgbench", flag.ExitOnError)
 	var (
-		expList  = fs.String("exp", "all", "comma-separated experiments (e1..e9), 'all' or 'none'")
+		expList  = fs.String("exp", "all", "comma-separated experiments (e1..e10) or 'all'")
 		quick    = fs.Bool("quick", false, "shrink sweeps for a fast run")
 		part     = fs.String("part", "XCV50", "device for CAD-heavy experiments")
 		seed     = fs.Int64("seed", 1, "random seed")
 		workers  = fs.Int("workers", 0, "worker pool width for independent CAD runs (0 = all cores, or $JPG_WORKERS)")
-		jsonPath = fs.String("json", "", "write a serial-vs-parallel perf record to this file")
-		tracePth = fs.String("trace", "", "write a Chrome trace (chrome://tracing / Perfetto) of the pooled runs to this file")
+		jsonPath = fs.String("json", "", "write a perf record (times, stage breakdown, host, metrics) to this file")
+		tracePth = fs.String("trace", "", "write a Chrome trace (chrome://tracing / Perfetto) of the runs to this file")
 		metrics  = fs.Bool("metrics", false, "print the metrics registry snapshot and per-stage span summary after the run")
 		useCache = fs.Bool("cache", cache.EnvEnabled(), "memoize CAD stage results (content-addressed; default $JPG_CACHE/$JPG_CACHE_DIR)")
 		cacheDir = fs.String("cache-dir", os.Getenv(cache.EnvDir), "persist the cache on disk under this directory (implies -cache)")
 		faultStr = fs.String("faults", os.Getenv(faults.Env), "inject deterministic download faults into every experiment board (e.g. \"nth=2,mode=error,seed=7\"; default $JPG_FAULTS)")
 		retries  = fs.Int("retries", 0, "max download attempts per board download (0 = xhwif default; the reliability layer is on whenever -faults/-retries/-download-timeout is set)")
 		dlTmout  = fs.Duration("download-timeout", 0, "deadline for one board download including retries")
-		incr     = fs.Bool("incremental", false, "also run the E10 edit storm (delta-driven incremental flow)")
 		verify   = fs.Bool("verify", false, "independently verify every emitted bitstream (internal/bitlint); results identical, runs fail on any error finding")
 		cpuProf  = fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProf  = fs.String("memprofile", "", "write a pprof heap profile to this file at exit")
@@ -299,9 +288,8 @@ func run(args []string) int {
 		Verify: *verify,
 		Faults: *faultStr, Retries: *retries, DownloadTimeout: *dlTmout,
 	}
-	// The pooled runs' context carries the cache and the collector; the
-	// serial -json reruns get context.Background(), so they stay out of the
-	// trace and the cache. Results are byte-identical either way.
+	// The runs' context carries the cache and the collector; neither
+	// changes a result.
 	ctx := context.Background()
 	var bcache *cache.Cache
 	if *useCache || *cacheDir != "" {
@@ -316,7 +304,8 @@ func run(args []string) int {
 
 	record := perfRecord{
 		Tool: "jpgbench", Part: *part, Seed: *seed, Quick: *quick,
-		NumCPU: runtime.NumCPU(), RequestedWorkers: *workers, Workers: *workers,
+		NumCPU: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0),
+		GoVersion: runtime.Version(), Workers: *workers,
 	}
 	if record.Workers == 0 {
 		record.Workers = parallel.DefaultWorkers()
@@ -325,22 +314,6 @@ func run(args []string) int {
 	for _, exp := range all {
 		if !want["all"] && !want[exp.id] {
 			continue
-		}
-		// With -json, time a strictly serial run first; results are
-		// byte-identical (only wall-clock changes), so only the pooled
-		// run's table is printed. The serial rerun is uncached so it stays
-		// a true baseline.
-		var serial time.Duration
-		if *jsonPath != "" {
-			serialCfg := cfg
-			serialCfg.Workers = 1
-			t0 := time.Now()
-			if _, err := exp.run(context.Background(), serialCfg); err != nil {
-				fmt.Fprintf(os.Stderr, "%s (serial): %v\n", exp.id, err)
-				failed = true
-				continue
-			}
-			serial = time.Since(t0)
 		}
 		stagesBefore := stageSums()
 		t0 := time.Now()
@@ -361,22 +334,12 @@ func run(args []string) int {
 		}
 		if *jsonPath != "" {
 			pe := perfExperiment{
-				ID:              exp.id,
-				SerialSeconds:   serial.Seconds(),
-				ParallelSeconds: elapsed.Seconds(),
-				Stages:          stageBreakdown(stagesBefore, stagesAfter),
-			}
-			switch {
-			case record.Workers <= 1:
-				pe.Note = "workers <= 1: the pooled run is a second serial run, speedup would be noise"
-			case record.NumCPU <= 1:
-				pe.Note = "single-CPU host: no parallel speedup is possible"
-			default:
-				s := serial.Seconds() / elapsed.Seconds()
-				pe.Speedup = &s
+				ID:      exp.id,
+				Seconds: elapsed.Seconds(),
+				Stages:  stageBreakdown(stagesBefore, stagesAfter),
 			}
 			// With the cache populated by the run above, time a warm rerun
-			// of the same pooled configuration.
+			// of the same configuration.
 			if bcache != nil {
 				t0 = time.Now()
 				if _, err := exp.run(ctx, cfg); err != nil {
@@ -390,23 +353,6 @@ func run(args []string) int {
 				pe.WarmSpeedup = &ratio
 			}
 			record.Experiments = append(record.Experiments, pe)
-		}
-	}
-	if *incr {
-		t0 := time.Now()
-		tab, stats, err := experiments.EditStorm(ctx, cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "e10: %v\n", err)
-			failed = true
-		} else {
-			fmt.Print(tab.Render())
-			fmt.Printf("(E10 ran in %v)\n\n", time.Since(t0).Round(time.Millisecond))
-			for _, n := range tab.Notes {
-				if strings.Contains(n, "VERDICT: FAIL") {
-					failed = true
-				}
-			}
-			record.Incremental = stats
 		}
 	}
 	if *faultStr != "" {
@@ -459,11 +405,7 @@ func run(args []string) int {
 			return 1
 		}
 		for _, e := range record.Experiments {
-			line := fmt.Sprintf("perf %s: serial %.3fs, %d workers %.3fs",
-				e.ID, e.SerialSeconds, record.Workers, e.ParallelSeconds)
-			if e.Speedup != nil {
-				line += fmt.Sprintf(" (%.2fx)", *e.Speedup)
-			}
+			line := fmt.Sprintf("perf %s: %d workers %.3fs", e.ID, record.Workers, e.Seconds)
 			if e.WarmSeconds != nil {
 				line += fmt.Sprintf(", warm %.3fs (%.2fx vs cold)", *e.WarmSeconds, *e.WarmSpeedup)
 			}

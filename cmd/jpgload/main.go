@@ -29,6 +29,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -109,9 +110,12 @@ func run() error {
 	}
 
 	rep := report{
-		Schema:   "jpgload/v1",
-		Quick:    *quick,
-		Workload: "/v1/build XCV50 counter+lfsr",
+		Schema:     "jpgload/v1",
+		Quick:      *quick,
+		NumCPU:     runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		GoVersion:  runtime.Version(),
+		Workload:   "/v1/build XCV50 counter+lfsr",
 		Config: reportConfig{
 			DurationS: cfg.duration.Seconds(),
 			Conns:     cfg.conns,
@@ -431,9 +435,14 @@ type reportConfig struct {
 	HotSet    int     `json:"hot_set"`
 }
 
+// report is the -json record. The host fields say where the load generator
+// ran; with no -addr the daemons it drives run in the same process.
 type report struct {
 	Schema        string       `json:"schema"`
 	Quick         bool         `json:"quick"`
+	NumCPU        int          `json:"num_cpu"`
+	GOMAXPROCS    int          `json:"gomaxprocs"`
+	GoVersion     string       `json:"go_version"`
 	Workload      string       `json:"workload"`
 	Config        reportConfig `json:"config"`
 	Target        runStats     `json:"target"`

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"repro/internal/bitlint"
 	"repro/internal/device"
@@ -15,17 +16,24 @@ import (
 // against what the generation claims. This is the decode-side counterpart of
 // VerifyRegion's readback check — no board required.
 
-var mVerifyRuns = obs.GetCounter("core.verify_runs")
+var (
+	mVerifyRuns = obs.GetCounter("core.verify_runs")
+	// mVerifyNS is the verify-time histogram flow's verification observes
+	// too: one layer, whichever package ran the check.
+	mVerifyNS = obs.GetHistogram("verify_ns")
+)
 
 // verifyResult lints a generated partial against the project's base
 // configuration and the result's declared frame set.
 func (p *Project) verifyResult(ctx context.Context, m *Module, res *Result) error {
+	t0 := time.Now()
 	_, sp := obs.Start(ctx, "core.verify")
 	sp.SetStr("module", m.Name)
 	rep, err := bitlint.VerifyPartial(p.Base, res.Bitstream)
 	if err == nil {
 		err = p.checkDeclaredFrames(rep, res)
 	}
+	mVerifyNS.Observe(time.Since(t0).Nanoseconds())
 	if rep != nil {
 		sp.SetInt("findings", int64(len(rep.Findings)))
 		sp.SetInt("frames", int64(rep.FramesWritten))

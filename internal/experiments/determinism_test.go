@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"regexp"
 	"runtime"
 	"strings"
@@ -75,15 +76,40 @@ func wideWorkers() int {
 	return 4
 }
 
-func compareAcrossWorkers(t *testing.T, name string, run func(context.Context, Config) (*Table, error)) {
+// gatedCounters are the work counters CI's counted-work gate compares
+// against bench/baseline.json. The gate rests on each being a function of
+// the configuration alone, whatever the worker count or the scheduler did.
+var gatedCounters = []string{
+	"place.moves_proposed", "route.heap_pushes", "route.searches",
+	"bitstream.bytes_emitted", "core.frames_carried", "flow.incremental_rebuilds",
+}
+
+// countWork runs an experiment and returns its table and how far each gated
+// counter moved during the run.
+func countWork(run func(context.Context, Config) (*Table, error), cfg Config) (*Table, map[string]int64, error) {
+	before := make(map[string]int64, len(gatedCounters))
+	for _, name := range gatedCounters {
+		before[name] = obs.GetCounter(name).Value()
+	}
+	tab, err := run(context.Background(), cfg)
+	work := make(map[string]int64, len(gatedCounters))
+	for _, name := range gatedCounters {
+		work[name] = obs.GetCounter(name).Value() - before[name]
+	}
+	return tab, work, err
+}
+
+// compareAcrossWorkers runs an experiment with Workers=1 and wide, requires
+// the same masked table, and returns each run's counted work.
+func compareAcrossWorkers(t *testing.T, name string, run func(context.Context, Config) (*Table, error)) (serialWork, wideWork map[string]int64) {
 	t.Helper()
 	serialCfg := Config{Quick: true, Seed: 3, Workers: 1}
 	wideCfg := Config{Quick: true, Seed: 3, Workers: wideWorkers()}
-	serial, err := run(context.Background(), serialCfg)
+	serial, serialWork, err := countWork(run, serialCfg)
 	if err != nil {
 		t.Fatalf("%s workers=1: %v", name, err)
 	}
-	wide, err := run(context.Background(), wideCfg)
+	wide, wideWork, err := countWork(run, wideCfg)
 	if err != nil {
 		t.Fatalf("%s workers=%d: %v", name, wideCfg.Workers, err)
 	}
@@ -92,10 +118,24 @@ func compareAcrossWorkers(t *testing.T, name string, run func(context.Context, C
 		t.Fatalf("%s table differs between Workers=1 and Workers=%d:\n--- serial ---\n%s\n--- wide ---\n%s",
 			name, wideCfg.Workers, a, b)
 	}
+	return serialWork, wideWork
+}
+
+// requireSameWork fails unless two runs counted the same work, and that work
+// includes placement and routing (a renamed counter would read 0 in both).
+func requireSameWork(t *testing.T, name string, a, b map[string]int64) {
+	t.Helper()
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("%s counted work differs between runs:\n%v\n%v", name, a, b)
+	}
+	if a["place.moves_proposed"] == 0 || a["route.heap_pushes"] == 0 {
+		t.Fatalf("%s counted no placement or routing work: %v", name, a)
+	}
 }
 
 func TestE1DeterministicAcrossWorkers(t *testing.T) {
-	compareAcrossWorkers(t, "E1", E1)
+	serial, wide := compareAcrossWorkers(t, "E1", E1)
+	requireSameWork(t, "E1", serial, wide)
 }
 
 // TestE1DeterministicWithTracing pins the observability layer's
@@ -121,7 +161,35 @@ func TestE1DeterministicWithTracing(t *testing.T) {
 }
 
 func TestE4DeterministicAcrossWorkers(t *testing.T) {
-	compareAcrossWorkers(t, "E4", E4)
+	serial, wide := compareAcrossWorkers(t, "E4", E4)
+	requireSameWork(t, "E4", serial, wide)
+}
+
+// TestE10CountedWorkRepeats runs the quick edit storm twice: its counted
+// work must not move between runs, every gated counter apart from the
+// rebuild count must register work, and no INIT-only edit may rebuild.
+func TestE10CountedWorkRepeats(t *testing.T) {
+	if testing.Short() {
+		t.Skip("E10 runs CAD builds")
+	}
+	cfg := Config{Quick: true, Seed: 3}
+	var work [2]map[string]int64
+	for i := range work {
+		var err error
+		if _, work[i], err = countWork(E10, cfg); err != nil {
+			t.Fatalf("E10 run %d: %v", i+1, err)
+		}
+	}
+	requireSameWork(t, "E10", work[0], work[1])
+	for name, n := range work[0] {
+		if name == "flow.incremental_rebuilds" {
+			if n != 0 {
+				t.Errorf("E10 rebuilt %d times", n)
+			}
+		} else if n == 0 {
+			t.Errorf("E10 counted no %s", name)
+		}
+	}
 }
 
 func TestMaskTimings(t *testing.T) {

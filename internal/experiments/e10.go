@@ -11,6 +11,7 @@ import (
 	"repro/internal/designs"
 	"repro/internal/flow"
 	"repro/internal/netlist"
+	"repro/internal/obs"
 )
 
 // initEditGen wraps a generator and applies INIT edits after building, so the
@@ -34,45 +35,19 @@ func (g initEditGen) Build(d *netlist.Design, prefix string, clk *netlist.Net,
 	return outs, nil
 }
 
-// EditStormStats is the machine-readable outcome of the E10 edit storm,
-// consumed by jpgbench's JSON output and CI's regression gate.
-type EditStormStats struct {
-	Edits int `json:"edits"`
-	// ColdPerEditSec and IncrPerEditSec are the mean edit->partial latencies
-	// of the conventional re-run and the incremental engine.
-	ColdPerEditSec float64 `json:"cold_per_edit_sec"`
-	IncrPerEditSec float64 `json:"incr_per_edit_sec"`
-	Speedup        float64 `json:"speedup"`
-	// ByteIdentical reports whether every incremental partial matched its
-	// from-scratch reference byte for byte.
-	ByteIdentical bool `json:"byte_identical"`
-	// Splices and Reuses count how edits were absorbed ("reuse" when the
-	// random edits happened to be no-ops); Rebuilds must stay zero for an
-	// INIT-only storm.
-	Splices  int `json:"splices"`
-	Reuses   int `json:"reuses"`
-	Rebuilds int `json:"rebuilds"`
-	// DeltaFrames sums the dirty frames the incremental engine reported —
-	// the configuration state the storm actually touched.
-	DeltaFrames int `json:"delta_frames"`
-}
-
 // E10 measures the delta-driven incremental flow (§2.1's small-change case,
 // taken to its limit): a storm of LUT/FF INIT edits inside one region,
 // comparing edit->partial latency of a full conventional re-run per edit
 // against the incremental engine's diff+splice, with byte-identity checked
-// against the from-scratch build after every edit.
+// against the from-scratch build after every edit. With cfg.Verify both
+// paths also run bitlint over what they emit; that time is read off the
+// verify-time histogram and left out of each path's timer, so the verdict
+// compares edit->partial work only, and a note reports it per edit.
 func E10(ctx context.Context, cfg Config) (*Table, error) {
-	t, _, err := EditStorm(ctx, cfg)
-	return t, err
-}
-
-// EditStorm runs E10 and also returns its machine-readable stats.
-func EditStorm(ctx context.Context, cfg Config) (*Table, *EditStormStats, error) {
 	cfg = cfg.withDefaults()
 	part, err := cfg.cadPart()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	nBank, edits := 8, 24
 	if cfg.Quick {
@@ -84,23 +59,23 @@ func EditStorm(ctx context.Context, cfg Config) (*Table, *EditStormStats, error)
 		{Prefix: "u2/", Gen: designs.SBoxBank{N: nBank, Seed: 3}},
 	}, cfg.flowOpts(cfg.Seed))
 	if err != nil {
-		return nil, nil, fmt.Errorf("E10 base: %w", err)
+		return nil, fmt.Errorf("E10 base: %w", err)
 	}
 	gen := designs.SBoxBank{N: nBank, Seed: 9}
 	vopts := cfg.flowOpts(cfg.Seed + 1)
 	variant, err := flow.BuildVariant(ctx, base, "u2/", gen, vopts)
 	if err != nil {
-		return nil, nil, fmt.Errorf("E10 variant: %w", err)
+		return nil, fmt.Errorf("E10 variant: %w", err)
 	}
 
 	// Incremental side: one project + edit session, kept alive for the storm.
 	proj, err := core.NewProject(base.Bitstream)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	sess, err := flow.NewVariantEditSession(variant, base.Regions["u2/"], vopts)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	loop := core.NewEditLoop(proj, sess, "u2_storm", cfg.genOpts(core.GenerateOptions{}))
 
@@ -109,14 +84,16 @@ func EditStorm(ctx context.Context, cfg Config) (*Table, *EditStormStats, error)
 	// existed.
 	coldProj, err := core.NewProject(base.Bitstream)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
 	rng := rand.New(rand.NewSource(cfg.Seed + 100))
 	cur := variant.Netlist
 	cum := map[string]uint16{}
-	stats := &EditStormStats{Edits: edits, ByteIdentical: true}
-	var coldTotal, incrTotal time.Duration
+	identical := true
+	var splices, reuses, rebuilds, deltaFrames int
+	verifyNS := obs.GetHistogram("verify_ns")
+	var coldTotal, incrTotal, coldVerify, incrVerify time.Duration
 	for i := 0; i < edits; i++ {
 		next := cur.Clone()
 		for j, n := 0, 1+rng.Intn(3); j < n; j++ {
@@ -130,53 +107,56 @@ func EditStorm(ctx context.Context, cfg Config) (*Table, *EditStormStats, error)
 				init = uint16(rng.Intn(1 << 16))
 			}
 			if err := next.SetInit(name, init); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			cum[name] = init
 		}
 
-		t0 := time.Now()
+		v0, t0 := verifyNS.Sum(), time.Now()
 		res, err := loop.Edit(ctx, next)
 		if err != nil {
-			return nil, nil, fmt.Errorf("E10 edit %d: %w", i, err)
+			return nil, fmt.Errorf("E10 edit %d: %w", i, err)
 		}
-		incrTotal += time.Since(t0)
+		v := time.Duration(verifyNS.Sum() - v0)
+		incrTotal += time.Since(t0) - v
+		incrVerify += v
 		switch res.Incremental.Stats.Path {
 		case "splice":
-			stats.Splices++
+			splices++
 		case "reuse":
-			stats.Reuses++
+			reuses++
 		default:
-			stats.Rebuilds++
+			rebuilds++
 		}
-		stats.DeltaFrames += res.Incremental.Stats.DirtyFrames
+		deltaFrames += res.Incremental.Stats.DirtyFrames
 
-		t0 = time.Now()
+		v0, t0 = verifyNS.Sum(), time.Now()
 		cold, err := flow.BuildVariant(ctx, base, "u2/", initEditGen{gen, cum}, vopts)
 		if err != nil {
-			return nil, nil, fmt.Errorf("E10 cold build %d: %w", i, err)
+			return nil, fmt.Errorf("E10 cold build %d: %w", i, err)
 		}
 		coldMod, err := coldProj.AddModule(fmt.Sprintf("u2_cold@%d", i), cold.XDL, cold.UCF)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		coldRes, err := coldProj.GeneratePartialCtx(ctx, coldMod, cfg.genOpts(core.GenerateOptions{}))
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		coldTotal += time.Since(t0)
+		v = time.Duration(verifyNS.Sum() - v0)
+		coldTotal += time.Since(t0) - v
+		coldVerify += v
 
 		if !bytes.Equal(res.Partial.Bitstream, coldRes.Bitstream) ||
 			!bytes.Equal(res.Incremental.Artifacts.Bitstream, cold.Bitstream) {
-			stats.ByteIdentical = false
+			identical = false
 		}
 		cur = next
 	}
 
-	stats.ColdPerEditSec = coldTotal.Seconds() / float64(edits)
-	stats.IncrPerEditSec = incrTotal.Seconds() / float64(edits)
+	var speedup float64
 	if incrTotal > 0 {
-		stats.Speedup = float64(coldTotal) / float64(incrTotal)
+		speedup = float64(coldTotal) / float64(incrTotal)
 	}
 
 	t := &Table{
@@ -191,19 +171,24 @@ func EditStorm(ctx context.Context, cfg Config) (*Table, *EditStormStats, error)
 		(coldTotal / time.Duration(edits)).Round(time.Microsecond).String(), "-")
 	t.AddRow("incremental splice", edits, incrTotal.Round(time.Millisecond).String(),
 		(incrTotal / time.Duration(edits)).Round(time.Microsecond).String(),
-		fmt.Sprint(stats.ByteIdentical))
+		fmt.Sprint(identical))
 
 	t.Note("edit->partial speedup = %.1fx (%d spliced / %d reused / %d rebuilt of %d edits, %d dirty frames total)",
-		stats.Speedup, stats.Splices, stats.Reuses, stats.Rebuilds, edits, stats.DeltaFrames)
+		speedup, splices, reuses, rebuilds, edits, deltaFrames)
+	if cfg.Verify {
+		perEdit := func(d time.Duration) float64 { return d.Seconds() * 1e3 / float64(edits) }
+		t.Note("verification (bitlint), not in the times above: %.2f ms per edit conventional, %.2f ms incremental",
+			perEdit(coldVerify), perEdit(incrVerify))
+	}
 	switch {
-	case !stats.ByteIdentical:
+	case !identical:
 		t.Note("VERDICT: FAIL (incremental output diverged from the from-scratch build)")
-	case stats.Rebuilds > 0:
+	case rebuilds > 0:
 		t.Note("VERDICT: FAIL (an INIT-only edit fell back to a rebuild)")
-	case stats.Speedup < 5:
-		t.Note("VERDICT: MIXED (speedup %.1fx below the 5x bar on this host)", stats.Speedup)
+	case speedup < 5:
+		t.Note("VERDICT: MIXED (speedup %.1fx below the 5x bar on this host)", speedup)
 	default:
 		t.Note("VERDICT: PASS")
 	}
-	return t, stats, nil
+	return t, nil
 }
