@@ -205,15 +205,17 @@ func (s *EditSession) splice(ctx context.Context, next *netlist.Design, diff *ne
 	}
 	a.Bitstream = bitstream.WriteFull(s.mem)
 	a.Times.Bitgen = time.Since(t0)
-	if err := verifyBitstream(ctx, s.opts, a.Bitstream); err != nil {
-		return nil, err
-	}
-	if delta != nil {
+	if delta == nil || len(s.prev.Bitstream) == 0 {
+		err = verifyBitstream(ctx, s.opts, a.Bitstream)
+	} else {
 		// Splice-equals-rebuild: the previous full bitstream plus this
 		// delta must land on exactly the new full bitstream's state.
-		if err := verifySplice(ctx, s.opts, s.prev.Bitstream, delta.Bitstream, a.Bitstream); err != nil {
-			return nil, err
-		}
+		// VerifySplice decodes and port-checks the new full bitstream too,
+		// so it is the only check the new stream needs.
+		err = verifySplice(ctx, s.opts, s.prev.Bitstream, delta.Bitstream, a.Bitstream)
+	}
+	if err != nil {
+		return nil, err
 	}
 	s.prev = a
 

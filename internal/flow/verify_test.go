@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/bitlint"
 	"repro/internal/bitstream"
 	"repro/internal/designs"
 	"repro/internal/device"
@@ -140,5 +141,69 @@ func TestVerifySpliceRejectsForgedDelta(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "splice verification failed") {
 		t.Fatalf("unexpected error: %v", err)
+	}
+}
+
+// TestVerifySpliceSubsumesFullCheck pins why a spliced edit with a delta
+// verifies its new full bitstream with bitlint.VerifySplice alone: every
+// corruption of the full stream that bitlint.Verify rejects, VerifySplice
+// rejects too.
+func TestVerifySpliceSubsumesFullCheck(t *testing.T) {
+	_, prev, opts := implementSBox(t, 13)
+	s, err := NewEditSession(prev, nil, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Edit(context.Background(), editedClone(t, prev.Netlist, map[string]uint16{"u1/sbox2": 0x5a5a}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Delta == nil {
+		t.Fatal("edit produced no delta")
+	}
+	full := res.Artifacts.Bitstream
+	splice := func(full []byte) error {
+		rep, err := bitlint.VerifySplice(prev.Bitstream, res.Delta.Bitstream, full)
+		if err == nil && rep != nil {
+			err = rep.Err()
+		}
+		return err
+	}
+	if err := splice(full); err != nil {
+		t.Fatalf("the true triple fails: %v", err)
+	}
+
+	flip := func(word int) []byte {
+		b := append([]byte(nil), full...)
+		b[4*word+3] ^= 0x01
+		return b
+	}
+	corrupt := map[string][]byte{"truncated": full[:len(full)/2]}
+	pis, err := bitstream.Inspect(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pi := range pis {
+		switch {
+		case pi.Reg == bitstream.RegCRC && pi.Op == bitstream.OpWrite && corrupt["crc"] == nil:
+			corrupt["crc"] = flip(pi.Offset + 1)
+		case pi.Reg == bitstream.RegFDRI && pi.Count > 0 && corrupt["fdri"] == nil:
+			corrupt["fdri"] = flip(pi.Offset + 2 + pi.Count/2)
+		}
+	}
+	if len(corrupt) != 3 {
+		t.Fatalf("found no CRC or FDRI packet to corrupt: %v", corrupt)
+	}
+	for name, bad := range corrupt {
+		rep, err := bitlint.Verify(bad)
+		if err == nil {
+			err = rep.Err()
+		}
+		if err == nil {
+			t.Fatalf("%s: bitlint.Verify accepts the corrupted full stream", name)
+		}
+		if splice(bad) == nil {
+			t.Fatalf("%s: VerifySplice accepts a full stream bitlint.Verify rejects (%v)", name, err)
+		}
 	}
 }

@@ -127,8 +127,8 @@ type pipeline struct {
 	opts      ServeOptions
 	sem       *parallel.Semaphore
 	flights   cache.Group
-	artifacts *artifactCache // nil when disabled
-	wg        sync.WaitGroup // every API request: queued, waiting, executing
+	artifacts *lru[cache.Key, *artifact] // nil when disabled
+	wg        sync.WaitGroup             // every API request: queued, waiting, executing
 	draining  atomic.Bool
 
 	mExec         *obs.Counter
@@ -346,24 +346,29 @@ func (s *Server) dispatch(route string, r *http.Request, ep endpoint) (*artifact
 
 // execute runs the endpoint and freezes its answer as a shareable artifact:
 // the indented JSON of its response, or the error envelope of its failure.
-// The ETag derives from the request key: the body is a pure function of the
-// request, so the key identifies the representation.
+// The response is encoded compactly, HTML escaping included, then indented
+// in one pass (indentJSON) to the bytes json.Encoder.SetIndent("", "  ")
+// writes, which ETags, byte-identity tests and clients compare. The ETag
+// derives from the request key: the body is a pure function of the request,
+// so the key identifies the representation.
 func execute(ctx context.Context, ep endpoint, body []byte, key cache.Key) *artifact {
 	v, err := ep(ctx, body)
 	if err != nil {
 		return fail(err)
 	}
-	buf := getBuf()
-	defer putBuf(buf)
-	enc := json.NewEncoder(buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+	_, sp := obs.Start(ctx, "jpgd.encode")
+	defer sp.End()
+	compact, out := getBuf(), getBuf()
+	defer putBuf(compact)
+	defer putBuf(out)
+	if err := json.NewEncoder(compact).Encode(v); err != nil {
 		return fail(err)
 	}
+	indentJSON(out, compact.Bytes())
 	return &artifact{
 		status: http.StatusOK,
 		etag:   `"` + key.String()[:32] + `"`,
-		body:   append([]byte(nil), buf.Bytes()...),
+		body:   append([]byte(nil), out.Bytes()...), // exact length: the cache keeps it
 	}
 }
 
@@ -493,13 +498,28 @@ type artifact struct {
 	err    error
 }
 
-// artifactCache is the byte-bounded LRU of hot artifacts.
-type artifactCache struct {
+// artOverhead approximates an artifact's non-body footprint for the byte
+// bound.
+const artOverhead = 256
+
+// newArtifactCache is the hot-artifact LRU: encoded responses by request
+// key, counted in jpgd.artifact.*.
+func newArtifactCache(maxBytes int64, reg *obs.Registry) *lru[cache.Key, *artifact] {
+	return newLRU(maxBytes, reg, "jpgd.artifact", func(_ cache.Key, a *artifact) int64 {
+		return int64(len(a.body)) + artOverhead
+	})
+}
+
+// lru is jpgd's byte-bounded LRU, the one type behind the artifact cache
+// and the base cache. size charges an entry against maxBytes; a put evicts
+// from the cold tail until the entries fit, always keeping the newest.
+type lru[K comparable, V any] struct {
 	mu       sync.Mutex
-	entries  map[cache.Key]*list.Element
-	lru      *list.List // front = most recently used
+	entries  map[K]*list.Element
+	order    *list.List // front = most recently used
 	bytes    int64
 	maxBytes int64
+	size     func(K, V) int64
 
 	mHit     *obs.Counter
 	mMiss    *obs.Counter
@@ -508,62 +528,63 @@ type artifactCache struct {
 	mEntries *obs.Gauge
 }
 
-type artEntry struct {
-	key cache.Key
-	art *artifact
+type lruEntry[K comparable, V any] struct {
+	key  K
+	val  V
+	size int64
 }
 
-func newArtifactCache(maxBytes int64, reg *obs.Registry) *artifactCache {
-	return &artifactCache{
-		entries:  map[cache.Key]*list.Element{},
-		lru:      list.New(),
+// newLRU builds an LRU whose metrics are <prefix>.hit, .miss, .evict,
+// .bytes and .entries in reg.
+func newLRU[K comparable, V any](maxBytes int64, reg *obs.Registry, prefix string, size func(K, V) int64) *lru[K, V] {
+	return &lru[K, V]{
+		entries:  map[K]*list.Element{},
+		order:    list.New(),
 		maxBytes: maxBytes,
-		mHit:     reg.GetCounter("jpgd.artifact.hit"),
-		mMiss:    reg.GetCounter("jpgd.artifact.miss"),
-		mEvict:   reg.GetCounter("jpgd.artifact.evict"),
-		mBytes:   reg.GetGauge("jpgd.artifact.bytes"),
-		mEntries: reg.GetGauge("jpgd.artifact.entries"),
+		size:     size,
+		mHit:     reg.GetCounter(prefix + ".hit"),
+		mMiss:    reg.GetCounter(prefix + ".miss"),
+		mEvict:   reg.GetCounter(prefix + ".evict"),
+		mBytes:   reg.GetGauge(prefix + ".bytes"),
+		mEntries: reg.GetGauge(prefix + ".entries"),
 	}
 }
 
-func (c *artifactCache) get(k cache.Key) (*artifact, bool) {
+func (c *lru[K, V]) get(k K) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[k]
 	if !ok {
 		c.mMiss.Inc()
-		return nil, false
+		var zero V
+		return zero, false
 	}
-	c.lru.MoveToFront(el)
+	c.order.MoveToFront(el)
 	c.mHit.Inc()
-	return el.Value.(*artEntry).art, true
+	return el.Value.(*lruEntry[K, V]).val, true
 }
 
-// artOverhead approximates an entry's non-body footprint for the byte bound.
-const artOverhead = 256
-
-func (c *artifactCache) put(k cache.Key, art *artifact) {
-	size := int64(len(art.body)) + artOverhead
+func (c *lru[K, V]) put(k K, v V) {
+	size := c.size(k, v)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[k]; ok {
-		old := el.Value.(*artEntry)
-		c.bytes -= int64(len(old.art.body)) + artOverhead
-		old.art = art
-		c.bytes += size
-		c.lru.MoveToFront(el)
+		e := el.Value.(*lruEntry[K, V])
+		c.bytes += size - e.size
+		e.val, e.size = v, size
+		c.order.MoveToFront(el)
 	} else {
-		c.entries[k] = c.lru.PushFront(&artEntry{key: k, art: art})
+		c.entries[k] = c.order.PushFront(&lruEntry[K, V]{key: k, val: v, size: size})
 		c.bytes += size
 	}
-	for c.lru.Len() > 1 && c.bytes > c.maxBytes {
-		tail := c.lru.Back()
-		ev := tail.Value.(*artEntry)
-		c.lru.Remove(tail)
+	for c.order.Len() > 1 && c.bytes > c.maxBytes {
+		tail := c.order.Back()
+		ev := tail.Value.(*lruEntry[K, V])
+		c.order.Remove(tail)
 		delete(c.entries, ev.key)
-		c.bytes -= int64(len(ev.art.body)) + artOverhead
+		c.bytes -= ev.size
 		c.mEvict.Inc()
 	}
 	c.mBytes.Set(c.bytes)
-	c.mEntries.Set(int64(c.lru.Len()))
+	c.mEntries.Set(int64(c.order.Len()))
 }

@@ -7,12 +7,16 @@ package jpgd
 
 import (
 	"bytes"
+	"encoding/base64"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 
+	"repro/internal/bitstream"
 	"repro/internal/cache"
+	"repro/internal/device"
+	"repro/internal/frames"
 	"repro/internal/obs"
 )
 
@@ -98,6 +102,44 @@ func TestArtifactCacheEvictsFromTail(t *testing.T) {
 	if ev := reg.GetCounter("jpgd.artifact.evict").Value(); ev != 1 {
 		t.Fatalf("jpgd.artifact.evict = %d, want 1", ev)
 	}
+}
+
+// TestBaseCacheEvictsColdestBase fills a base cache sized for two decoded
+// bases with three, touching the first, so the second is the one evicted.
+func TestBaseCacheEvictsColdestBase(t *testing.T) {
+	reg := obs.NewRegistry()
+	s := New(Config{Registry: reg})
+	part := device.MustByName("XCV50")
+	var b64 []string
+	for i := uint32(1); i <= 3; i++ {
+		mem := frames.New(part)
+		mem.Frame(part.FirstFAR())[0] = i
+		b64 = append(b64, base64.StdEncoding.EncodeToString(bitstream.WriteFull(mem)))
+	}
+	load := func(i int, wantHit bool) {
+		t.Helper()
+		e, hit, err := s.loadBase(b64[i])
+		if err != nil {
+			t.Fatalf("base %d: %v", i, err)
+		}
+		if hit != wantHit {
+			t.Fatalf("base %d: hit %v, want %v", i, hit, wantHit)
+		}
+		if got := e.mem.Frame(part.FirstFAR())[0]; got != uint32(i+1) {
+			t.Fatalf("base %d decoded to a memory whose first word is %d", i, got)
+		}
+	}
+	load(0, false)
+	s.bases.maxBytes = 2 * s.bases.bytes // room for two bases of this size
+	load(1, false)
+	load(0, true)
+	load(2, false)
+	if ev := reg.GetCounter("jpgd.base.evict").Value(); ev != 1 {
+		t.Fatalf("jpgd.base.evict = %d, want 1", ev)
+	}
+	load(0, true)
+	load(2, true)
+	load(1, false)
 }
 
 func TestPipelineDefaults(t *testing.T) {

@@ -13,10 +13,15 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/designs"
+	"repro/internal/device"
+	"repro/internal/flow"
 	"repro/internal/jpgd"
 	"repro/internal/obs"
 	"repro/internal/obs/flightrec"
@@ -558,5 +563,217 @@ func TestServeOptionsFromEnv(t *testing.T) {
 	}
 	if o.RequestTimeout != 250*time.Millisecond {
 		t.Fatalf("RequestTimeout = %v", o.RequestTimeout)
+	}
+}
+
+// otherFixture is a second base (another S-box bank and placement seed)
+// with its own u1/ variant, for the tests that need two distinct bases.
+var otherFixture = sync.OnceValues(func() (fixture, error) {
+	ctx := context.Background()
+	base, err := flow.BuildBase(ctx, device.MustByName("XCV50"), []designs.Instance{
+		{Prefix: "u1/", Gen: designs.Counter{Bits: 6}},
+		{Prefix: "u2/", Gen: designs.SBoxBank{N: 8, Seed: 4}},
+	}, flow.Options{Seed: 3})
+	if err != nil {
+		return fixture{}, err
+	}
+	variant, err := flow.BuildVariant(ctx, base, "u1/", designs.LFSR{Bits: 6}, flow.Options{Seed: 4})
+	return fixture{base: base, variant: variant}, err
+})
+
+// freshAnswer is the body a new server answers to one generate body: the
+// reference the base-cache tests compare with.
+func freshAnswer(t *testing.T, body []byte) []byte {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	jpgd.New(jpgd.Config{Registry: obs.NewRegistry()}).Handler().
+		ServeHTTP(rec, httptest.NewRequest("POST", "/v1/generate", bytes.NewReader(body)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("fresh server: status %d: %s", rec.Code, rec.Body)
+	}
+	return rec.Body.Bytes()
+}
+
+// TestBaseCacheInterleavesBases alternates two bases on one server that
+// executes every request: each answer must be the one a fresh server gives,
+// and each base is decoded once.
+func TestBaseCacheInterleavesBases(t *testing.T) {
+	g, err := otherFixture()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bodies := [2][]byte{generateBody(t, buildFixture(t), nil), generateBody(t, g, nil)}
+	want := [2][]byte{freshAnswer(t, bodies[0]), freshAnswer(t, bodies[1])}
+	if bytes.Equal(want[0], want[1]) {
+		t.Fatal("both bases answer the same body, so a mix-up would not show")
+	}
+	reg := obs.NewRegistry()
+	_, ts := newTestServer(t, jpgd.Config{Registry: reg, Serve: jpgd.ServeOptions{ArtifactCacheBytes: -1}})
+	for i := 0; i < 6; i++ {
+		r := post(ts.URL, "/v1/generate", bodies[i%2], nil)
+		if r.err != nil || r.status != http.StatusOK {
+			t.Fatalf("request %d: %v status %d: %s", i, r.err, r.status, r.body)
+		}
+		if !bytes.Equal(r.body, want[i%2]) {
+			t.Fatalf("request %d (base %d) answers differently from a fresh server", i, i%2)
+		}
+	}
+	hits, misses := reg.GetCounter("jpgd.base.hit").Value(), reg.GetCounter("jpgd.base.miss").Value()
+	if hits != 4 || misses != 2 {
+		t.Fatalf("jpgd.base hit/miss = %d/%d, want 4/2", hits, misses)
+	}
+}
+
+// TestBaseCacheSurvivesDownload sends a download request and then a plain
+// one on the same base: the download's write-back lands on the request's
+// own project, so the plain request still answers what a fresh server does.
+func TestBaseCacheSurvivesDownload(t *testing.T) {
+	f := buildFixture(t)
+	reg := obs.NewRegistry()
+	_, ts := newTestServer(t, jpgd.Config{Registry: reg})
+	for _, body := range [][]byte{generateBody(t, f, &jpgd.DownloadRequest{Verify: true}), generateBody(t, f, nil)} {
+		r := post(ts.URL, "/v1/generate", body, nil)
+		if r.err != nil || r.status != http.StatusOK || r.xcache != "miss" {
+			t.Fatalf("%v status %d X-Cache %q: %s", r.err, r.status, r.xcache, r.body)
+		}
+		if !bytes.Equal(r.body, freshAnswer(t, body)) {
+			t.Fatalf("body %.60s… answers differently from a fresh server", body)
+		}
+	}
+	if hits := reg.GetCounter("jpgd.base.hit").Value(); hits != 1 {
+		t.Fatalf("jpgd.base.hit = %d, want 1", hits)
+	}
+}
+
+// TestBaseCacheSkipsBadBase sends two bad bases twice each: every answer is
+// the 400 the uncached path gives, and nothing is cached.
+func TestBaseCacheSkipsBadBase(t *testing.T) {
+	f := buildFixture(t)
+	half := f.base.Bitstream[:len(f.base.Bitstream)/2]
+	_, halfErr := core.NewProject(half)
+	if halfErr == nil {
+		t.Fatal("half a base made a project")
+	}
+	reg := obs.NewRegistry()
+	_, ts := newTestServer(t, jpgd.Config{Registry: reg})
+	for _, tc := range []struct{ base, want string }{
+		{"!!!", "base is not base64: illegal base64 data at input byte 0"},
+		{base64.StdEncoding.EncodeToString(half), halfErr.Error()},
+	} {
+		body, err := json.Marshal(jpgd.GenerateRequest{Base: tc.base, XDL: f.variant.XDL, UCF: f.variant.UCF})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ {
+			r := post(ts.URL, "/v1/generate", body, nil)
+			var e struct {
+				Error string `json:"error"`
+			}
+			if r.err != nil || r.status != http.StatusBadRequest || json.Unmarshal(r.body, &e) != nil || e.Error != tc.want {
+				t.Fatalf("bad base %.20q: %v status %d %s, want 400 %q", tc.base, r.err, r.status, r.body, tc.want)
+			}
+		}
+	}
+	if n := reg.GetGauge("jpgd.base.entries").Value(); n != 0 {
+		t.Fatalf("jpgd.base.entries = %d after bad bases only, want 0", n)
+	}
+	if misses := reg.GetCounter("jpgd.base.miss").Value(); misses != 4 {
+		t.Fatalf("jpgd.base.miss = %d, want 4", misses)
+	}
+}
+
+// TestBaseCacheConcurrentMisses runs identical requests on a base the
+// server has not seen, all at once and uncoalesced, so their misses race to
+// fill one entry; run it under -race.
+func TestBaseCacheConcurrentMisses(t *testing.T) {
+	g, err := otherFixture()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bodies := [][]byte{generateBody(t, g, nil), generateBody(t, g, &jpgd.DownloadRequest{})}
+	want := [][]byte{freshAnswer(t, bodies[0]), freshAnswer(t, bodies[1])}
+	reg := obs.NewRegistry()
+	_, ts := newTestServer(t, jpgd.Config{Registry: reg, Serve: jpgd.ServeOptions{NoCoalesce: true, ArtifactCacheBytes: -1}})
+	results := make([]result, 8)
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			results[i] = post(ts.URL, "/v1/generate", bodies[i%2], nil)
+		}(i)
+	}
+	wg.Wait()
+	for i, r := range results {
+		if r.err != nil || r.status != http.StatusOK || !bytes.Equal(r.body, want[i%2]) {
+			t.Fatalf("request %d: %v status %d, or its body differs from a fresh server's", i, r.err, r.status)
+		}
+	}
+	if n := reg.GetGauge("jpgd.base.entries").Value(); n != 1 {
+		t.Fatalf("jpgd.base.entries = %d, want 1", n)
+	}
+	if hits, misses := reg.GetCounter("jpgd.base.hit").Value(), reg.GetCounter("jpgd.base.miss").Value(); hits+misses != 8 {
+		t.Fatalf("jpgd.base hit+miss = %d+%d, want 8", hits, misses)
+	}
+}
+
+// TestDecodeAndEncodeSpans reads jpgd's own layer spans from the flight
+// recorder: a miss records jpgd.decode (which decoder read the body, and
+// whether the base cache held its base) and jpgd.encode, both children of
+// jpgd.request; an artifact hit runs neither layer.
+func TestDecodeAndEncodeSpans(t *testing.T) {
+	f := buildFixture(t)
+	rec := flightrec.New(512)
+	srv, ts := newTestServer(t, jpgd.Config{Recorder: rec})
+	first := generateBody(t, f, nil)
+	renamed, err := json.Marshal(jpgd.GenerateRequest{
+		Base: base64.StdEncoding.EncodeToString(f.base.Bitstream), XDL: f.variant.XDL, UCF: f.variant.UCF, Name: "other",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seen int64
+	// spans sends body and returns the spans its request recorded, by name.
+	spans := func(body []byte, wantCache string) map[string]obs.SpanRecord {
+		t.Helper()
+		r := post(ts.URL, "/v1/generate", body, nil)
+		if r.err != nil || r.status != http.StatusOK || r.xcache != wantCache {
+			t.Fatalf("%v status %d X-Cache %q, want 200 %s", r.err, r.status, r.xcache, wantCache)
+		}
+		if err := srv.Drain(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]obs.SpanRecord{}
+		for _, sp := range rec.Dump().Spans {
+			if sp.Seq > seen {
+				seen = sp.Seq
+				out[sp.Rec.Name] = sp.Rec
+			}
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		body        []byte
+		cache, base string
+	}{
+		{first, "miss", "miss"},
+		{renamed, "miss", "hit"},
+		{first, "hit", ""},
+	} {
+		got := spans(tc.body, tc.cache)
+		req, dec, enc := got["jpgd.request"], got["jpgd.decode"], got["jpgd.encode"]
+		if tc.cache == "hit" {
+			if dec.Name != "" || enc.Name != "" {
+				t.Fatalf("an artifact hit recorded %v", got)
+			}
+			continue
+		}
+		if dec.Attr("decoder") != "one-pass" || dec.Attr("base") != tc.base {
+			t.Fatalf("jpgd.decode attrs %v, want decoder one-pass and base %s", dec.Attrs, tc.base)
+		}
+		if req.ID == 0 || dec.Parent != req.ID || enc.Parent != req.ID {
+			t.Fatalf("jpgd.decode (parent %d) and jpgd.encode (parent %d) are not children of jpgd.request %d",
+				dec.Parent, enc.Parent, req.ID)
+		}
 	}
 }

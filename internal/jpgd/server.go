@@ -48,6 +48,7 @@ import (
 	"repro/internal/device"
 	"repro/internal/faults"
 	"repro/internal/flow"
+	"repro/internal/frames"
 	"repro/internal/obs"
 	"repro/internal/obs/flightrec"
 	jpglog "repro/internal/obs/log"
@@ -93,6 +94,7 @@ type Server struct {
 	reg   *obs.Registry
 	rec   *flightrec.Recorder
 	pipe  *pipeline
+	bases *lru[string, *baseEntry]
 	ready atomic.Bool
 
 	mRequests     *obs.Counter
@@ -129,6 +131,7 @@ func New(cfg Config) *Server {
 		mBuilds:       cfg.Registry.GetCounter("jpgd.builds"),
 	}
 	s.pipe = newPipeline(cfg.Serve, cfg.Registry)
+	s.bases = newBaseCache(baseCacheBytes, cfg.Registry)
 	s.ready.Store(true)
 	return s
 }
@@ -365,22 +368,28 @@ type GenerateResponse struct {
 	Download      *DownloadResult `json:"download,omitempty"`
 }
 
-// generate is the /v1/generate endpoint: the JPG tool over HTTP.
+// fields lists the members decodeFlat fills. Download, an object, is not
+// one of them: a body that carries it is decoded by decodeJSON.
+func (r *GenerateRequest) fields() []flatField {
+	return []flatField{
+		{name: "base", str: &r.Base}, {name: "xdl", str: &r.XDL}, {name: "ucf", str: &r.UCF},
+		{name: "name", str: &r.Name}, {name: "strict", flag: &r.Strict},
+		{name: "compress", flag: &r.Compress}, {name: "delta", flag: &r.Delta},
+		{name: "verify", flag: &r.Verify},
+	}
+}
+
+// generate is the /v1/generate endpoint: the JPG tool over HTTP. Each
+// request builds its own project on a clone of the cached base memory, so no
+// request, write-back after a download included, can change a cached base.
 func (s *Server) generate(ctx context.Context, body []byte) (any, error) {
-	var req GenerateRequest
-	if err := decodeJSON(body, &req); err != nil {
-		return nil, err
-	}
-	if req.Base == "" || req.XDL == "" || req.UCF == "" {
-		return nil, badRequest(fmt.Errorf("base, xdl and ucf are required"))
-	}
-	baseBS, err := decodeBitstream("base", req.Base)
+	req, base, err := s.decodeGenerate(ctx, body)
 	if err != nil {
 		return nil, err
 	}
-	proj, err := core.NewProject(baseBS)
+	proj, err := core.NewProjectForPart(base.part, base.mem)
 	if err != nil {
-		return nil, badRequest(err)
+		return nil, err
 	}
 	name := req.Name
 	if name == "" {
@@ -395,7 +404,7 @@ func (s *Server) generate(ctx context.Context, body []byte) (any, error) {
 	resp := GenerateResponse{Part: proj.Part.Name}
 	var res *core.Result
 	if req.Download != nil {
-		board, err := s.boardWithBase(ctx, proj.Part, baseBS)
+		board, err := s.boardWithBase(ctx, proj.Part, base.bs)
 		if err != nil {
 			return nil, err
 		}
@@ -428,6 +437,73 @@ func (s *Server) generate(ctx context.Context, body []byte) (any, error) {
 	return resp, nil
 }
 
+// decodeGenerate reads a generate body and looks its base up, under the
+// jpgd.decode span: decoder says which decoder read the body, base whether
+// the base cache held the base.
+func (s *Server) decodeGenerate(ctx context.Context, body []byte) (req GenerateRequest, base *baseEntry, err error) {
+	_, sp := obs.Start(ctx, "jpgd.decode")
+	defer sp.End()
+	decoder, err := decodeRequest(body, &req, req.fields())
+	sp.SetStr("decoder", decoder)
+	if err != nil {
+		return req, nil, err
+	}
+	if req.Base == "" || req.XDL == "" || req.UCF == "" {
+		return req, nil, badRequest(fmt.Errorf("base, xdl and ucf are required"))
+	}
+	base, hit, err := s.loadBase(req.Base)
+	if hit {
+		sp.SetStr("base", "hit")
+	} else {
+		sp.SetStr("base", "miss")
+	}
+	return req, base, err
+}
+
+// baseCacheBytes bounds the decoded-base cache: about six XCV1000 bases, or
+// seventy XCV50 ones.
+const baseCacheBytes = 16 << 20
+
+// baseEntry is one decoded base, shared read-only by every request that
+// carries the same base text: its part, the configuration memory the port
+// model recovered from it, and the unwrapped bitstream boardWithBase
+// downloads.
+type baseEntry struct {
+	part *device.Part
+	mem  *frames.Memory
+	bs   []byte
+}
+
+// newBaseCache is the decoded-base LRU, keyed by the base's raw base64 text:
+// a map lookup on it costs less than hashing it, and exact equality needs no
+// collision argument. An entry is charged for its key, its bytes and its
+// memory. Counted in jpgd.base.*.
+func newBaseCache(maxBytes int64, reg *obs.Registry) *lru[string, *baseEntry] {
+	return newLRU(maxBytes, reg, "jpgd.base", func(b64 string, e *baseEntry) int64 {
+		return int64(len(b64)+len(e.bs)) + 4*int64(e.part.TotalFrames()*e.part.FrameWords())
+	})
+}
+
+// loadBase returns the decoded base for a request's base64 text and whether
+// the base cache held it. Only a base that decodes and makes a project is
+// cached; a failing one answers its 400 every time.
+func (s *Server) loadBase(b64 string) (*baseEntry, bool, error) {
+	if e, ok := s.bases.get(b64); ok {
+		return e, true, nil
+	}
+	bs, err := decodeBitstream("base", b64)
+	if err != nil {
+		return nil, false, err
+	}
+	proj, err := core.NewProject(bs)
+	if err != nil {
+		return nil, false, badRequest(err)
+	}
+	e := &baseEntry{part: proj.Part, mem: proj.Base, bs: bs}
+	s.bases.put(b64, e)
+	return e, false, nil
+}
+
 // VerifyRequest is the /v1/verify body: lint a bitstream with the
 // independent verifier. Bitstream is base64 (raw stream or .bit container).
 // With Base set, Bitstream is checked as a partial against that base
@@ -435,6 +511,11 @@ func (s *Server) generate(ctx context.Context, body []byte) (any, error) {
 type VerifyRequest struct {
 	Bitstream string `json:"bitstream"`
 	Base      string `json:"base,omitempty"`
+}
+
+// fields lists the members decodeFlat fills.
+func (r *VerifyRequest) fields() []flatField {
+	return []flatField{{name: "bitstream", str: &r.Bitstream}, {name: "base", str: &r.Base}}
 }
 
 // VerifyFinding is one structured lint result in a VerifyResponse.
@@ -461,10 +542,16 @@ type VerifyResponse struct {
 // verify is the /v1/verify endpoint: it lints a posted bitstream. Findings
 // are the response, not an HTTP failure: an unsafe stream still answers 200
 // with OK=false — only a malformed request envelope (bad base64,
-// undecodable base) is a 4xx.
-func (s *Server) verify(_ context.Context, body []byte) (any, error) {
+// undecodable base) is a 4xx. The base is rebuilt from its bytes here, not
+// read from the base cache: bitlint checks it independently of the port
+// model that filled the cache.
+func (s *Server) verify(ctx context.Context, body []byte) (any, error) {
 	var req VerifyRequest
-	if err := decodeJSON(body, &req); err != nil {
+	_, sp := obs.Start(ctx, "jpgd.decode")
+	decoder, err := decodeRequest(body, &req, req.fields())
+	sp.SetStr("decoder", decoder)
+	sp.End()
+	if err != nil {
 		return nil, err
 	}
 	if req.Bitstream == "" {

@@ -424,12 +424,14 @@ func TestLogCorrelation(t *testing.T) {
 	}
 }
 
-// TestRequestLogLine pins the log contract of a request that touches no
-// inner layer: under info level a /v1/verify writes exactly one line, its
+// TestRequestLogLine pins the log contract of a request whose endpoint
+// touches no layer outside jpgd: under info level a /v1/verify writes one
+// line per jpgd layer it ran (jpgd.decode, jpgd.encode) and then its
 // jpgd.request span, which says how it was served and carries request_id
-// once, at the top level; a failed request's line is a warning carrying the
-// endpoint's error, and the failure is one jpgd-level event in the flight
-// recorder's error ring.
+// once, at the top level. An artifact hit runs no layer and writes that line
+// alone. A failed request's line is a warning carrying the endpoint's error,
+// and the failure is one jpgd-level event in the flight recorder's error
+// ring.
 func TestRequestLogLine(t *testing.T) {
 	f := buildFixture(t)
 	var logs syncBuffer
@@ -440,8 +442,9 @@ func TestRequestLogLine(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// requestLine sends one verify body and returns the one line it logged.
-	requestLine := func(body []byte, wantStatus int) map[string]any {
+	// requestLine sends one verify body, checks that it logged the given
+	// layer lines and then its request line, and returns the request line.
+	requestLine := func(body []byte, wantStatus int, layers ...string) map[string]any {
 		t.Helper()
 		before := len(logLines(t, &logs))
 		r := post(ts.URL, "/v1/verify", body, map[string]string{"X-Request-ID": "line-1"})
@@ -452,10 +455,15 @@ func TestRequestLogLine(t *testing.T) {
 			t.Fatal(err)
 		}
 		lines := logLines(t, &logs)[before:]
-		if len(lines) != 1 {
-			t.Fatalf("one verify request wrote %d log lines, want 1: %v", len(lines), lines)
+		if len(lines) != len(layers)+1 {
+			t.Fatalf("one verify request wrote %d log lines, want %d: %v", len(lines), len(layers)+1, lines)
 		}
-		m := lines[0]
+		for i, layer := range layers {
+			if lines[i]["msg"] != layer || lines[i]["request_id"] != "line-1" || lines[i]["level"] != "INFO" {
+				t.Fatalf("log line %d is not the request's %s line: %v", i, layer, lines[i])
+			}
+		}
+		m := lines[len(layers)]
 		if m["msg"] != "jpgd.request" || m["request_id"] != "line-1" {
 			t.Fatalf("log line is not the request's jpgd.request line: %v", m)
 		}
@@ -464,8 +472,12 @@ func TestRequestLogLine(t *testing.T) {
 		}
 		return m
 	}
-	for _, want := range []string{"miss", "hit"} {
-		m := requestLine(body, http.StatusOK)
+	for _, tc := range []struct {
+		want   string
+		layers []string
+	}{{"miss", []string{"jpgd.decode", "jpgd.encode"}}, {"hit", nil}} {
+		want := tc.want
+		m := requestLine(body, http.StatusOK, tc.layers...)
 		attrs, _ := m["attrs"].(map[string]any)
 		if m["level"] != "INFO" || attrs["status"] != float64(200) || attrs["cache"] != want ||
 			attrs["route"] != "verify" || attrs["method"] != "POST" || attrs["path"] != "/v1/verify" {
@@ -473,7 +485,7 @@ func TestRequestLogLine(t *testing.T) {
 		}
 	}
 
-	m := requestLine([]byte(`{}`), http.StatusBadRequest)
+	m := requestLine([]byte(`{}`), http.StatusBadRequest, "jpgd.decode")
 	attrs, _ := m["attrs"].(map[string]any)
 	if m["level"] != "WARN" || m["error"] != "bitstream is required" || attrs["status"] != float64(400) {
 		t.Fatalf("failed request line %v", m)
