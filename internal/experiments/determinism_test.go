@@ -80,7 +80,7 @@ func wideWorkers() int {
 // against bench/baseline.json. The gate rests on each being a function of
 // the configuration alone, whatever the worker count or the scheduler did.
 var gatedCounters = []string{
-	"place.moves_proposed", "route.heap_pushes", "route.searches",
+	"place.moves_proposed", "place.bbox_recomputes", "route.heap_pushes", "route.searches",
 	"bitstream.bytes_emitted", "core.frames_carried", "flow.incremental_rebuilds",
 }
 

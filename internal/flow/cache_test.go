@@ -3,6 +3,8 @@ package flow
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 
 	"repro/internal/cache"
@@ -100,6 +102,61 @@ func TestStageKeysGolden(t *testing.T) {
 	for stage, w := range want {
 		if got[stage] != w {
 			t.Errorf("%s key = %q, want %q", stage, got[stage], w)
+		}
+	}
+}
+
+// TestStageOutputsGolden pins what place, route and bitgen produce, where
+// TestStageKeysGolden pins only what they are keyed by: the SHA-256 of the
+// XDL and the full bitstream for that test's design and seed, and for one
+// Figure 4 variant built by BuildVariant. A change that moves these hashes
+// changes placement or routing output: bump flow.place or flow.route (see
+// cache.go), so no cached entry of the old output is served under the new
+// code, and refresh both goldens.
+func TestStageOutputsGolden(t *testing.T) {
+	ctx := context.Background()
+	p := device.MustByName("XCV50")
+	nl, err := designs.Standalone(designs.Counter{Bits: 4}, "golden", "u1/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cons := ucf.New()
+	cons.AddGroup("u1/*", "AG", frames.Region{R1: 0, C1: 0, R2: p.Rows - 1, C2: 7})
+	golden, err := Implement(ctx, p, nl, cons, Options{Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := BuildBase(ctx, p, []designs.Instance{
+		{Prefix: "u1/", Gen: designs.Counter{Bits: 6}},
+		{Prefix: "u2/", Gen: designs.SBoxBank{N: 8, Seed: 11}},
+		{Prefix: "u3/", Gen: designs.BinaryFIR{Taps: 8, Coeff: 0xB7}},
+	}, Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	variant, err := BuildVariant(ctx, base, "u3/", designs.BinaryFIR{Taps: 8, Coeff: 0x7E}, Options{Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hash := func(b []byte) string {
+		sum := sha256.Sum256(b)
+		return hex.EncodeToString(sum[:])
+	}
+	want := map[string]string{
+		"golden xdl":        "f757ba5886d875144ba87f4f24c0ff12e227c465e081c32df5968c5638db48fe",
+		"golden bitstream":  "a6d098d2e4001a9f9f6fa0368f94dea9d4cb67993e3c76b8460b18bd613b4fe1",
+		"variant xdl":       "883deb0cd1f81aa8ed56e51fb2613d6813fcd25d8c7f1e5159df73ab131c248f",
+		"variant bitstream": "bcfbf82590843f68f894cc9d0e51d39c4c9068b37d00d1eddaafe7e506e278bf",
+	}
+	got := map[string]string{
+		"golden xdl":        hash([]byte(golden.XDL)),
+		"golden bitstream":  hash(golden.Bitstream),
+		"variant xdl":       hash([]byte(variant.XDL)),
+		"variant bitstream": hash(variant.Bitstream),
+	}
+	for out, w := range want {
+		if got[out] != w {
+			t.Errorf("%s SHA-256 = %q, want %q", out, got[out], w)
 		}
 	}
 }

@@ -2,6 +2,8 @@ package place
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/designs"
@@ -167,5 +169,88 @@ func TestGuidedRefinementKeepsSites(t *testing.T) {
 	t.Logf("%d of %d cells kept their guided sites", kept, total)
 	if kept*5 < total*4 {
 		t.Fatalf("only %d of %d cells kept their guided sites, want at least 80%%", kept, total)
+	}
+}
+
+// TestUndoLeavesNoTrace runs proposals on a Figure 4 region placer as
+// calibration probes and at a hot, a mid and a zero temperature, and
+// requires every undone move (a Metropolis reject or a probe) to leave
+// positions, occupancy, boxes and cost exactly as they were, and every box
+// to equal a fresh rescan after every step. Each step reseeds the placer's
+// generator and draws the same proposal from a twin first, so the test
+// knows what kind of move it undid.
+func TestUndoLeavesNoTrace(t *testing.T) {
+	rg := frames.Region{R1: 0, C1: 8, R2: 15, C2: 14}
+	pl := regionPlacer(t, designs.SBoxBank{N: 8, Seed: 11}, "u2/", rg, nil, 3)
+	movable, longest := pl.movable()
+	type state struct {
+		siteOf []phys.Site
+		occ    []int32
+		bb     []netBB
+		cost   int64
+	}
+	var before state
+	own, twin := pl.rng, rand.New(rand.NewSource(0))
+	var undone, swaps, displacements, sameTile, rescans int
+	seed := int64(0)
+	for _, phase := range []struct {
+		temp   float64
+		window int
+		steps  int
+	}{{measureOnly, longest, 2000}, {30, longest, 8000}, {2, 3, 8000}, {0, 1, 8000}} {
+		pl.window = phase.window
+		for n := 0; n < phase.steps; n++ {
+			seed++
+			own.Seed(seed)
+			twin.Seed(seed)
+			pl.rng = twin
+			i := movable[pl.rng.Intn(len(movable))]
+			target := pl.propose(i)
+			pl.rng = own
+			from, ji := pl.siteOf[i], pl.occ[pl.siteIdx(target)]
+
+			before.siteOf = append(before.siteOf[:0], pl.siteOf...)
+			before.occ = append(before.occ[:0], pl.occ...)
+			before.bb = append(before.bb[:0], pl.bb...)
+			before.cost = pl.cost
+			recomputes := pl.recomputes
+			pl.saved = pl.saved[:0]
+			_, kept := pl.tryMove(movable, phase.temp)
+			applied := len(pl.saved) > 0
+
+			if !kept || phase.temp == measureOnly {
+				if !slices.Equal(pl.siteOf, before.siteOf) || !slices.Equal(pl.occ, before.occ) ||
+					!slices.Equal(pl.bb, before.bb) || pl.cost != before.cost {
+					t.Fatalf("temp %v, step %d: undoing LE %d %v -> %v (partner %d) changed the placer state",
+						phase.temp, n, i, from, target, ji)
+				}
+				if applied {
+					undone++
+					switch {
+					case ji >= 0:
+						swaps++
+					case from.Row == target.Row && from.Col == target.Col:
+						sameTile++
+					default:
+						displacements++
+					}
+					if pl.recomputes > recomputes {
+						rescans++
+					}
+				}
+			}
+			for k := range pl.bb {
+				got := pl.bb[k]
+				if pl.recomputeBB(k); pl.bb[k] != got {
+					t.Fatalf("temp %v, step %d: net %d box %+v, a rescan gives %+v", phase.temp, n, k, got, pl.bb[k])
+				}
+			}
+		}
+	}
+	t.Logf("undid %d moves: %d swaps, %d displacements, %d same-tile moves, %d with a rescan",
+		undone, swaps, displacements, sameTile, rescans)
+	if swaps == 0 || displacements == 0 || sameTile == 0 || rescans == 0 {
+		t.Fatalf("undone moves missed a kind: %d swaps, %d displacements, %d same-tile, %d rescans",
+			swaps, displacements, sameTile, rescans)
 	}
 }

@@ -92,6 +92,12 @@ func (b *netBB) hpwl() int64 {
 	return int64(b.maxR-b.minR) + int64(b.maxC-b.minC)
 }
 
+// savedBB is one net's bounding box as it was before a trial move.
+type savedBB struct {
+	net int32
+	bb  netBB
+}
+
 type placer struct {
 	part  *device.Part
 	nl    *netlist.Design
@@ -114,6 +120,11 @@ type placer struct {
 	netPads [][]phys.Site  // per net: static pad tiles (Row/Col only)
 	bb      []netBB
 	cost    int64 // total HPWL over tracked nets
+
+	// saved holds the boxes a trial move may change, taken before it is
+	// applied so that undo can put them back (see tryMove). It is reused
+	// from move to move.
+	saved []savedBB
 
 	// window is the range limiter's radius in tiles (see propose).
 	window int
@@ -684,13 +695,18 @@ func (pl *placer) propose(i int) phys.Site {
 	}
 }
 
-// tryMove proposes one displacement or swap at temperature temp, applying it
-// per the Metropolis criterion. It returns the applied delta.
+// tryMove proposes one displacement or swap at temperature temp and keeps it
+// per the Metropolis criterion. It returns the kept move's delta; a
+// measureOnly probe reports its delta and keeps nothing.
 //
-// The cost delta falls out of the incremental bounding-box update: apply the
-// move, read the maintained total, and revert on rejection. HPWL is integer
-// arithmetic throughout, so the delta is exact — identical to a rescan of
-// every affected net.
+// The cost delta falls out of the incremental bounding-box update: save the
+// boxes of every net the moving LEs pin into, apply the move and read the
+// maintained total. A rejected move, and every measureOnly probe, is undone
+// from that snapshot rather than by applying the move backwards, which
+// would rerun the bookkeeping and its boundary rescans. A box is a function
+// of its pins' positions alone, so the restored state is exactly the one
+// the move started from. HPWL is integer arithmetic throughout, so the
+// delta is exact — identical to a rescan of every affected net.
 func (pl *placer) tryMove(movable []int, temp float64) (float64, bool) {
 	i := movable[pl.rng.Intn(len(movable))]
 	target := pl.propose(i)
@@ -718,19 +734,48 @@ func (pl *placer) tryMove(movable []int, temp float64) (float64, bool) {
 	}
 
 	before := pl.cost
+	pl.saved = pl.saved[:0]
+	pl.save(i)
+	if swap {
+		pl.save(j)
+	}
 	pl.apply(i, target, j, from, swap)
 	delta := float64(pl.cost - before)
 	if temp == measureOnly {
-		pl.apply(i, from, j, target, swap)
+		pl.undo(i, from, target, ji, before)
 		return delta, true
 	}
 	if delta <= 0 || (temp > 0 && pl.rng.Float64() < math.Exp(-delta/temp)) {
 		pl.accepted++
 		return delta, true
 	}
-	// Revert.
-	pl.apply(i, from, j, target, swap)
+	pl.undo(i, from, target, ji, before)
 	return 0, false
+}
+
+// save appends the boxes of the nets LE i pins into to pl.saved.
+func (pl *placer) save(i int) {
+	for _, pin := range pl.lePins[i] {
+		pl.saved = append(pl.saved, savedBB{pin.net, pl.bb[pin.net]})
+	}
+}
+
+// undo returns the placer to its state before LE i moved from from to
+// target, swapping with LE ji (-1 for a displacement). It puts the saved
+// boxes back in reverse order, so a net that both LEs of a swap pin into
+// ends with the copy saved first, then restores cost, positions and
+// occupancy.
+func (pl *placer) undo(i int, from, target phys.Site, ji int32, cost int64) {
+	for k := len(pl.saved) - 1; k >= 0; k-- {
+		pl.bb[pl.saved[k].net] = pl.saved[k].bb
+	}
+	pl.cost = cost
+	pl.siteOf[i] = from
+	pl.occ[pl.siteIdx(from)] = int32(i)
+	pl.occ[pl.siteIdx(target)] = ji
+	if ji >= 0 {
+		pl.siteOf[ji] = target
+	}
 }
 
 // slicePairOK checks FF control compatibility for LE i landing at site s,
