@@ -232,66 +232,6 @@ func TestInspectAndDump(t *testing.T) {
 	}
 }
 
-// crcSerial is the reference CRC: the device's bit-serial register, clocked
-// once per input bit, fed the 4 low address bits and then the 32 data bits,
-// LSB first.
-func crcSerial(crc uint16, reg int, word uint32) uint16 {
-	feed := func(v uint32, nbits int) {
-		for i := 0; i < nbits; i++ {
-			bit := uint16(v>>uint(i)) & 1
-			top := (crc >> 15) & 1
-			crc <<= 1
-			if top^bit == 1 {
-				crc ^= crcPoly
-			}
-		}
-	}
-	feed(uint32(reg), 4)
-	feed(word, 32)
-	return crc
-}
-
-// crcUpdate folds one register write into the running CRC.
-func crcUpdate(crc uint16, reg int, word uint32) uint16 {
-	return crcFold(crc, reg, []uint32{word})
-}
-
-// TestCRCFoldMatchesSerial pins the table CRC to the bit-serial reference,
-// one write at a time from random states and over multi-word runs.
-func TestCRCFoldMatchesSerial(t *testing.T) {
-	one := func(crc uint16, reg uint8, word uint32) bool {
-		return crcUpdate(crc, int(reg%16), word) == crcSerial(crc, int(reg%16), word)
-	}
-	if err := quick.Check(one, &quick.Config{MaxCount: 5000}); err != nil {
-		t.Fatal(err)
-	}
-	run := func(crc uint16, reg uint8, words []uint32) bool {
-		want := crc
-		for _, w := range words {
-			want = crcSerial(want, int(reg%16), w)
-		}
-		return crcFold(crc, int(reg%16), words) == want
-	}
-	if err := quick.Check(run, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCRCUpdateDiffusion(t *testing.T) {
-	// Distinct single-word writes should (near-)always produce distinct CRCs.
-	f := func(a, b uint32) bool {
-		if a == b {
-			return true
-		}
-		return crcUpdate(0, RegFDRI, a) != crcUpdate(0, RegFDRI, b) ||
-			crcUpdate(crcUpdate(0, RegFDRI, a), RegFDRI, b) !=
-				crcUpdate(crcUpdate(0, RegFDRI, b), RegFDRI, a)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestApplyNeverPanicsOnMutations: randomly corrupted bitstreams must fail
 // cleanly (or no-op), never panic — the configuration port's untrusted
 // input path.

@@ -97,6 +97,8 @@ func TestDirtyTrackingCopyFrames(t *testing.T) {
 	}
 }
 
+// TestCloneDropsTracking: a clone starts untracked, and writes to it touch
+// neither its own nor the source's dirty set.
 func TestCloneDropsTracking(t *testing.T) {
 	p := device.MustByName("XCV50")
 	m := New(p)
@@ -108,5 +110,13 @@ func TestCloneDropsTracking(t *testing.T) {
 	}
 	if !c.Equal(m) {
 		t.Fatal("clone content differs")
+	}
+	other, err := p.FARAt(p.TotalFrames() - 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.SetBit(device.BitCoord{FAR: other, Bit: 0}, true)
+	if c.DirtyCount() != 0 || m.DirtyCount() != 1 || m.FrameDirty(other) {
+		t.Fatalf("clone write tracked: clone %d, source %d dirty", c.DirtyCount(), m.DirtyCount())
 	}
 }

@@ -6,6 +6,7 @@ package frames
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/device"
 )
@@ -32,11 +33,10 @@ func New(p *Part) *Memory {
 	return &Memory{Part: p, data: make([]uint32, p.TotalFrames()*p.FrameWords())}
 }
 
-// Clone returns a deep copy of the memory.
+// Clone returns a deep copy of the memory, without dirty tracking. It copies
+// the frames into fresh storage without zeroing it first.
 func (m *Memory) Clone() *Memory {
-	c := New(m.Part)
-	copy(c.data, m.data)
-	return c
+	return &Memory{Part: m.Part, data: slices.Clone(m.data)}
 }
 
 // Frame returns the payload of the addressed frame. The slice aliases the

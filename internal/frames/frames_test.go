@@ -76,21 +76,31 @@ func TestSetFrameLengthCheck(t *testing.T) {
 	}
 }
 
+// TestCloneIsDeep: a clone holds every word of the source, and a write to
+// any frame of either leaves the other as it was.
 func TestCloneIsDeep(t *testing.T) {
 	p := xcv50()
 	m := New(p)
-	bc := p.CLBBit(1, 1, 0)
-	m.SetBit(bc, true)
+	for i := range m.data {
+		m.data[i] = uint32(i)*0x9E3779B9 + 1
+	}
 	c := m.Clone()
-	if !c.Bit(bc) {
-		t.Fatal("clone missing bit")
+	if !c.Equal(m) {
+		t.Fatal("clone content differs")
 	}
-	c.SetBit(bc, false)
-	if !m.Bit(bc) {
-		t.Fatal("clone write leaked into original")
-	}
-	if m.Equal(c) {
-		t.Fatal("memories should differ after clone mutation")
+	for i := 0; i < p.TotalFrames(); i++ {
+		far, err := p.FARAt(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Frame(far)[0] ^= 1
+		if m.Frame(far)[0] == c.Frame(far)[0] {
+			t.Fatalf("clone write to frame %v leaked into the original", far)
+		}
+		m.Frame(far)[1] ^= 1
+		if m.Frame(far)[1] == c.Frame(far)[1] {
+			t.Fatalf("original write to frame %v leaked into the clone", far)
+		}
 	}
 }
 

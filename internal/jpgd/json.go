@@ -16,10 +16,13 @@ import (
 )
 
 // flatField is one member of a flat request object: its JSON name and the
-// string or bool it decodes into.
+// string or bool it decodes into. A string member with raw set leaves a
+// literal that is its own text (see unquote) where it lies in the body:
+// *raw aliases those bytes and str is not set.
 type flatField struct {
 	name string
 	str  *string
+	raw  *[]byte
 	flag *bool
 }
 
@@ -32,6 +35,11 @@ func decodeRequest[T any](body []byte, v *T, fields []flatField) (decoder string
 	}
 	var zero T
 	*v = zero // a declined body may have set some fields
+	for _, f := range fields {
+		if f.raw != nil {
+			*f.raw = nil
+		}
+	}
 	return "json", decodeJSON(body, v)
 }
 
@@ -76,7 +84,12 @@ func decodeFlat(body []byte, fields []flatField) bool {
 		switch {
 		case f.str != nil && len(val) > 0 && val[0] == '"':
 			end := quoteEnd(val, 0)
-			if end < 0 || !unquote(val[:end], f.str) {
+			if end < 0 {
+				return false
+			}
+			if text := val[1 : end-1]; f.raw != nil && ownText(text) {
+				*f.raw = text
+			} else if !unquote(val[:end], f.str) {
 				return false
 			}
 			i += end
@@ -138,12 +151,17 @@ func quoteEnd(b []byte, i int) int {
 // decode exactly as encoding/json decodes them. It reports false for a
 // literal encoding/json rejects.
 func unquote(raw []byte, dst *string) bool {
-	s := raw[1 : len(raw)-1]
-	if bytes.IndexByte(s, '\\') < 0 && plainText(s) {
+	if s := raw[1 : len(raw)-1]; ownText(s) {
 		*dst = string(s)
 		return true
 	}
 	return json.Unmarshal(raw, dst) == nil
+}
+
+// ownText reports whether the contents s of a JSON string literal are the
+// string's text: no backslash, no control byte, valid UTF-8.
+func ownText(s []byte) bool {
+	return bytes.IndexByte(s, '\\') < 0 && plainText(s)
 }
 
 // plainText reports whether s holds no byte below 0x20 and is valid UTF-8.

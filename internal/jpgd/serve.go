@@ -554,6 +554,21 @@ func (c *lru[K, V]) get(k K) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[k]
+	return c.found(el, ok)
+}
+
+// getBytes is get on a string-keyed LRU by the key's bytes, which it does
+// not copy.
+func getBytes[V any](c *lru[string, V], k []byte) (V, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.entries[string(k)]
+	return c.found(el, ok)
+}
+
+// found counts a lookup that found el (ok) or nothing, and returns its
+// value. The caller holds c.mu.
+func (c *lru[K, V]) found(el *list.Element, ok bool) (V, bool) {
 	if !ok {
 		c.mMiss.Inc()
 		var zero V

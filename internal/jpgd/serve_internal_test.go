@@ -118,7 +118,7 @@ func TestBaseCacheEvictsColdestBase(t *testing.T) {
 	}
 	load := func(i int, wantHit bool) {
 		t.Helper()
-		e, hit, err := s.loadBase(b64[i])
+		e, hit, err := s.loadBase([]byte(b64[i]))
 		if err != nil {
 			t.Fatalf("base %d: %v", i, err)
 		}
@@ -140,6 +140,10 @@ func TestBaseCacheEvictsColdestBase(t *testing.T) {
 	load(0, true)
 	load(2, true)
 	load(1, false)
+	text := []byte(b64[1])
+	if n := testing.AllocsPerRun(10, func() { s.loadBase(text) }); n != 0 {
+		t.Fatalf("a base-cache hit allocates %v times", n)
+	}
 }
 
 func TestPipelineDefaults(t *testing.T) {

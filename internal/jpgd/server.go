@@ -369,10 +369,11 @@ type GenerateResponse struct {
 }
 
 // fields lists the members decodeFlat fills. Download, an object, is not
-// one of them: a body that carries it is decoded by decodeJSON.
-func (r *GenerateRequest) fields() []flatField {
+// one of them: a body that carries it is decoded by decodeJSON. A non-nil
+// base receives the base text when decodeFlat leaves it in the body.
+func (r *GenerateRequest) fields(base *[]byte) []flatField {
 	return []flatField{
-		{name: "base", str: &r.Base}, {name: "xdl", str: &r.XDL}, {name: "ucf", str: &r.UCF},
+		{name: "base", str: &r.Base, raw: base}, {name: "xdl", str: &r.XDL}, {name: "ucf", str: &r.UCF},
 		{name: "name", str: &r.Name}, {name: "strict", flag: &r.Strict},
 		{name: "compress", flag: &r.Compress}, {name: "delta", flag: &r.Delta},
 		{name: "verify", flag: &r.Verify},
@@ -443,15 +444,19 @@ func (s *Server) generate(ctx context.Context, body []byte) (any, error) {
 func (s *Server) decodeGenerate(ctx context.Context, body []byte) (req GenerateRequest, base *baseEntry, err error) {
 	_, sp := obs.Start(ctx, "jpgd.decode")
 	defer sp.End()
-	decoder, err := decodeRequest(body, &req, req.fields())
+	var b64 []byte // the base text, where decodeFlat leaves it in body
+	decoder, err := decodeRequest(body, &req, req.fields(&b64))
 	sp.SetStr("decoder", decoder)
 	if err != nil {
 		return req, nil, err
 	}
-	if req.Base == "" || req.XDL == "" || req.UCF == "" {
+	if b64 == nil { // escaped, or read by encoding/json
+		b64 = []byte(req.Base)
+	}
+	if len(b64) == 0 || req.XDL == "" || req.UCF == "" {
 		return req, nil, badRequest(fmt.Errorf("base, xdl and ucf are required"))
 	}
-	base, hit, err := s.loadBase(req.Base)
+	base, hit, err := s.loadBase(b64)
 	if hit {
 		sp.SetStr("base", "hit")
 	} else {
@@ -485,12 +490,14 @@ func newBaseCache(maxBytes int64, reg *obs.Registry) *lru[string, *baseEntry] {
 }
 
 // loadBase returns the decoded base for a request's base64 text and whether
-// the base cache held it. Only a base that decodes and makes a project is
-// cached; a failing one answers its 400 every time.
-func (s *Server) loadBase(b64 string) (*baseEntry, bool, error) {
-	if e, ok := s.bases.get(b64); ok {
+// the base cache held it. A hit copies none of the text; a miss copies it
+// once, into the key it is cached under. Only a base that decodes and makes
+// a project is cached; a failing one answers its 400 every time.
+func (s *Server) loadBase(text []byte) (*baseEntry, bool, error) {
+	if e, ok := getBytes(s.bases, text); ok {
 		return e, true, nil
 	}
+	b64 := string(text)
 	bs, err := decodeBitstream("base", b64)
 	if err != nil {
 		return nil, false, err

@@ -65,9 +65,33 @@ func FuzzDecodeRequest(f *testing.F) {
 		decodeRoundTrip(t, body, new(GenerateRequest))
 		decodeRoundTrip(t, body, new(BuildRequest))
 		decodeRoundTrip(t, body, new(VerifyRequest))
-		decodeDifferential(t, body, (*GenerateRequest).fields)
+		decodeDifferential(t, body, func(r *GenerateRequest) []flatField { return r.fields(nil) })
 		decodeDifferential(t, body, (*VerifyRequest).fields)
+		decodeBaseInPlace(t, body)
 	})
+}
+
+// decodeBaseInPlace holds decodeGenerate's read of a body, which leaves the
+// base text in the body when it can, to the read that copies it out: both
+// answer alike, and the text left in place is the text copied.
+func decodeBaseInPlace(t *testing.T, body []byte) {
+	t.Helper()
+	var copied, left GenerateRequest
+	var text []byte
+	_, errCopied := decodeRequest(body, &copied, copied.fields(nil))
+	_, errLeft := decodeRequest(body, &left, left.fields(&text))
+	if fmt.Sprint(errLeft) != fmt.Sprint(errCopied) {
+		t.Fatalf("body %q: base left in place answers %v, copied %v", body, errLeft, errCopied)
+	}
+	if text != nil {
+		if left.Base != "" {
+			t.Fatalf("body %q: base both left in place and copied", body)
+		}
+		left.Base = string(text)
+	}
+	if errLeft == nil && !reflect.DeepEqual(left, copied) {
+		t.Fatalf("body %q: base left in place decodes %+v, copied %+v", body, left, copied)
+	}
 }
 
 // fig4Body is a real /v1/generate body: the Figure 4 base and a u1/ variant

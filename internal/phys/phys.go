@@ -8,6 +8,7 @@ package phys
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/device"
 	"repro/internal/netlist"
@@ -159,33 +160,62 @@ func (d *Design) SourceNode(n *netlist.Net) (device.NodeID, error) {
 }
 
 // SinkNodes returns the distinct routing nodes a net must reach (cell input
-// pins that are not slice-internal, plus output pads).
+// pins that are not slice-internal, plus output pads), in the order the net
+// lists them. The slice is new, so the caller may keep it.
 func (d *Design) SinkNodes(n *netlist.Net) ([]device.NodeID, error) {
-	seen := map[device.NodeID]bool{}
-	var out []device.NodeID
+	return d.appendSinkNodes(make([]device.NodeID, 0, len(n.Sinks)+len(n.SinkPorts)), n)
+}
+
+// appendSinkNodes appends SinkNodes(n) to dst. It dedupes them in one pass
+// over a pooled bitset of the part's nodes, and clears the bits it set
+// before it puts the set back.
+func (d *Design) appendSinkNodes(dst []device.NodeID, n *netlist.Net) ([]device.NodeID, error) {
+	pooled := getNodeSet(d.Part.NumNodes())
+	seen, start := *pooled, len(dst)
+	defer func() {
+		for _, node := range dst[start:] {
+			seen[node>>6] &^= 1 << (node & 63)
+		}
+		nodeSetPool.Put(pooled)
+	}()
+	add := func(node device.NodeID) {
+		if seen[node>>6]>>(node&63)&1 == 0 {
+			seen[node>>6] |= 1 << (node & 63)
+			dst = append(dst, node)
+		}
+	}
 	for _, pr := range n.Sinks {
 		node, internal, err := d.PinNode(pr)
 		if err != nil {
 			return nil, err
 		}
-		if internal || seen[node] {
-			continue
+		if !internal {
+			add(node)
 		}
-		seen[node] = true
-		out = append(out, node)
 	}
 	for _, p := range n.SinkPorts {
 		pad, ok := d.Ports[p]
 		if !ok {
 			return nil, fmt.Errorf("phys: port %q unassigned", p.Name)
 		}
-		node := d.Part.PadNodeO(pad)
-		if !seen[node] {
-			seen[node] = true
-			out = append(out, node)
-		}
+		add(d.Part.PadNodeO(pad))
 	}
-	return out, nil
+	return dst, nil
+}
+
+// nodeSet is a bitset over a part's routing nodes.
+type nodeSet []uint64
+
+// nodeSetPool holds all-clear node sets, each sized to one part.
+var nodeSetPool sync.Pool
+
+func getNodeSet(nodes int) *nodeSet {
+	words := (nodes + 63) / 64
+	if s, _ := nodeSetPool.Get().(*nodeSet); s != nil && len(*s) == words {
+		return s
+	}
+	s := make(nodeSet, words)
+	return &s
 }
 
 // CheckPlacement verifies structural placement invariants: every cell

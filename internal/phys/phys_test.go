@@ -1,6 +1,8 @@
 package phys
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -141,6 +143,53 @@ func TestSinkNodesDedupAndPorts(t *testing.T) {
 	aPort, _ := d.Netlist.Port("a")
 	if src, err := d.SourceNode(aPort.Net); err != nil || src != d.Part.PadNodeI(d.Ports[aPort]) {
 		t.Fatalf("port-driven net source wrong: %v", err)
+	}
+}
+
+// TestSinkNodesSharedClockPin: flip-flops that share a slice share its
+// clock pin, so a clock net lists each slice's pin once, in the order its
+// first flip-flop appears. Each call returns a new slice, and a call that
+// fails part-way leaves no node marked for the next.
+func TestSinkNodesSharedClockPin(t *testing.T) {
+	p := device.MustByName("XCV50")
+	nl := netlist.NewDesign("t")
+	a, _ := nl.AddPort("a", netlist.In, nil)
+	clk, _ := nl.AddPort("clk", netlist.In, nil)
+	d := NewDesign(p, nl)
+	var want []device.NodeID
+	for i := 0; i < 40; i++ {
+		ff, err := nl.AddDFF(fmt.Sprintf("f%d", i), a.Net, clk.Net, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Each pair of flip-flops shares a slice: two slices a tile, in the
+		// last two columns.
+		site := Site{Row: i / 8, Col: p.Cols - 1 - i/4%2, Slice: i / 2 % 2, LE: i % 2}
+		d.Cells[ff] = site
+		if site.LE == LEF {
+			want = append(want, p.TileWireNode(site.Row, site.Col, device.InPinWire(site.Slice, device.PinCLK)))
+		}
+	}
+	q, err := nl.AddPort("q", netlist.Out, clk.Net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assignPorts(d)
+	want = append(want, p.PadNodeO(d.Ports[q]))
+
+	got, err := d.SinkNodes(clk.Net)
+	if err != nil || !slices.Equal(got, want) {
+		t.Fatalf("clock sinks %v (%v), want %v", got, err, want)
+	}
+	got[0]++
+	pad := d.Ports[q]
+	delete(d.Ports, q)
+	if _, err := d.SinkNodes(clk.Net); err == nil {
+		t.Fatal("unassigned sink port accepted")
+	}
+	d.Ports[q] = pad
+	if again, err := d.SinkNodes(clk.Net); err != nil || !slices.Equal(again, want) {
+		t.Fatalf("second call: clock sinks %v (%v), want %v", again, err, want)
 	}
 }
 

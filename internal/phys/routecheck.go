@@ -23,10 +23,11 @@ func (d *Design) CheckRoutes() error {
 		if !n.Driven() {
 			continue
 		}
-		sinks, err := d.SinkNodes(n)
+		sinks, err := d.appendSinkNodes(s.sinks[:0], n)
 		if err != nil {
 			return err
 		}
+		s.sinks = sinks
 		route := d.Routes[n]
 		if len(sinks) == 0 {
 			if route != nil && len(route.PIPs) > 0 {
@@ -79,6 +80,7 @@ type checkScratch struct {
 	reached   []bool  // whether the current net's source reaches the node
 	resolved  []int32 // net epoch that set reached
 	chainPath []device.NodeID
+	sinks     []device.NodeID // the current net's sink nodes
 }
 
 var checkPool sync.Pool
