@@ -2,6 +2,7 @@ package bitstream
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -73,8 +74,10 @@ func TestPartialRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := base.Clone()
-	if err := want.CopyFrames(src, fars); err != nil {
-		t.Fatal(err)
+	for _, f := range fars {
+		if err := want.SetFrame(f, src.Frame(f)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	stats, err := Apply(base, partial)
 	if err != nil {
@@ -147,6 +150,57 @@ func TestRunsForFARs(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+
+	// Unsorted, with repeats, across both block types: the last two
+	// frames of block type 0 run on into the first of block type 1.
+	maj := p.NumMajors(device.BlockCLB) - 1
+	lastCLB := device.MakeFAR(device.BlockCLB, maj, p.FramesInMajor(device.BlockCLB, maj)-1)
+	prevCLB := device.MakeFAR(device.BlockCLB, maj, p.FramesInMajor(device.BlockCLB, maj)-2)
+	bram0 := device.MakeFAR(device.BlockBRAM, 0, 0)
+	bram1 := device.MakeFAR(device.BlockBRAM, 1, 5)
+	clk := device.MakeFAR(device.BlockCLB, 0, 3)
+	got := RunsForFARs(p, []device.FAR{bram1, bram0, lastCLB, clk, bram0, prevCLB, lastCLB, clk})
+	want := []FrameRun{{Start: clk, N: 1}, {Start: prevCLB, N: 3}, {Start: bram1, N: 1}}
+	if !slices.Equal(got, want) {
+		t.Fatalf("RunsForFARs = %v, want %v", got, want)
+	}
+	if got := RunsForFARs(p, nil); got != nil {
+		t.Fatalf("RunsForFARs(nil) = %v", got)
+	}
+}
+
+// TestApplyRejectsOverrunBeforeWriting: an FDRI run that passes the last
+// frame is refused before any of its frames reaches the memory.
+func TestApplyRejectsOverrunBeforeWriting(t *testing.T) {
+	src := randomMemory(t, "XCV50", 6)
+	p := src.Part
+	last, err := p.FARAt(p.TotalFrames() - 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fw := p.FrameWords()
+	var b builder
+	b.header()
+	b.cmd(CmdRCRC)
+	b.t1(RegFLR, uint32(fw-1))
+	b.t1(RegFAR, uint32(last))
+	b.cmd(CmdWCFG)
+	// Three frames from the second-to-last frame, plus the pad frame.
+	data := make([]uint32, 4*fw)
+	for i := range data {
+		data[i] = 0xA5A5A5A5
+	}
+	b.t1(RegFDRI, data...)
+	b.cmd(CmdLFRM)
+	b.writeCRC()
+	b.cmd(CmdDESYNCH)
+	mem := src.Clone()
+	if _, err := Apply(mem, wordsToBytes(b.words)); err == nil {
+		t.Fatal("Apply accepted an FDRI run past the last frame")
+	}
+	if !mem.Equal(src) {
+		t.Fatal("a rejected FDRI run wrote frames")
 	}
 }
 

@@ -2,8 +2,8 @@ package bitstream
 
 import (
 	"fmt"
+	"slices"
 
-	"repro/internal/device"
 	"repro/internal/frames"
 )
 
@@ -34,76 +34,69 @@ func WritePartialCompressed(mem *frames.Memory, runs []FrameRun) ([]byte, error)
 		return nil, fmt.Errorf("bitstream: compressed partial with no frames")
 	}
 	p := mem.Part
+	fw := p.FrameWords()
 
-	// Expand runs to an ordered FAR list and group by frame content.
-	var fars []device.FAR
+	// Expand runs to device-order frame indices and group them by frame
+	// content, each group in expansion order.
+	var idx []int
+	groups := map[string][]int{}
 	for _, run := range runs {
 		if run.N <= 0 {
 			// Match WritePartial: a zero/negative run would otherwise fall out
 			// of the expansion and yield a frame-less "valid" stream.
 			return nil, fmt.Errorf("bitstream: empty frame run at %v", run.Start)
 		}
-		far := run.Start
-		for k := 0; k < run.N; k++ {
-			if !p.ValidFAR(far) {
-				return nil, fmt.Errorf("bitstream: run of %d frames from %v overruns device", run.N, run.Start)
-			}
-			fars = append(fars, far)
-			if k < run.N-1 {
-				next, ok := p.NextFAR(far)
-				if !ok {
-					return nil, fmt.Errorf("bitstream: run of %d frames from %v overruns device", run.N, run.Start)
-				}
-				far = next
-			}
+		data, err := mem.Frames(run.Start, run.N)
+		if err != nil {
+			return nil, fmt.Errorf("bitstream: %w", err)
 		}
-	}
-	groups := map[string][]device.FAR{}
-	for _, far := range fars {
-		key := frameKey(mem.Frame(far))
-		groups[key] = append(groups[key], far)
+		first := p.FrameIndex(run.Start)
+		for k := 0; k < run.N; k++ {
+			key := frameKey(data[k*fw : (k+1)*fw])
+			groups[key] = append(groups[key], first+k)
+			idx = append(idx, first+k)
+		}
 	}
 
 	// Upper bound: every frame plus one pad frame per FDRI emission, plus
 	// per-frame packet overhead.
-	b := newBuilder((len(fars)+len(groups)+len(runs))*p.FrameWords() + 4*len(fars) + 64)
+	b := newBuilder((len(idx)+len(groups)+len(runs))*fw + 4*len(idx) + 64)
 	b.header()
 	b.cmd(CmdRCRC)
-	b.t1(RegFLR, uint32(p.FrameWords()-1))
+	b.t1(RegFLR, uint32(fw-1))
 
-	// Replicated groups first (deterministic order: by first FAR).
-	replicated := map[device.FAR]bool{}
-	var leaders []device.FAR
-	byLeader := map[device.FAR][]device.FAR{}
+	// Replicated groups first (deterministic order: by leader, the group's
+	// first frame).
+	var repeated [][]int
 	for _, g := range groups {
 		if len(g) >= mfwrThreshold {
-			leaders = append(leaders, g[0])
-			byLeader[g[0]] = g
+			repeated = append(repeated, g)
 		}
 	}
-	sortFARs(p, leaders)
-	for _, leader := range leaders {
-		g := byLeader[leader]
+	slices.SortFunc(repeated, func(a, b []int) int { return a[0] - b[0] })
+	replicated := make([]bool, p.TotalFrames())
+	for _, g := range repeated {
+		leader := p.MustFARAt(g[0])
 		b.t1(RegFAR, uint32(leader))
 		b.cmd(CmdWCFG)
 		if err := b.fdri(mem, FrameRun{Start: leader, N: 1}); err != nil {
 			return nil, err
 		}
-		replicated[leader] = true
-		for _, far := range g[1:] {
-			b.t1(RegMFWR, uint32(far))
-			replicated[far] = true
+		replicated[g[0]] = true
+		for _, i := range g[1:] {
+			b.t1(RegMFWR, uint32(p.MustFARAt(i)))
+			replicated[i] = true
 		}
 	}
 
 	// Remaining frames as plain contiguous runs.
-	var rest []device.FAR
-	for _, far := range fars {
-		if !replicated[far] {
-			rest = append(rest, far)
+	var rest []int
+	for _, i := range idx {
+		if !replicated[i] {
+			rest = append(rest, i)
 		}
 	}
-	for _, run := range RunsForFARs(p, rest) {
+	for _, run := range runsForIndices(p, rest) {
 		b.t1(RegFAR, uint32(run.Start))
 		b.cmd(CmdWCFG)
 		if err := b.fdri(mem, run); err != nil {
@@ -127,12 +120,4 @@ func frameKey(words []uint32) string {
 		buf[4*i+3] = byte(w)
 	}
 	return string(buf)
-}
-
-func sortFARs(p *device.Part, fars []device.FAR) {
-	for i := 1; i < len(fars); i++ {
-		for j := i; j > 0 && p.FrameIndex(fars[j-1]) > p.FrameIndex(fars[j]); j-- {
-			fars[j-1], fars[j] = fars[j], fars[j-1]
-		}
-	}
 }

@@ -79,11 +79,18 @@ func TestInspectMutatedGoldenStreams(t *testing.T) {
 	// register, so the type-2 still decodes; starting a fresh stream with a
 	// bare type-2 must not.
 	bare := streamOf(DummyWord, SyncWord, type2Header(OpWrite, 4), 0, 0, 0, 0)
-	cases = append(cases, struct {
+	// DESYNCH forgets the register select, so the first type-2 after a
+	// re-sync has none either.
+	resynced := streamOf(DummyWord, SyncWord, type1Header(OpWrite, RegCMD, 1), CmdDESYNCH,
+		SyncWord, type2Header(OpWrite, 4), 0, 0, 0, 0)
+	cases = append(cases, []struct {
 		name string
 		bs   []byte
 		want string
-	}{"type2-first-packet", bare, "register select"})
+	}{
+		{"type2-first-packet", bare, "register select"},
+		{"type2-first-after-resync", resynced, "register select"},
+	}...)
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -69,7 +69,10 @@ func Inspect(bs []byte) ([]PacketInfo, error) {
 				pi.First = words[i]
 			}
 			if h.Reg == RegCMD && h.Count == 1 && words[i] == CmdDESYNCH {
+				// As on the device, a re-sync starts with no register
+				// selected.
 				synced = false
+				lastReg = -1
 			}
 			i += h.Count
 		}

@@ -225,7 +225,10 @@ func (pt *Port) writeReg(reg int, data []uint32) error {
 
 // writeFrames commits FDRI data: the frame pipeline writes frame k when
 // frame k+1 shifts in, so M frames of data configure M-1 frames and the
-// final (pad) frame is discarded.
+// final (pad) frame is discarded. The M-1 frames are one run from the FAR,
+// committed in one write; a run that passes the last frame is rejected
+// before any of its frames is written. The FAR is left on the run's last
+// frame.
 func (pt *Port) writeFrames(data []uint32) error {
 	if pt.cmd != CmdWCFG {
 		return fmt.Errorf("bitstream: FDRI write without WCFG (cmd=%s)", CmdName(pt.cmd))
@@ -239,22 +242,11 @@ func (pt *Port) writeFrames(data []uint32) error {
 	if nf < 2 {
 		return fmt.Errorf("bitstream: FDRI payload of %d frame(s); need at least data+pad", nf)
 	}
-	for k := 0; k < nf-1; k++ {
-		if !p.ValidFAR(pt.far) {
-			return fmt.Errorf("bitstream: frame write past end of device at frame %d of run", k)
-		}
-		if err := pt.Mem.SetFrame(pt.far, data[k*fw:(k+1)*fw]); err != nil {
-			return err
-		}
-		pt.Stats.FramesWritten++
-		if k < nf-2 {
-			next, ok := p.NextFAR(pt.far)
-			if !ok {
-				return fmt.Errorf("bitstream: frame write past end of device at frame %d of run", k+1)
-			}
-			pt.far = next
-		}
+	if err := pt.Mem.SetFrames(pt.far, data[:(nf-1)*fw]); err != nil {
+		return fmt.Errorf("bitstream: FDRI frame write: %w", err)
 	}
+	pt.Stats.FramesWritten += nf - 1
+	pt.far = p.MustFARAt(p.FrameIndex(pt.far) + nf - 2)
 	pt.lastFrame = append(pt.lastFrame[:0], data[(nf-2)*fw:(nf-1)*fw]...)
 	return nil
 }

@@ -117,45 +117,38 @@ func ExecuteReadback(mem *frames.Memory, request []byte) ([]uint32, error) {
 			if h.Count%fw != 0 || h.Count < 2*fw {
 				return nil, fmt.Errorf("bitstream: FDRO read of %d words (frame length %d)", h.Count, fw)
 			}
-			// Pipeline pad frame first, then payload frames with FAR
-			// auto-increment.
-			out = append(out, make([]uint32, fw)...)
-			for k := 0; k < h.Count/fw-1; k++ {
-				if !p.ValidFAR(far) {
-					return nil, fmt.Errorf("bitstream: readback past end of device")
-				}
-				out = append(out, mem.Frame(far)...)
-				if k < h.Count/fw-2 {
-					next, ok := p.NextFAR(far)
-					if !ok {
-						return nil, fmt.Errorf("bitstream: readback past end of device")
-					}
-					far = next
-				}
+			// Pipeline pad frame first, then the run of payload frames
+			// from the FAR, which is left on the run's last frame.
+			n := h.Count/fw - 1
+			data, err := mem.Frames(far, n)
+			if err != nil {
+				return nil, fmt.Errorf("bitstream: readback past end of device: %w", err)
 			}
+			out = append(out, make([]uint32, fw)...)
+			out = append(out, data...)
+			far = p.MustFARAt(p.FrameIndex(far) + n - 1)
 		}
 	}
 	return out, nil
 }
 
 // ParseReadback splits raw readback words into per-run frame payloads,
-// stripping each run's leading pad frame.
-func ParseReadback(p *device.Part, runs []FrameRun, raw []uint32) ([][][]uint32, error) {
+// stripping each run's leading pad frame: run i's N frames come back as one
+// slice of N*FrameWords words, in device order.
+func ParseReadback(p *device.Part, runs []FrameRun, raw []uint32) ([][]uint32, error) {
 	fw := p.FrameWords()
-	var out [][][]uint32
+	out := make([][]uint32, 0, len(runs))
 	off := 0
 	for _, run := range runs {
+		if run.N <= 0 {
+			return nil, fmt.Errorf("bitstream: empty readback run at %v", run.Start)
+		}
 		need := (run.N + 1) * fw
 		if off+need > len(raw) {
 			return nil, fmt.Errorf("bitstream: readback data short (%d words, need %d)", len(raw), off+need)
 		}
-		off += fw // discard pad frame
-		framesOut := make([][]uint32, run.N)
-		for k := 0; k < run.N; k++ {
-			framesOut[k] = raw[off : off+fw]
-			off += fw
-		}
-		out = append(out, framesOut)
+		out = append(out, raw[off+fw:off+need])
+		off += need
 	}
 	if off != len(raw) {
 		return nil, fmt.Errorf("bitstream: %d trailing readback words", len(raw)-off)
@@ -164,8 +157,8 @@ func ParseReadback(p *device.Part, runs []FrameRun, raw []uint32) ([][][]uint32,
 }
 
 // ReadbackFrames is the convenience path: request, execute and parse in one
-// call, returning the frames for each requested run.
-func ReadbackFrames(mem *frames.Memory, runs []FrameRun) ([][][]uint32, error) {
+// call, returning the frames of each requested run as one slice.
+func ReadbackFrames(mem *frames.Memory, runs []FrameRun) ([][]uint32, error) {
 	req, err := WriteReadbackRequest(mem.Part, runs)
 	if err != nil {
 		return nil, err

@@ -20,13 +20,17 @@ func TestReadbackRoundTrip(t *testing.T) {
 	if len(got) != len(runs) {
 		t.Fatalf("readback returned %d runs, want %d", len(got), len(runs))
 	}
+	fw := p.FrameWords()
 	for ri, run := range runs {
+		if len(got[ri]) != run.N*fw {
+			t.Fatalf("run %d read back %d words, want %d", ri, len(got[ri]), run.N*fw)
+		}
 		far := run.Start
 		for k := 0; k < run.N; k++ {
 			want := mem.Frame(far)
 			for w := range want {
-				if got[ri][k][w] != want[w] {
-					t.Fatalf("run %d frame %d word %d: %#x != %#x", ri, k, w, got[ri][k][w], want[w])
+				if got[ri][k*fw+w] != want[w] {
+					t.Fatalf("run %d frame %d word %d: %#x != %#x", ri, k, w, got[ri][k*fw+w], want[w])
 				}
 			}
 			if k < run.N-1 {
@@ -49,7 +53,7 @@ func TestReadbackMultipleRuns(t *testing.T) {
 	for i, far := range []device.FAR{f1, f2} {
 		want := mem.Frame(far)
 		for w := range want {
-			if got[i][0][w] != want[w] {
+			if got[i][w] != want[w] {
 				t.Fatalf("run %d word %d mismatch", i, w)
 			}
 		}
@@ -110,6 +114,14 @@ func TestParseReadbackLengthChecks(t *testing.T) {
 	if _, err := ParseReadback(p, runs, make([]uint32, 5*p.FrameWords())); err == nil {
 		t.Fatal("long data accepted")
 	}
+	// A run of no frames, or fewer, is refused as WriteReadbackRequest
+	// refuses it, not split.
+	for _, n := range []int{0, -1} {
+		empty := []FrameRun{{Start: p.FirstFAR(), N: n}}
+		if _, err := ParseReadback(p, empty, make([]uint32, p.FrameWords())); err == nil {
+			t.Fatalf("run of %d frames accepted", n)
+		}
+	}
 	if _, err := ParseReadback(p, runs, make([]uint32, 3*p.FrameWords())); err != nil {
 		t.Fatal(err)
 	}
@@ -143,13 +155,14 @@ func TestReadbackEveryColumn(t *testing.T) {
 		if err != nil {
 			t.Fatalf("run %v N=%d: %v", run.Start, run.N, err)
 		}
+		fw := p.FrameWords()
 		far := run.Start
 		for k := 0; k < run.N; k++ {
 			want := mem.Frame(far)
 			for w := range want {
-				if got[0][k][w] != want[w] {
+				if got[0][k*fw+w] != want[w] {
 					t.Fatalf("run %v N=%d frame %d word %d: %#08x != %#08x",
-						run.Start, run.N, k, w, got[0][k][w], want[w])
+						run.Start, run.N, k, w, got[0][k*fw+w], want[w])
 				}
 			}
 			if k < run.N-1 {

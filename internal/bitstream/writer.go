@@ -3,6 +3,7 @@ package bitstream
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/device"
@@ -20,47 +21,28 @@ type FrameRun struct {
 // RunsForFARs coalesces a list of frame addresses (any order, duplicates
 // allowed) into maximal contiguous runs in device order.
 func RunsForFARs(p *device.Part, fars []device.FAR) []FrameRun {
-	if len(fars) == 0 {
-		return nil
+	idx := make([]int, len(fars))
+	for i, f := range fars {
+		idx[i] = p.FrameIndex(f)
 	}
-	seen := make(map[int]bool, len(fars))
-	idx := make([]int, 0, len(fars))
-	for _, f := range fars {
-		i := p.FrameIndex(f)
-		if !seen[i] {
-			seen[i] = true
-			idx = append(idx, i)
-		}
-	}
-	sortInts(idx)
-	var runs []FrameRun
-	runStart, runLen := idx[0], 1
-	flush := func() {
-		far, err := p.FARAt(runStart)
-		if err != nil {
-			panic(err) // indices came from FrameIndex, cannot be invalid
-		}
-		runs = append(runs, FrameRun{Start: far, N: runLen})
-	}
-	for _, i := range idx[1:] {
-		if i == runStart+runLen {
-			runLen++
-			continue
-		}
-		flush()
-		runStart, runLen = i, 1
-	}
-	flush()
-	return runs
+	return runsForIndices(p, idx)
 }
 
-func sortInts(a []int) {
-	// Insertion sort: run lists are short; avoids pulling in sort for one call.
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j-1] > a[j]; j-- {
-			a[j-1], a[j] = a[j], a[j-1]
+// runsForIndices is RunsForFARs over device-order frame indices. It sorts
+// idx in place.
+func runsForIndices(p *device.Part, idx []int) []FrameRun {
+	slices.Sort(idx)
+	idx = slices.Compact(idx)
+	var runs []FrameRun
+	for len(idx) > 0 {
+		n := 1
+		for n < len(idx) && idx[n] == idx[0]+n {
+			n++
 		}
+		runs = append(runs, FrameRun{Start: p.MustFARAt(idx[0]), N: n})
+		idx = idx[n:]
 	}
+	return runs
 }
 
 // builder accumulates packet words, maintaining the same running CRC the
@@ -73,9 +55,6 @@ type builder struct {
 	// made by newBuilder; finish returns the buffer there. A zero-value
 	// builder (pool nil) still works and simply allocates.
 	pool *[]uint32
-	// fars is per-builder scratch for fdri's run validation, reused across
-	// runs so multi-run partial bitstreams do not allocate per run.
-	fars []device.FAR
 }
 
 // Emission metrics (always on; see internal/obs): total bytes produced and
@@ -160,31 +139,15 @@ func (b *builder) header() {
 
 // fdri emits the frame data for a run: the frames' payloads followed by one
 // zero pad frame (the device's frame pipeline discards the final frame, so
-// N+1 frames of data configure N frames). The frames stream straight from
-// the configuration memory into the packet buffer — the run is validated
-// up front (so errors never leave a half-emitted packet) and no temporary
-// payload slice is built.
+// N+1 frames of data configure N frames). The run is one slice of the
+// configuration memory and is copied into the packet buffer in one append;
+// a run off the device fails before anything is emitted.
 func (b *builder) fdri(mem *frames.Memory, run FrameRun) error {
-	p := mem.Part
-	fw := p.FrameWords()
-	if cap(b.fars) < run.N {
-		b.fars = make([]device.FAR, 0, run.N)
+	data, err := mem.Frames(run.Start, run.N)
+	if err != nil {
+		return fmt.Errorf("bitstream: %w", err)
 	}
-	b.fars = b.fars[:0]
-	far := run.Start
-	for i := 0; i < run.N; i++ {
-		if !p.ValidFAR(far) {
-			return fmt.Errorf("bitstream: run of %d frames from %v overruns device", run.N, run.Start)
-		}
-		b.fars = append(b.fars, far)
-		if i < run.N-1 {
-			next, ok := p.NextFAR(far)
-			if !ok {
-				return fmt.Errorf("bitstream: run of %d frames from %v overruns device", run.N, run.Start)
-			}
-			far = next
-		}
-	}
+	fw := mem.Part.FrameWords()
 	count := (run.N + 1) * fw
 	if count <= t1CountMask {
 		b.raw(type1Header(OpWrite, RegFDRI, count))
@@ -194,12 +157,8 @@ func (b *builder) fdri(mem *frames.Memory, run FrameRun) error {
 	}
 	b.lastReg = RegFDRI
 	start := len(b.words)
-	for _, f := range b.fars {
-		b.words = append(b.words, mem.Frame(f)...)
-	}
-	for i := 0; i < fw; i++ { // pad frame
-		b.words = append(b.words, 0)
-	}
+	b.words = append(b.words, data...)
+	b.words = append(b.words, make([]uint32, fw)...) // pad frame
 	b.crc = crcFold(b.crc, RegFDRI, b.words[start:])
 	return nil
 }

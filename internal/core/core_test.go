@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -296,8 +297,12 @@ func TestVerifyRegionAfterDownload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := proj2.VerifyRegion(res.Region, board); err == nil {
+	err = proj2.VerifyRegion(res.Region, board)
+	if err == nil {
 		t.Fatal("verification missed a corrupted frame")
+	}
+	if want := fmt.Sprintf("verify failed at %v word %d:", bc.FAR, bc.Bit/32); !strings.Contains(err.Error(), want) {
+		t.Fatalf("verification error %q does not name %q", err, want)
 	}
 	// Invalid region rejected.
 	if err := proj.VerifyRegion(frames.Region{R1: 0, C1: 0, R2: 99, C2: 0}, board); err == nil {

@@ -359,23 +359,18 @@ func (p *Project) VerifyRegion(rg frames.Region, board xhwif.HWIF) error {
 	if err != nil {
 		return err
 	}
+	fw := p.Part.FrameWords()
 	for ri, run := range runs {
-		far := run.Start
-		for k := 0; k < run.N; k++ {
-			want := p.Base.Frame(far)
-			got := perRun[ri][k]
-			for w := range want {
-				if got[w] != want[w] {
-					return fmt.Errorf("core: verify failed at %v word %d: device %#08x, expected %#08x",
-						far, w, got[w], want[w])
-				}
-			}
-			if k < run.N-1 {
-				next, ok := p.Part.NextFAR(far)
-				if !ok {
-					return fmt.Errorf("core: verify run overruns device")
-				}
-				far = next
+		want, err := p.Base.Frames(run.Start, run.N)
+		if err != nil {
+			return fmt.Errorf("core: verify: %w", err)
+		}
+		got := perRun[ri]
+		for w := range want {
+			if got[w] != want[w] {
+				far := p.Part.MustFARAt(p.Part.FrameIndex(run.Start) + w/fw)
+				return fmt.Errorf("core: verify failed at %v word %d: device %#08x, expected %#08x",
+					far, w%fw, got[w], want[w])
 			}
 		}
 	}

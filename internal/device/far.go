@@ -198,6 +198,16 @@ func (p *Part) FARAt(index int) (FAR, error) {
 	return 0, fmt.Errorf("device: frame index %d out of range (%d frames)", index, total)
 }
 
+// MustFARAt is FARAt for an index known to be in range, such as one inside
+// a run of frames already checked against the part. It panics otherwise.
+func (p *Part) MustFARAt(index int) FAR {
+	f, err := p.FARAt(index)
+	if err != nil {
+		panic(err)
+	}
+	return f
+}
+
 // frameStarts returns the linear index of the first frame of the CLB
 // columns, the IOB columns, the BRAM interconnect columns and the BRAM
 // content columns (block type 1), and the total frame count: the column

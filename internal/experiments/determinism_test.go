@@ -202,6 +202,8 @@ func TestMaskTimings(t *testing.T) {
 	tab.Note("deterministic byte ratio = 0.33x")
 	tab.Note("total CAD time ratio = 2.1x")
 	tab.Note("ran in 35ms")
+	tab.Note("VERDICT: PASS (minimum module-vs-full P&R speedup 4.1x > 1.5x)")
+	tab.Note("VERDICT: PASS (every partial is a third of its full bitstream)")
 	got := maskTimings(tab)
 	if strings.Contains(got, "1.5ms") || strings.Contains(got, "3.1x") || strings.Contains(got, "2m3s") {
 		t.Fatalf("time cells not masked:\n%s", got)
@@ -209,8 +211,12 @@ func TestMaskTimings(t *testing.T) {
 	if !strings.Contains(got, "byte ratio = 0.33x") {
 		t.Fatalf("deterministic note dropped:\n%s", got)
 	}
-	if strings.Contains(got, "CAD time ratio") || strings.Contains(got, "35ms") {
+	if strings.Contains(got, "CAD time ratio") || strings.Contains(got, "35ms") ||
+		strings.Contains(got, "P&R speedup") {
 		t.Fatalf("time-sensitive notes kept:\n%s", got)
+	}
+	if !strings.Contains(got, "VERDICT: PASS (every partial") {
+		t.Fatalf("verdict on bytes dropped:\n%s", got)
 	}
 	if !strings.Contains(got, "x|<time>|<time>") {
 		t.Fatalf("row masking wrong:\n%s", got)

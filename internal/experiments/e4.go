@@ -93,10 +93,12 @@ func E4(ctx context.Context, cfg Config) (*Table, error) {
 			fullFmt(r.modPR), fullFmt(r.fullPR), fmt.Sprintf("%.1fx", speedup))
 	}
 	t.Note("minimum module-vs-full P&R speedup = %.1fx", minSpeedup)
+	// The verdict rests on wall-clock P&R times, so it names the speedup:
+	// timing masks then drop it with the note above.
 	if minSpeedup > 1.5 {
-		t.Note("VERDICT: PASS (constrained module P&R is significantly cheaper)")
+		t.Note("VERDICT: PASS (minimum module-vs-full P&R speedup %.1fx > 1.5x)", minSpeedup)
 	} else {
-		t.Note("VERDICT: FAIL (no significant P&R saving)")
+		t.Note("VERDICT: FAIL (minimum module-vs-full P&R speedup %.1fx <= 1.5x)", minSpeedup)
 	}
 	return t, nil
 }

@@ -13,7 +13,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/phys"
 	"repro/internal/ucf"
-	"repro/internal/xdl"
 )
 
 // The incremental flow: instead of re-running map/place/route/bitgen for an
@@ -281,28 +280,4 @@ func implementRegionFn(cons *ucf.Constraints) (func(*netlist.Net) *frames.Region
 		return nil
 	}
 	return rfn, "groups"
-}
-
-// Incremental is the one-shot entry point: re-implement next against a
-// previous implementation, splicing whatever the edit leaves untouched. It
-// is NewEditSession + one Edit, with the result's XDL emitted (a held
-// session leaves a splice's XDL empty: its consumer, core.Project, takes the
-// live physical design). Callers absorbing an edit stream should hold an
-// EditSession instead so the configuration memory persists across edits.
-func Incremental(ctx context.Context, prev *Artifacts, next *netlist.Design, cons *ucf.Constraints,
-	opts Options) (*IncrementalResult, error) {
-	s, err := NewEditSession(prev, cons, opts)
-	if err != nil {
-		return nil, err
-	}
-	res, err := s.Edit(ctx, next)
-	if err != nil || res.Artifacts.XDL != "" {
-		return res, err
-	}
-	a := *res.Artifacts
-	if a.XDL, err = xdl.Emit(a.Phys); err != nil {
-		return nil, err
-	}
-	res.Artifacts = &a
-	return res, nil
 }

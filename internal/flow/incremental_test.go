@@ -202,25 +202,3 @@ func TestIncrementalColumnCacheHits(t *testing.T) {
 		t.Fatal("revisiting a configuration produced different bytes")
 	}
 }
-
-func TestIncrementalOneShotEntryPoint(t *testing.T) {
-	p, prev, opts := implementSBox(t, 12)
-	next := editedClone(t, prev.Netlist, map[string]uint16{"u1/sbox4": 0x0f0f})
-	res, err := Incremental(context.Background(), prev, next, nil, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.Path != "splice" {
-		t.Fatalf("one-shot edit took path %q", res.Stats.Path)
-	}
-	cold, err := Implement(context.Background(), p, next.Clone(), nil, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(res.Artifacts.Bitstream, cold.Bitstream) {
-		t.Fatal("one-shot incremental differs from from-scratch build")
-	}
-	if res.Artifacts.XDL != cold.XDL {
-		t.Fatal("one-shot entry point must emit the from-scratch XDL")
-	}
-}

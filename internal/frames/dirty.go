@@ -8,12 +8,12 @@ import "repro/internal/device"
 // small edit without diffing the whole memory against a snapshot — the same
 // granularity the Virtex configuration port itself works at.
 //
-// Tracking is maintained by the setter APIs (SetBit, ClearBits, SetFrame,
-// Clear, CopyFrames), which mark a frame only when its content actually
+// Tracking is maintained by the setter APIs (SetBit, ClearBits, SetFrames,
+// SetFrame, Clear), which mark a frame only when its content actually
 // changes; an idempotent rewrite leaves it clean. Writes through the
-// aliasing slice returned by Frame bypass tracking — the JBits layer writes
-// exclusively through SetBit and ClearBits, and bitgen through JBits, so the
-// CAD flow is fully covered.
+// aliasing slices returned by Frame and Frames bypass tracking — the JBits
+// layer writes exclusively through SetBit and ClearBits, and bitgen through
+// JBits, so the CAD flow is fully covered.
 
 // StartTracking enables dirty-frame tracking with an empty dirty set. It is
 // idempotent on an already-tracking memory except that the dirty set is
@@ -75,11 +75,7 @@ func (m *Memory) DirtyFARs() []device.FAR {
 	total := m.Part.TotalFrames()
 	for i := 0; i < total; i++ {
 		if m.dirty[i>>6]>>(i&63)&1 == 1 {
-			f, err := m.Part.FARAt(i)
-			if err != nil {
-				continue
-			}
-			out = append(out, f)
+			out = append(out, m.Part.MustFARAt(i))
 		}
 	}
 	return out

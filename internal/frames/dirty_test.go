@@ -79,24 +79,6 @@ func TestDirtyTrackingSetFrameAndClear(t *testing.T) {
 	}
 }
 
-func TestDirtyTrackingCopyFrames(t *testing.T) {
-	p := device.MustByName("XCV50")
-	src := New(p)
-	far := device.MakeFAR(device.BlockCLB, p.CLBMajor(7), 2)
-	src.SetBit(device.BitCoord{FAR: far, Bit: 3}, true)
-
-	dst := New(p)
-	dst.StartTracking()
-	other := device.MakeFAR(device.BlockCLB, p.CLBMajor(8), 0)
-	if err := dst.CopyFrames(src, []device.FAR{far, other}); err != nil {
-		t.Fatal(err)
-	}
-	// far changed, other was zero in both.
-	if dst.DirtyCount() != 1 || !dst.FrameDirty(far) || dst.FrameDirty(other) {
-		t.Fatalf("CopyFrames tracked %d dirty frames", dst.DirtyCount())
-	}
-}
-
 // TestCloneDropsTracking: a clone starts untracked, and writes to it touch
 // neither its own nor the source's dirty set.
 func TestCloneDropsTracking(t *testing.T) {

@@ -2,6 +2,11 @@
 // configuration frames of one part, addressable by frame address (FAR) and
 // bit offset. It is the state that bitstreams write into and that the JBits
 // layer and bitgen manipulate.
+//
+// Frames are stored in device order, the order the configuration port's FAR
+// auto-increment visits them (device.Part.FrameIndex). A run of N frames
+// from one address, the unit of an FDRI write or an FDRO read, is therefore
+// one contiguous slice of storage: Frames returns it and SetFrames writes it.
 package frames
 
 import (
@@ -19,8 +24,8 @@ type Memory struct {
 	data []uint32
 	// dirty, when non-nil, is a per-frame bitset of frames whose content has
 	// changed since tracking started (see dirty.go). Only the setter APIs
-	// (SetBit, ClearBits, SetFrame, Clear, CopyFrames) maintain it; writes
-	// through the aliasing Frame slice are invisible to tracking.
+	// (SetBit, ClearBits, SetFrames, SetFrame, Clear) maintain it; writes
+	// through the aliasing Frame and Frames slices are invisible to tracking.
 	dirty []uint64
 }
 
@@ -47,18 +52,56 @@ func (m *Memory) Frame(f device.FAR) []uint32 {
 	return m.data[i*fw : (i+1)*fw]
 }
 
-// SetFrame replaces the payload of the addressed frame. It returns an error
-// if the payload length does not match the part's frame length.
+// Frames returns the n frames from start in device order, the frames a
+// run of n FDRI or FDRO frames from start visits, as one slice of
+// n*FrameWords words. The slice aliases the memory: writes through it modify
+// the memory. It returns an error if start is not a frame of the part, if n
+// is negative, or if the run passes the last frame.
+func (m *Memory) Frames(start device.FAR, n int) ([]uint32, error) {
+	if !m.Part.ValidFAR(start) {
+		return nil, fmt.Errorf("frames: run starts at invalid %v for %s", start, m.Part.Name)
+	}
+	i := m.Part.FrameIndex(start)
+	if n < 0 || i+n > m.Part.TotalFrames() {
+		return nil, fmt.Errorf("frames: run of %d frames from %v overruns %s", n, start, m.Part.Name)
+	}
+	fw := m.Part.FrameWords()
+	return m.data[i*fw : (i+n)*fw : (i+n)*fw], nil
+}
+
+// SetFrames writes whole frames from start in device order: words holds
+// len(words)/FrameWords frame payloads. Each frame whose content changes is
+// marked dirty. On error (a partial frame, or a run Frames rejects) nothing
+// is written.
+func (m *Memory) SetFrames(start device.FAR, words []uint32) error {
+	fw := m.Part.FrameWords()
+	if len(words)%fw != 0 {
+		return fmt.Errorf("frames: payload of %d words is not whole %d-word frames", len(words), fw)
+	}
+	dst, err := m.Frames(start, len(words)/fw)
+	if err != nil {
+		return err
+	}
+	if m.dirty != nil {
+		first := m.Part.FrameIndex(start)
+		for k := 0; k < len(words); k += fw {
+			if !slices.Equal(dst[k:k+fw], words[k:k+fw]) {
+				m.markDirty(first + k/fw)
+			}
+		}
+	}
+	copy(dst, words)
+	return nil
+}
+
+// SetFrame replaces the payload of the addressed frame: SetFrames of one
+// frame. It returns an error if the payload length does not match the
+// part's frame length or f is not a frame of the part.
 func (m *Memory) SetFrame(f device.FAR, words []uint32) error {
 	if len(words) != m.Part.FrameWords() {
 		return fmt.Errorf("frames: frame payload %d words, want %d", len(words), m.Part.FrameWords())
 	}
-	dst := m.Frame(f)
-	if m.dirty != nil && !wordsEqual(dst, words) {
-		m.markDirty(m.Part.FrameIndex(f))
-	}
-	copy(dst, words)
-	return nil
+	return m.SetFrames(f, words)
 }
 
 // Bit reads one configuration bit.
@@ -114,11 +157,8 @@ func (m *Memory) Clear() {
 	if m.dirty != nil {
 		fw := m.Part.FrameWords()
 		for f := 0; f < m.Part.TotalFrames(); f++ {
-			for _, w := range m.data[f*fw : (f+1)*fw] {
-				if w != 0 {
-					m.markDirty(f)
-					break
-				}
+			if nonZero(m.data[f*fw : (f+1)*fw]) {
+				m.markDirty(f)
 			}
 		}
 	}
@@ -142,13 +182,7 @@ func (m *Memory) Equal(o *Memory) bool {
 
 // FrameEqual reports whether one frame matches between two memories.
 func (m *Memory) FrameEqual(o *Memory, f device.FAR) bool {
-	a, b := m.Frame(f), o.Frame(f)
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(m.Frame(f), o.Frame(f))
 }
 
 // Diff returns the addresses of all frames that differ between m and o, in
@@ -158,63 +192,33 @@ func (m *Memory) Diff(o *Memory) ([]device.FAR, error) {
 		return nil, fmt.Errorf("frames: diff across parts %s vs %s", m.Part.Name, o.Part.Name)
 	}
 	var diffs []device.FAR
-	f := m.Part.FirstFAR()
-	for {
-		if !m.FrameEqual(o, f) {
-			diffs = append(diffs, f)
+	fw := m.Part.FrameWords()
+	for i := 0; i < m.Part.TotalFrames(); i++ {
+		if !slices.Equal(m.data[i*fw:(i+1)*fw], o.data[i*fw:(i+1)*fw]) {
+			diffs = append(diffs, m.Part.MustFARAt(i))
 		}
-		next, ok := m.Part.NextFAR(f)
-		if !ok {
-			return diffs, nil
-		}
-		f = next
 	}
+	return diffs, nil
 }
 
-// CopyFrames copies the addressed frames from src into m.
-func (m *Memory) CopyFrames(src *Memory, fars []device.FAR) error {
-	if m.Part != src.Part {
-		return fmt.Errorf("frames: copy across parts %s vs %s", m.Part.Name, src.Part.Name)
-	}
-	for _, f := range fars {
-		dst := m.Frame(f)
-		s := src.Frame(f)
-		if m.dirty != nil && !wordsEqual(dst, s) {
-			m.markDirty(m.Part.FrameIndex(f))
-		}
-		copy(dst, s)
-	}
-	return nil
-}
-
-func wordsEqual(a, b []uint32) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// NonZeroFrames returns the addresses of all frames with any bit set.
+// NonZeroFrames returns the addresses of all frames with any bit set, in
+// device order.
 func (m *Memory) NonZeroFrames() []device.FAR {
 	var out []device.FAR
-	f := m.Part.FirstFAR()
-	for {
-		zero := true
-		for _, w := range m.Frame(f) {
-			if w != 0 {
-				zero = false
-				break
-			}
+	fw := m.Part.FrameWords()
+	for i := 0; i < m.Part.TotalFrames(); i++ {
+		if nonZero(m.data[i*fw : (i+1)*fw]) {
+			out = append(out, m.Part.MustFARAt(i))
 		}
-		if !zero {
-			out = append(out, f)
-		}
-		next, ok := m.Part.NextFAR(f)
-		if !ok {
-			return out
-		}
-		f = next
 	}
+	return out
+}
+
+func nonZero(words []uint32) bool {
+	for _, w := range words {
+		if w != 0 {
+			return true
+		}
+	}
+	return false
 }

@@ -104,7 +104,7 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
-func TestDiffAndCopyFrames(t *testing.T) {
+func TestDiffThenSetFrame(t *testing.T) {
 	p := xcv50()
 	a, b := New(p), New(p)
 	bc1 := p.CLBBit(0, 3, 5)
@@ -118,8 +118,10 @@ func TestDiffAndCopyFrames(t *testing.T) {
 	if len(diffs) != 2 {
 		t.Fatalf("diff frames = %d, want 2 (%v)", len(diffs), diffs)
 	}
-	if err := a.CopyFrames(b, diffs); err != nil {
-		t.Fatal(err)
+	for _, f := range diffs {
+		if err := a.SetFrame(f, b.Frame(f)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if !a.Equal(b) {
 		t.Fatal("copying diff frames should equalise memories")
@@ -134,9 +136,6 @@ func TestDiffAcrossPartsErrors(t *testing.T) {
 	b := New(device.MustByName("XCV100"))
 	if _, err := a.Diff(b); err == nil {
 		t.Fatal("cross-part diff should error")
-	}
-	if err := a.CopyFrames(b, nil); err == nil {
-		t.Fatal("cross-part copy should error")
 	}
 }
 

@@ -29,7 +29,6 @@ import (
 	"repro/internal/designs"
 	"repro/internal/device"
 	"repro/internal/extract"
-	"repro/internal/faults"
 	"repro/internal/flow"
 	"repro/internal/frames"
 
@@ -37,7 +36,6 @@ import (
 	"repro/internal/jbitsdiff"
 	"repro/internal/jroute"
 	"repro/internal/netlist"
-	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/parbit"
 	"repro/internal/sim"
@@ -91,7 +89,7 @@ type (
 )
 
 // BuildBase implements a floorplanned, partitioned base design (Phase 1).
-// The context carries observability (see NewTraceCollector); tracing never
+// The context carries tracing and the build cache (see WithCache); neither
 // changes results.
 func BuildBase(ctx context.Context, p *Part, insts []Instance, opts FlowOptions) (*BaseBuild, error) {
 	return flow.BuildBase(ctx, p, insts, opts)
@@ -122,27 +120,6 @@ type (
 // WithWorkers bounds a batch to n concurrent workers (0 = all cores, 1 =
 // strictly serial).
 func WithWorkers(n int) WorkerOption { return parallel.WithWorkers(n) }
-
-// Observability (see internal/obs). A TraceCollector attached to the
-// context passed into the build functions records hierarchical spans for
-// every CAD stage (map, place, route, bitgen) on per-worker lanes;
-// MetricsNow snapshots the always-on registry of counters, gauges and
-// histograms (graph-cache hits, frames emitted, pool queue depth, ...).
-type (
-	// TraceCollector gathers spans for one run and exports them as plain
-	// JSON or the Chrome trace-event format (chrome://tracing).
-	TraceCollector = obs.Collector
-	// MetricsSnapshot is a point-in-time copy of the metrics registry.
-	MetricsSnapshot = obs.Snapshot
-)
-
-// NewTraceCollector returns an empty collector; attach it with
-// (*TraceCollector).Attach(ctx) and pass the returned context to the build
-// functions.
-func NewTraceCollector() *TraceCollector { return obs.New() }
-
-// MetricsNow snapshots the process-wide metrics registry.
-func MetricsNow() MetricsSnapshot { return obs.Default.Snapshot() }
 
 // Build cache (see internal/cache). A Cache memoizes CAD stage results —
 // map, place, route, bitgen, XDL emission — under content-addressed keys
@@ -215,38 +192,6 @@ type (
 // NewBoard returns a board holding a blank device of the given part.
 func NewBoard(p *Part) *Board { return xhwif.NewBoard(p) }
 
-// Robustness layer for the download/reconfiguration path (see
-// internal/xhwif and internal/faults). Board downloads are transactional —
-// a rejected stream leaves the device exactly as it was — and ReliableHWIF
-// adds bounded retries with exponential backoff + deterministic jitter,
-// per-download deadlines, and verify-after-write readback over any HWIF.
-// FaultInjector wraps a HWIF with seedable, reproducible link faults
-// (error-on-Nth, truncation, corruption, latency) so the retry and rollback
-// behaviour can be proven deterministically.
-type (
-	// ReliableHWIF retries, times out and verifies downloads over a HWIF.
-	ReliableHWIF = xhwif.ReliableHWIF
-	// RetryPolicy tunes a ReliableHWIF (attempts, backoff, deadline,
-	// verification).
-	RetryPolicy = xhwif.RetryPolicy
-	// FaultSpec selects which download attempts are faulted and how.
-	FaultSpec = faults.Spec
-	// FaultInjector perturbs downloads through a HWIF per a FaultSpec.
-	FaultInjector = faults.Injector
-)
-
-// NewReliable wraps a board (or any HWIF) with retries, deadlines and
-// verify-after-write per the policy.
-func NewReliable(inner HWIF, p RetryPolicy) *ReliableHWIF { return xhwif.NewReliable(inner, p) }
-
-// WrapFaults wraps a board (or any HWIF) with deterministic fault
-// injection.
-func WrapFaults(inner HWIF, s FaultSpec) *FaultInjector { return faults.Wrap(inner, s) }
-
-// ParseFaultSpec reads a fault spec string, e.g. "nth=2,mode=error,seed=7"
-// (the $JPG_FAULTS syntax).
-func ParseFaultSpec(s string) (FaultSpec, error) { return faults.Parse(s) }
-
 // Bitstream utilities.
 
 // WriteFull serialises configuration memory as a complete bitstream.
@@ -300,12 +245,6 @@ func JBitsDiffExtract(reference, withCore []byte) (*DiffCore, error) {
 // Netlist is a technology-mapped logical design.
 type Netlist = netlist.Design
 
-// EmitNetlist serialises a netlist as .net text.
-func EmitNetlist(d *Netlist) (string, error) { return netlist.EmitText(d) }
-
-// ParseNetlist reads .net text back into a netlist.
-func ParseNetlist(text string) (*Netlist, error) { return netlist.ParseText(text) }
-
 // Implement places, routes and bitgens an arbitrary netlist with optional
 // UCF constraint text.
 func Implement(ctx context.Context, p *Part, nl *Netlist, ucfText string, opts FlowOptions) (*Artifacts, error) {
@@ -329,10 +268,6 @@ type (
 	EditSession = flow.EditSession
 	// IncrementalResult is the outcome of absorbing one edit.
 	IncrementalResult = flow.IncrementalResult
-	// EditLoop drives edit -> regenerate -> download against a project.
-	EditLoop = core.EditLoop
-	// EditResult bundles one trip around the edit loop.
-	EditResult = core.EditResult
 )
 
 // DiffNetlists diffs two netlist revisions.
@@ -350,24 +285,6 @@ func NewEditSession(prev *Artifacts, ucfText string, opts FlowOptions) (*EditSes
 		}
 	}
 	return flow.NewEditSession(prev, cons, opts)
-}
-
-// Incremental re-implements an edited netlist against a previous
-// implementation in one shot, splicing whatever the edit leaves untouched.
-func Incremental(ctx context.Context, prev *Artifacts, next *Netlist, ucfText string, opts FlowOptions) (*IncrementalResult, error) {
-	var cons *ucf.Constraints
-	if ucfText != "" {
-		var err error
-		if cons, err = ucf.Parse(ucfText); err != nil {
-			return nil, err
-		}
-	}
-	return flow.Incremental(ctx, prev, next, cons, opts)
-}
-
-// NewEditLoop couples a project to an edit session (see core.EditLoop).
-func NewEditLoop(proj *Project, sess *EditSession, name string, opts GenerateOptions) *EditLoop {
-	return core.NewEditLoop(proj, sess, name, opts)
 }
 
 // JBits is the low-level resource API over configuration memory (LUTs,
