@@ -11,10 +11,13 @@ package jpg
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
 
+	"repro/internal/bitlint"
 	"repro/internal/bitstream"
 	"repro/internal/cache"
 	"repro/internal/core"
@@ -301,6 +304,76 @@ func BenchmarkPartialDownload(b *testing.B) {
 		if _, err := board.Download(res.Bitstream); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkEditLoop measures one trip of E10's edit loop per iteration, as
+// perfbench's edit-storm op makes it: an INIT edit of one to three S-box
+// cells through EditLoop.Edit (netlist diff, splice, module, column
+// partial), bitlint's check of the partial against the project base, and
+// its download to a board holding the base. Preparing the edited netlist is
+// left out of the timer.
+func BenchmarkEditLoop(b *testing.B) {
+	const bank = 8
+	for _, name := range []string{"XCV50", "XCV300", "XCV1000"} {
+		b.Run(name, func(b *testing.B) {
+			ctx := context.Background()
+			p := device.MustByName(name)
+			base, err := flow.BuildBase(ctx, p, []designs.Instance{
+				{Prefix: "u1/", Gen: designs.Counter{Bits: 6}},
+				{Prefix: "u2/", Gen: designs.SBoxBank{N: bank, Seed: 3}},
+			}, flow.Options{Seed: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			vopts := flow.Options{Seed: 2}
+			variant, err := flow.BuildVariant(ctx, base, "u2/", designs.SBoxBank{N: bank, Seed: 9}, vopts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			proj, err := core.NewProject(base.Bitstream)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sess, err := flow.NewVariantEditSession(variant, base.Regions["u2/"], vopts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			loop := core.NewEditLoop(proj, sess, "u2_bench", core.GenerateOptions{Strict: true})
+			board := xhwif.NewBoard(p)
+			if _, err := board.Download(base.Bitstream); err != nil {
+				b.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(1))
+			cur := variant.Netlist
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				next := cur.Clone()
+				for j, n := 0, 1+rng.Intn(3); j < n; j++ {
+					cell, init := fmt.Sprintf("u2/sbox%d", rng.Intn(bank)), uint16(rng.Intn(1<<16))
+					if rng.Intn(4) == 0 {
+						cell, init = fmt.Sprintf("u2/sq%d", rng.Intn(bank)), uint16(rng.Intn(2))
+					}
+					if err := next.SetInit(cell, init); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StartTimer()
+				res, err := loop.Edit(ctx, next)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := bitlint.VerifyPartial(proj.Base, res.Partial.Bitstream); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := board.Download(res.Partial.Bitstream); err != nil {
+					b.Fatal(err)
+				}
+				cur = next
+			}
+		})
 	}
 }
 

@@ -9,6 +9,7 @@ package bitfile
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 )
 
@@ -16,6 +17,10 @@ import (
 var preamble = []byte{
 	0x00, 0x09, 0x0F, 0xF0, 0x0F, 0xF0, 0x0F, 0xF0, 0x0F, 0xF0, 0x00, 0x00, 0x01,
 }
+
+// ErrUnterminated reports a header string field whose last byte is not the
+// NUL terminator its length counts.
+var ErrUnterminated = errors.New("bitfile: header field not NUL-terminated")
 
 // Header carries a .bit file's metadata.
 type Header struct {
@@ -62,6 +67,9 @@ func Parse(file []byte) (Header, []byte, error) {
 		rest = rest[2:]
 		if n < 1 || len(rest) < n {
 			return "", fmt.Errorf("bitfile: truncated field body")
+		}
+		if rest[n-1] != 0 {
+			return "", ErrUnterminated
 		}
 		s := rest[:n-1] // strip NUL
 		rest = rest[n:]

@@ -2,6 +2,7 @@ package bitfile
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"testing/quick"
 )
@@ -88,4 +89,34 @@ func TestParseErrors(t *testing.T) {
 	if _, _, err := Parse(bad); err == nil {
 		t.Error("unknown key accepted")
 	}
+	// A string field whose counted last byte is not NUL: "xyz" with length
+	// 3 would otherwise read as "xy".
+	unterminated := append([]byte(nil), preamble...)
+	unterminated = append(unterminated, 'a', 0, 3, 'x', 'y', 'z', 'e', 0, 0, 0, 0)
+	if _, _, err := Parse(unterminated); !errors.Is(err, ErrUnterminated) {
+		t.Errorf("unterminated field: error %v, want ErrUnterminated", err)
+	}
+}
+
+// FuzzParse: Parse never panics, and a file it accepts re-wraps to bytes
+// that parse to the same header and data.
+func FuzzParse(f *testing.F) {
+	f.Add(Wrap(Header{Design: "base.ncd", Part: "XCV50", Date: "2002/04/15", Time: "12:34:56"}, []byte{1, 2, 3, 4}))
+	f.Add(Wrap(Header{}, nil))
+	f.Add(append(append([]byte(nil), preamble...), 'a', 0, 3, 'x', 'y', 'z'))
+	f.Add(append(append([]byte(nil), preamble...), 'e', 0xff, 0xff, 0xff, 0xff))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, file []byte) {
+		h, data, err := Parse(file)
+		if err != nil {
+			return
+		}
+		h2, data2, err := Parse(Wrap(h, data))
+		if err != nil {
+			t.Fatalf("re-wrapped %+v does not parse: %v", h, err)
+		}
+		if h2 != h || !bytes.Equal(data2, data) {
+			t.Fatalf("re-wrap round trip: %+v, %d bytes; want %+v, %d bytes", h2, len(data2), h, len(data))
+		}
+	})
 }

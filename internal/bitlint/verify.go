@@ -67,11 +67,14 @@ func VerifyFor(p *device.Part, full []byte) (*Report, error) {
 
 // VerifyPartial checks a partial bitstream against the base configuration it
 // will be downloaded onto: bitlint overlays the partial on a copy of base,
-// the port VM does the same, and the two must agree frame for frame.
+// the port VM does the same, and the two must agree frame for frame. The
+// report keeps bitlint's copy; the port's is scratch storage, released once
+// compared.
 func VerifyPartial(base *frames.Memory, partial []byte) (*Report, error) {
 	rep := DecodeOnto(base, partial)
-	ref := base.Clone()
+	ref := base.Scratch()
 	diffApply(rep, ref, partial)
+	ref.Release()
 	if rep.Started {
 		rep.add(SevError, "partial-starts", -1,
 			"partial bitstream issues the start-up command")

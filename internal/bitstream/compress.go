@@ -36,26 +36,59 @@ func WritePartialCompressed(mem *frames.Memory, runs []FrameRun) ([]byte, error)
 	p := mem.Part
 	fw := p.FrameWords()
 
-	// Expand runs to device-order frame indices and group them by frame
-	// content, each group in expansion order.
-	var idx []int
-	groups := map[string][]int{}
+	// Expand runs to device-order frame indices.
+	n := 0
+	for _, run := range runs {
+		n += max(run.N, 0)
+	}
+	idx := make([]int, 0, n)
 	for _, run := range runs {
 		if run.N <= 0 {
 			// Match WritePartial: a zero/negative run would otherwise fall out
 			// of the expansion and yield a frame-less "valid" stream.
 			return nil, fmt.Errorf("bitstream: empty frame run at %v", run.Start)
 		}
-		data, err := mem.Frames(run.Start, run.N)
-		if err != nil {
+		if _, err := mem.Frames(run.Start, run.N); err != nil {
 			return nil, fmt.Errorf("bitstream: %w", err)
 		}
 		first := p.FrameIndex(run.Start)
-		for k := 0; k < run.N; k++ {
-			key := frameKey(data[k*fw : (k+1)*fw])
-			groups[key] = append(groups[key], first+k)
-			idx = append(idx, first+k)
+		for i := first; i < first+run.N; i++ {
+			idx = append(idx, i)
 		}
+	}
+
+	// Group the frames by content, each group's frames linked in expansion
+	// order (next). A frame finds its group by a hash of its words; groups
+	// whose hashes collide are chained and told apart by their words.
+	all, _ := mem.Frames(p.FirstFAR(), p.TotalFrames())
+	frame := func(j int) []uint32 { return all[idx[j]*fw : (idx[j]+1)*fw] }
+	type group struct {
+		lead, last, size int // first and last frame (positions in idx), count
+		collide          int // next group with the same hash, or -1
+	}
+	var groups []group
+	byHash := make(map[uint64]int, len(idx))
+	next := make([]int, len(idx))
+	for j := range idx {
+		next[j] = -1
+		h := frameHash(frame(j))
+		head, ok := byHash[h]
+		if !ok {
+			head = -1
+		}
+		g := head
+		for g >= 0 && !slices.Equal(frame(groups[g].lead), frame(j)) {
+			g = groups[g].collide
+		}
+		if g < 0 {
+			g = len(groups)
+			byHash[h] = g
+			groups = append(groups, group{lead: j, last: j, collide: head})
+		} else {
+			next[groups[g].last] = j
+			groups[g].last = j
+		}
+		groups[g].size++
 	}
 
 	// Upper bound: every frame plus one pad frame per FDRI emission, plus
@@ -67,25 +100,25 @@ func WritePartialCompressed(mem *frames.Memory, runs []FrameRun) ([]byte, error)
 
 	// Replicated groups first (deterministic order: by leader, the group's
 	// first frame).
-	var repeated [][]int
+	var repeated []group
 	for _, g := range groups {
-		if len(g) >= mfwrThreshold {
+		if g.size >= mfwrThreshold {
 			repeated = append(repeated, g)
 		}
 	}
-	slices.SortFunc(repeated, func(a, b []int) int { return a[0] - b[0] })
+	slices.SortFunc(repeated, func(a, b group) int { return idx[a.lead] - idx[b.lead] })
 	replicated := make([]bool, p.TotalFrames())
 	for _, g := range repeated {
-		leader := p.MustFARAt(g[0])
+		leader := p.MustFARAt(idx[g.lead])
 		b.t1(RegFAR, uint32(leader))
 		b.cmd(CmdWCFG)
 		if err := b.fdri(mem, FrameRun{Start: leader, N: 1}); err != nil {
 			return nil, err
 		}
-		replicated[g[0]] = true
-		for _, i := range g[1:] {
-			b.t1(RegMFWR, uint32(p.MustFARAt(i)))
-			replicated[i] = true
+		replicated[idx[g.lead]] = true
+		for j := next[g.lead]; j >= 0; j = next[j] {
+			b.t1(RegMFWR, uint32(p.MustFARAt(idx[j])))
+			replicated[idx[j]] = true
 		}
 	}
 
@@ -111,13 +144,11 @@ func WritePartialCompressed(mem *frames.Memory, runs []FrameRun) ([]byte, error)
 	return b.finish(), nil
 }
 
-func frameKey(words []uint32) string {
-	buf := make([]byte, 4*len(words))
-	for i, w := range words {
-		buf[4*i] = byte(w >> 24)
-		buf[4*i+1] = byte(w >> 16)
-		buf[4*i+2] = byte(w >> 8)
-		buf[4*i+3] = byte(w)
+// frameHash is FNV-1a over a frame's words, a word at a time.
+func frameHash(words []uint32) uint64 {
+	h := uint64(14695981039346656037)
+	for _, w := range words {
+		h = (h ^ uint64(w)) * 1099511628211
 	}
-	return string(buf)
+	return h
 }

@@ -136,3 +136,19 @@ func TestMFWRValidation(t *testing.T) {
 		t.Fatal("MFWR to invalid FAR accepted")
 	}
 }
+
+// BenchmarkWritePartialCompressed writes a six-column XCV50 partial (288
+// frames) of the kind serve-mixed compresses: random logic in the region's
+// columns, many all-zero and repeated frames among them.
+func BenchmarkWritePartialCompressed(b *testing.B) {
+	src := seedMemory("XCV50", 21)
+	p := src.Part
+	rg := frames.Region{R1: 0, C1: 4, R2: p.Rows - 1, C2: 9}
+	runs := RunsForFARs(p, rg.FARs(p))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := WritePartialCompressed(src, runs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -27,6 +27,17 @@ import "math/bits"
 // wait on the previous step. init runs crcStep over four writes with one
 // input bit set and fills each table by linearity; a run's last writes,
 // fewer than four, go through crcStep.
+//
+// crcCarry carries the difference between two running CRCs across writes
+// that are equal in both streams. The step is affine over GF(2): where two
+// streams write the same register, the XOR of their registers after the
+// write is the step at address 0 of the XOR before it, fed the XOR of the
+// two words. So rewriting some words changes the CRC by a difference
+// register that folds the words' XOR differences (crcFold at address 0),
+// and each later write that is equal in both streams steps the difference
+// with a zero operand: a fixed linear map M. crcZeros tabulates M^(2^i), so
+// a carry over n writes costs one lookup pair per set bit of n. zlib's
+// crc32_combine carries CRC-32 the same way.
 
 const crcPoly = 0x8005
 
@@ -43,6 +54,10 @@ var (
 	crcReg4  [2][256]uint16
 	crcAddr4 [16]uint16
 	crcData4 [4][4][256]uint16
+
+	// crcZeros[i][j][v] is the reversed register v<<8j after 2^i zero
+	// writes to address 0.
+	crcZeros [32][2][256]uint16
 )
 
 func init() {
@@ -89,7 +104,22 @@ func init() {
 			})
 		}
 	}
+	for j := range crcZeros[0] {
+		crcZeros[0][j] = linearByteTable(func(v uint32) uint16 { return crcStep(uint16(v<<(8*j)), 0, 0) })
+	}
+	for i := 1; i < len(crcZeros); i++ {
+		half := &crcZeros[i-1]
+		for j := range crcZeros[i] {
+			crcZeros[i][j] = linearByteTable(func(v uint32) uint16 {
+				return zeroSteps(half, zeroSteps(half, uint16(v<<(8*j))))
+			})
+		}
+	}
 }
+
+// zeroSteps applies one power of the zero-write step, from its tables t, to
+// the reversed register r.
+func zeroSteps(t *[2][256]uint16, r uint16) uint16 { return t[0][byte(r)] ^ t[1][r>>8] }
 
 // linearByteTable tabulates f, a function on bytes that is linear over
 // GF(2), from its values on the eight single-bit bytes.
@@ -128,6 +158,18 @@ func crcFold(crc uint16, reg int, words []uint32) uint16 {
 	}
 	for _, w := range words {
 		r = crcStep(r, addr, w)
+	}
+	return bits.Reverse16(r)
+}
+
+// crcCarry returns the difference d between two running CRCs after n more
+// writes that are equal in both streams; n must be below 2^32.
+func crcCarry(d uint16, n int) uint16 {
+	r := bits.Reverse16(d)
+	for i := 0; n > 0; i, n = i+1, n>>1 {
+		if n&1 != 0 {
+			r = zeroSteps(&crcZeros[i], r)
+		}
 	}
 	return bits.Reverse16(r)
 }

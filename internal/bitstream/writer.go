@@ -148,14 +148,7 @@ func (b *builder) fdri(mem *frames.Memory, run FrameRun) error {
 		return fmt.Errorf("bitstream: %w", err)
 	}
 	fw := mem.Part.FrameWords()
-	count := (run.N + 1) * fw
-	if count <= t1CountMask {
-		b.raw(type1Header(OpWrite, RegFDRI, count))
-	} else {
-		b.raw(type1Header(OpWrite, RegFDRI, 0))
-		b.raw(type2Header(OpWrite, count))
-	}
-	b.lastReg = RegFDRI
+	b.fdriHeader((run.N + 1) * fw)
 	start := len(b.words)
 	b.words = append(b.words, data...)
 	b.words = append(b.words, make([]uint32, fw)...) // pad frame
@@ -163,11 +156,20 @@ func (b *builder) fdri(mem *frames.Memory, run FrameRun) error {
 	return nil
 }
 
-// WriteFull serialises the complete configuration memory as a full
-// bitstream, the product of a conventional bitgen run.
-func WriteFull(mem *frames.Memory) []byte {
-	p := mem.Part
-	b := newBuilder((p.TotalFrames()+1)*p.FrameWords() + 64)
+// fdriHeader opens an FDRI write of count words.
+func (b *builder) fdriHeader(count int) {
+	if count <= t1CountMask {
+		b.raw(type1Header(OpWrite, RegFDRI, count))
+	} else {
+		b.raw(type1Header(OpWrite, RegFDRI, 0))
+		b.raw(type2Header(OpWrite, count))
+	}
+	b.lastReg = RegFDRI
+}
+
+// fullHead emits what precedes a full bitstream's FDRI write: sync, the
+// register set-up and WCFG.
+func (b *builder) fullHead(p *device.Part) {
 	b.header()
 	b.cmd(CmdRCRC)
 	b.t1(RegFLR, uint32(p.FrameWords()-1))
@@ -176,15 +178,100 @@ func WriteFull(mem *frames.Memory) []byte {
 	b.t1(RegCTL, 0)
 	b.t1(RegFAR, uint32(p.FirstFAR()))
 	b.cmd(CmdWCFG)
-	if err := b.fdri(mem, FrameRun{Start: p.FirstFAR(), N: p.TotalFrames()}); err != nil {
-		panic(err) // full-device run is always valid
-	}
+}
+
+// fullTail emits what follows a full bitstream's frame data: LFRM, the CRC
+// check and the start-up sequence. It returns the CRC word's index.
+func (b *builder) fullTail() (crc int) {
 	b.cmd(CmdLFRM)
+	crc = len(b.words) + 1
 	b.writeCRC()
 	b.cmd(CmdSTART)
 	b.cmd(CmdDESYNCH)
 	b.nop(4)
+	return crc
+}
+
+// WriteFull serialises the complete configuration memory as a full
+// bitstream, the product of a conventional bitgen run.
+func WriteFull(mem *frames.Memory) []byte {
+	p := mem.Part
+	b := newBuilder((p.TotalFrames()+1)*p.FrameWords() + 64)
+	b.fullHead(p)
+	if err := b.fdri(mem, FrameRun{Start: p.FirstFAR(), N: p.TotalFrames()}); err != nil {
+		panic(err) // full-device run is always valid
+	}
+	b.fullTail()
 	return b.finish()
+}
+
+// PatchFull returns a copy of full, a stream WriteFull wrote for a memory
+// of mem's part, with the dirty frames rewritten from mem. It equals
+// WriteFull(mem) when full was written from a memory that differs from mem
+// in those frames at most. It overwrites the dirty frames' words and mends
+// the CRC word without refolding the stream: the words' XOR difference
+// folds into a difference register, which crcCarry carries to the CRC
+// write. The cost is the dirty frames' words plus the copy, not a pass over
+// the device. dirty may be in any order and repeat frames. A stream of
+// another length, or whose words outside the frame data and the CRC differ
+// from WriteFull's, is an error.
+func PatchFull(full []byte, mem *frames.Memory, dirty []device.FAR) ([]byte, error) {
+	p := mem.Part
+	fw := p.FrameWords()
+	count := (p.TotalFrames() + 1) * fw
+	// The stream outside its frame data: head and FDRI header, then the
+	// tail, which starts count words further on in the stream.
+	shell := builder{words: make([]uint32, 0, 32)}
+	shell.fullHead(p)
+	shell.fdriHeader(count)
+	data := len(shell.words)
+	crcAt := shell.fullTail() + count
+	if len(full) != 4*(len(shell.words)+count) {
+		return nil, fmt.Errorf("bitstream: patch: %d-byte stream is not a full %s bitstream", len(full), p.Name)
+	}
+	for i, w := range shell.words {
+		at := i
+		if i >= data {
+			at += count
+		}
+		if at != crcAt && binary.BigEndian.Uint32(full[4*at:]) != w {
+			return nil, fmt.Errorf("bitstream: patch: word %d is not a full %s bitstream's", at, p.Name)
+		}
+	}
+	idx := make([]int, len(dirty))
+	for i, f := range dirty {
+		if !p.ValidFAR(f) {
+			return nil, fmt.Errorf("bitstream: patch: invalid %v for %s", f, p.Name)
+		}
+		idx[i] = p.FrameIndex(f)
+	}
+	slices.Sort(idx)
+	idx = slices.Compact(idx)
+	words, err := mem.Frames(p.FirstFAR(), p.TotalFrames())
+	if err != nil {
+		return nil, fmt.Errorf("bitstream: %w", err)
+	}
+
+	out := slices.Clone(full)
+	diff := make([]uint32, fw)
+	var d uint16 // the CRC difference, carried up to word pos of the data
+	pos := 0
+	for _, i := range idx {
+		frame := out[4*(data+i*fw) : 4*(data+(i+1)*fw)]
+		for k, w := range words[i*fw : (i+1)*fw] {
+			diff[k] = w ^ binary.BigEndian.Uint32(frame[4*k:])
+			binary.BigEndian.PutUint32(frame[4*k:], w)
+		}
+		d = crcFold(crcCarry(d, i*fw-pos), 0, diff)
+		pos = (i + 1) * fw
+	}
+	// The rest of the data, its pad frame and the LFRM write.
+	d = crcCarry(d, count-pos+1)
+	crcWord := out[4*crcAt:]
+	binary.BigEndian.PutUint32(crcWord, binary.BigEndian.Uint32(crcWord)^uint32(d))
+	mEmissions.Inc()
+	mBytesOut.Add(int64(len(out)))
+	return out, nil
 }
 
 // WritePartial serialises only the given frame runs as a partial bitstream:

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/bitlint"
 	"repro/internal/bitstream"
 	"repro/internal/designs"
 	"repro/internal/device"
@@ -579,5 +580,77 @@ func TestGeneratePartialAllCtxCancelled(t *testing.T) {
 	cancel()
 	if _, err := proj.GeneratePartialAll(ctx, []*Module{m}, GenerateOptions{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// TestResultsDoNotAliasScratch: computePartial, bitlint.VerifyPartial and
+// Board.Download work in scratch memories they hand back to the free list,
+// so what they return must hold none of it. Each draws every scratch the
+// free list can hand out, overwrites it and releases it; the Result, the
+// bitlint Report's image, the board's state and the project base must not
+// change (Delta and Compress included).
+func TestResultsDoNotAliasScratch(t *testing.T) {
+	base, variant := setup(t)
+	proj, err := NewProject(base.Bitstream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := proj.AddModule("v", variant.XDL, variant.UCF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	board := xhwif.NewBoard(proj.Part)
+	if _, err := board.Download(base.Bitstream); err != nil {
+		t.Fatal(err)
+	}
+	var results []*Result
+	var streams [][]byte
+	for _, opts := range []GenerateOptions{{}, {Delta: true}, {Compress: true}} {
+		res, err := proj.GeneratePartial(m, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results = append(results, res)
+		streams = append(streams, bytes.Clone(res.Bitstream))
+	}
+	rep, err := bitlint.VerifyPartial(proj.Base, results[0].Bitstream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	image := rep.Frames.Clone()
+	if _, err := board.Download(results[0].Bitstream); err != nil {
+		t.Fatal(err)
+	}
+	dev, wantBase := board.Readback(), proj.Base.Clone()
+
+	ones := make([]uint32, proj.Part.TotalFrames()*proj.Part.FrameWords())
+	for i := range ones {
+		ones[i] = ^uint32(0)
+	}
+	var drawn []*frames.Memory
+	for i := 0; i < 16; i++ {
+		s := proj.Base.Scratch()
+		if err := s.SetFrames(proj.Part.FirstFAR(), ones); err != nil {
+			t.Fatal(err)
+		}
+		drawn = append(drawn, s)
+	}
+	for _, s := range drawn {
+		s.Release()
+	}
+
+	for i, res := range results {
+		if !bytes.Equal(res.Bitstream, streams[i]) {
+			t.Fatalf("result %d's bitstream changed with the scratch memories", i)
+		}
+	}
+	if !rep.Frames.Equal(image) {
+		t.Fatal("bitlint report's image changed with the scratch memories")
+	}
+	if !board.Readback().Equal(dev) {
+		t.Fatal("board state changed with the scratch memories")
+	}
+	if !proj.Base.Equal(wantBase) {
+		t.Fatal("project base changed with the scratch memories")
 	}
 }

@@ -12,6 +12,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/bitstream"
 	"repro/internal/device"
@@ -202,14 +203,22 @@ func (p *Project) GeneratePartialCtx(ctx context.Context, m *Module, opts Genera
 	return res, nil
 }
 
-// computePartial replays the module onto a clone of the base and emits its
-// partial.
+// computePartial replays the module onto a copy of the base and emits its
+// partial. With WriteBack the copy becomes the new base, so it is a clone;
+// otherwise it is scratch storage, released once the partial is written,
+// since the result holds nothing of it.
 func (p *Project) computePartial(m *Module, opts GenerateOptions) (*Result, error) {
 	region, err := m.writeRegion(p.Part, opts.Strict)
 	if err != nil {
 		return nil, err
 	}
-	work := p.Base.Clone()
+	var work *frames.Memory
+	if opts.WriteBack {
+		work = p.Base.Clone()
+	} else {
+		work = p.Base.Scratch()
+		defer work.Release()
+	}
 	if opts.Delta {
 		work.StartTracking()
 	}
@@ -251,22 +260,35 @@ func (p *Project) computePartial(m *Module, opts GenerateOptions) (*Result, erro
 
 // emit writes the partial bitstream for fars out of work, MFWR-compressed
 // when asked, counts the carried frames that differ from the base, and with
-// WriteBack makes work the new base.
+// WriteBack makes work the new base. The writer and the count walk the same
+// frame runs, each one slice of both memories.
 func (p *Project) emit(work *frames.Memory, fars []device.FAR, opts GenerateOptions) (*Result, error) {
+	runs := bitstream.RunsForFARs(p.Part, fars)
 	var bs []byte
 	var err error
 	if opts.Compress {
-		bs, err = bitstream.WritePartialCompressed(work, bitstream.RunsForFARs(p.Part, fars))
+		bs, err = bitstream.WritePartialCompressed(work, runs)
 	} else {
-		bs, err = bitstream.WritePartialForFARs(work, fars)
+		bs, err = bitstream.WritePartial(work, runs)
 	}
 	if err != nil {
 		return nil, err
 	}
+	fw := p.Part.FrameWords()
 	changed := 0
-	for _, f := range fars {
-		if !work.FrameEqual(p.Base, f) {
-			changed++
+	for _, run := range runs {
+		got, err := work.Frames(run.Start, run.N)
+		if err != nil {
+			return nil, err
+		}
+		was, err := p.Base.Frames(run.Start, run.N)
+		if err != nil {
+			return nil, err
+		}
+		for k := 0; k < len(got); k += fw {
+			if !slices.Equal(got[k:k+fw], was[k:k+fw]) {
+				changed++
+			}
 		}
 	}
 	if opts.WriteBack {

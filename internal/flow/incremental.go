@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/bitgen"
 	"repro/internal/bitstream"
+	"repro/internal/device"
 	"repro/internal/frames"
 	"repro/internal/jbitsdiff"
 	"repro/internal/netlist"
@@ -74,7 +75,13 @@ type EditSession struct {
 	prev *Artifacts
 	// mem is the bitgen output for prev.Phys, tracked so splices record
 	// exactly the frames they touch.
-	mem   *frames.Memory
+	mem *frames.Memory
+	// patch reports that prev.Bitstream configures exactly mem, so a splice
+	// patches that stream at the dirty frames (bitstream.PatchFull) instead
+	// of writing mem anew.
+	patch bool
+	// valid is false once mem may hold what prev does not: the next edit
+	// rebuilds.
 	valid bool
 }
 
@@ -116,15 +123,19 @@ func newEditSession(prev *Artifacts, cons *ucf.Constraints, rfn func(*netlist.Ne
 }
 
 // rebind (re)derives the session's memory from a freshly implemented
-// revision.
+// revision, and confirms once that the revision's full bitstream configures
+// exactly that memory (applied to a blank device), so splices may patch it.
 func (s *EditSession) rebind(a *Artifacts) error {
 	mem, err := bitgen.Generate(a.Phys)
 	if err != nil {
 		return fmt.Errorf("flow: edit session: regenerate frames: %w", err)
 	}
+	got := frames.New(mem.Part)
+	_, err = bitstream.Apply(got, a.Bitstream)
 	mem.StartTracking()
 	s.prev = a
 	s.mem = mem
+	s.patch = err == nil && got.Equal(mem)
 	s.valid = true
 	return nil
 }
@@ -202,7 +213,7 @@ func (s *EditSession) splice(ctx context.Context, next *netlist.Design, diff *ne
 		UCF:     s.prev.UCF,
 		Times:   StageTimes{},
 	}
-	a.Bitstream = bitstream.WriteFull(s.mem)
+	a.Bitstream = s.fullStream(dirty)
 	a.Times.Bitgen = time.Since(t0)
 	if delta == nil || len(s.prev.Bitstream) == 0 {
 		err = verifyBitstream(ctx, s.opts, a.Bitstream)
@@ -214,9 +225,11 @@ func (s *EditSession) splice(ctx context.Context, next *netlist.Design, diff *ne
 		err = verifySplice(ctx, s.opts, s.prev.Bitstream, delta.Bitstream, a.Bitstream)
 	}
 	if err != nil {
+		s.valid = false // memory holds the rejected edit, prev does not
 		return nil, err
 	}
 	s.prev = a
+	s.patch = true
 
 	return &IncrementalResult{
 		Artifacts: a,
@@ -228,6 +241,19 @@ func (s *EditSession) splice(ctx context.Context, next *netlist.Design, diff *ne
 			DirtyFrames: len(dirty),
 		},
 	}, nil
+}
+
+// fullStream returns the full bitstream of the session memory after a splice
+// that changed the dirty frames: the previous revision's stream patched at
+// those frames when it configures the memory the splice started from, else
+// the memory written anew.
+func (s *EditSession) fullStream(dirty []device.FAR) []byte {
+	if s.patch {
+		if bs, err := bitstream.PatchFull(s.prev.Bitstream, s.mem, dirty); err == nil {
+			return bs
+		}
+	}
+	return bitstream.WriteFull(s.mem)
 }
 
 // rebuild absorbs a structural edit by re-running the full deterministic

@@ -202,3 +202,45 @@ func TestIncrementalColumnCacheHits(t *testing.T) {
 		t.Fatal("revisiting a configuration produced different bytes")
 	}
 }
+
+// TestSpliceStreamSource: a session patches its revision's full stream only
+// once rebind has seen that stream configure the session memory; a stream
+// that does not (here one with a flipped data bit) is written anew by the
+// first splice. Both sessions equal the from-scratch build and patch from
+// then on.
+func TestSpliceStreamSource(t *testing.T) {
+	p, prev, opts := implementSBox(t, 12)
+	ctx := context.Background()
+	good, err := NewEditSession(prev, nil, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := *prev
+	stale.Bitstream = bytes.Clone(prev.Bitstream)
+	stale.Bitstream[len(stale.Bitstream)/2] ^= 1
+	bad, err := NewEditSession(&stale, nil, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !good.patch || bad.patch {
+		t.Fatalf("sessions patch %v (bitgen's stream) and %v (a corrupted one)", good.patch, bad.patch)
+	}
+	next := editedClone(t, prev.Netlist, map[string]uint16{"u1/sbox4": 0x0f0f, "u1/sq0": 1})
+	cold, err := Implement(ctx, p, next.Clone(), nil, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, s := range map[string]*EditSession{"patched": good, "rewritten": bad} {
+		res, err := s.Edit(ctx, next.Clone())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.Path != "splice" || !bytes.Equal(res.Artifacts.Bitstream, cold.Bitstream) {
+			t.Fatalf("%s session: path %q, stream equals from-scratch build %v", name, res.Stats.Path,
+				bytes.Equal(res.Artifacts.Bitstream, cold.Bitstream))
+		}
+		if !s.patch {
+			t.Fatalf("%s session does not patch after a splice", name)
+		}
+	}
+}

@@ -12,6 +12,7 @@ package frames
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"repro/internal/device"
 )
@@ -42,6 +43,41 @@ func New(p *Part) *Memory {
 // the frames into fresh storage without zeroing it first.
 func (m *Memory) Clone() *Memory {
 	return &Memory{Part: m.Part, data: slices.Clone(m.data)}
+}
+
+// scratch holds one free list of memories per part (*Part to *sync.Pool):
+// the storage Scratch copies into and Release hands back. A sync.Pool
+// drops what it holds across garbage collections, so the lists never keep
+// memory alive that no call is using.
+var scratch sync.Map
+
+// Scratch returns a copy of the memory, without dirty tracking, in storage
+// reused from memories of the same part handed back by Release. It is for a
+// working copy that lives within one call: the caller releases it when done
+// and lets nothing it returns alias it. A copy that outlives the call, or
+// that a result holds, comes from Clone.
+func (m *Memory) Scratch() *Memory {
+	s, _ := scratchPool(m.Part).Get().(*Memory)
+	if s == nil {
+		return m.Clone()
+	}
+	copy(s.data, m.data)
+	return s
+}
+
+// Release hands a memory back to its part's free list for Scratch to reuse.
+// Neither the caller nor anything else may use the memory afterwards.
+func (m *Memory) Release() {
+	m.dirty = nil
+	scratchPool(m.Part).Put(m)
+}
+
+func scratchPool(p *Part) *sync.Pool {
+	if pool, ok := scratch.Load(p); ok {
+		return pool.(*sync.Pool)
+	}
+	pool, _ := scratch.LoadOrStore(p, new(sync.Pool))
+	return pool.(*sync.Pool)
 }
 
 // Frame returns the payload of the addressed frame. The slice aliases the
@@ -128,28 +164,37 @@ func (m *Memory) SetBit(bc device.BitCoord, v bool) {
 	}
 }
 
-// ClearBits zeroes bits [lo, hi) of the addressed frame, numbered as in
-// device.BitCoord, a word at a time. Like SetBit, it marks the frame dirty
-// only if a bit changed.
-func (m *Memory) ClearBits(f device.FAR, lo, hi int) {
-	i := m.Part.FrameIndex(f)
+// ClearBits zeroes bits [lo, hi), numbered as in device.BitCoord, of each of
+// the n frames from start in device order (the run Frames names), a word at
+// a time. Like SetBit, it marks a frame dirty only if one of its bits
+// changed. On error (a bit range outside a frame, or a run Frames rejects)
+// nothing is written.
+func (m *Memory) ClearBits(start device.FAR, n, lo, hi int) error {
 	fw := m.Part.FrameWords()
 	if lo < 0 || lo > hi || hi > fw*32 {
-		panic(fmt.Sprintf("frames: bit range [%d, %d) outside a %d-word frame", lo, hi, fw))
+		return fmt.Errorf("frames: bit range [%d, %d) outside a %d-word frame", lo, hi, fw)
 	}
-	w := m.data[i*fw : (i+1)*fw]
-	var changed uint32
-	for k := lo / 32; 32*k < hi; k++ {
-		// Frame bits run from each word's MSB down (bit b is bit 31-b%32
-		// of word b/32): keep the word's bits from lo on, drop those from
-		// hi on.
-		mask := (^uint32(0) >> max(lo-32*k, 0)) &^ (^uint32(0) >> min(hi-32*k, 32))
-		changed |= w[k] & mask
-		w[k] &^= mask
+	run, err := m.Frames(start, n)
+	if err != nil {
+		return err
 	}
-	if m.dirty != nil && changed != 0 {
-		m.markDirty(i)
+	first := m.Part.FrameIndex(start)
+	for f := 0; f < n; f++ {
+		w := run[f*fw : (f+1)*fw]
+		var changed uint32
+		for k := lo / 32; 32*k < hi; k++ {
+			// Frame bits run from each word's MSB down (bit b is bit
+			// 31-b%32 of word b/32): keep the word's bits from lo on, drop
+			// those from hi on.
+			mask := (^uint32(0) >> max(lo-32*k, 0)) &^ (^uint32(0) >> min(hi-32*k, 32))
+			changed |= w[k] & mask
+			w[k] &^= mask
+		}
+		if m.dirty != nil && changed != 0 {
+			m.markDirty(first + f)
+		}
 	}
+	return nil
 }
 
 // Clear zeroes the whole memory.

@@ -1,6 +1,10 @@
 package frames
 
 import (
+	"fmt"
+	"runtime"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -31,31 +35,68 @@ func TestBitRoundTrip(t *testing.T) {
 }
 
 // TestClearBitsMatchesSetBit pins the word-level ClearBits to one SetBit per
-// bit, dirty marking included, over arbitrary ranges of a random frame.
+// bit, dirty marking included, over arbitrary ranges of a random run of
+// frames that crosses from one column to the next.
 func TestClearBitsMatchesSetBit(t *testing.T) {
 	p := xcv50()
-	far := device.MakeFAR(device.BlockCLB, p.CLBMajor(2), 7)
+	start := device.MakeFAR(device.BlockCLB, p.CLBMajor(2), 45)
+	const n = 5
 	f := func(fill []uint32, a, b uint16) bool {
-		words := make([]uint32, p.FrameWords())
+		words := make([]uint32, n*p.FrameWords())
 		copy(words, fill)
 		lo, hi := int(a)%(p.FrameBits()+1), int(b)%(p.FrameBits()+1)
 		if lo > hi {
 			lo, hi = hi, lo
 		}
 		got, want := New(p), New(p)
-		if got.SetFrame(far, words) != nil || want.SetFrame(far, words) != nil {
+		if got.SetFrames(start, words) != nil || want.SetFrames(start, words) != nil {
 			return false
 		}
 		got.StartTracking()
 		want.StartTracking()
-		got.ClearBits(far, lo, hi)
-		for bit := lo; bit < hi; bit++ {
-			want.SetBit(device.BitCoord{FAR: far, Bit: bit}, false)
+		if got.ClearBits(start, n, lo, hi) != nil {
+			return false
 		}
-		return got.Equal(want) && got.FrameDirty(far) == want.FrameDirty(far)
+		first := p.FrameIndex(start)
+		for i := first; i < first+n; i++ {
+			for bit := lo; bit < hi; bit++ {
+				want.SetBit(device.BitCoord{FAR: p.MustFARAt(i), Bit: bit}, false)
+			}
+		}
+		return got.Equal(want) && slices.Equal(got.DirtyFARs(), want.DirtyFARs())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestClearBitsRejects: a bit range outside a frame or a run off the part
+// is an error and writes nothing.
+func TestClearBitsRejects(t *testing.T) {
+	p := xcv50()
+	m := New(p)
+	for i := range m.data {
+		m.data[i] = ^uint32(0)
+	}
+	want := m.Clone()
+	last := p.MustFARAt(p.TotalFrames() - 1)
+	for _, c := range []struct {
+		start     device.FAR
+		n, lo, hi int
+	}{
+		{p.FirstFAR(), 1, -1, 4},
+		{p.FirstFAR(), 1, 9, 8},
+		{p.FirstFAR(), 1, 0, p.FrameBits() + 1},
+		{last, 2, 0, 8},
+		{p.FirstFAR(), -1, 0, 8},
+		{device.MakeFAR(device.BlockBRAM, 9, 0), 1, 0, 8},
+	} {
+		if err := m.ClearBits(c.start, c.n, c.lo, c.hi); err == nil {
+			t.Errorf("ClearBits(%v, %d, %d, %d) accepted", c.start, c.n, c.lo, c.hi)
+		}
+	}
+	if !m.Equal(want) {
+		t.Fatal("a rejected ClearBits wrote the memory")
 	}
 }
 
@@ -101,6 +142,66 @@ func TestCloneIsDeep(t *testing.T) {
 		if m.Frame(far)[1] == c.Frame(far)[1] {
 			t.Fatalf("original write to frame %v leaked into the clone", far)
 		}
+	}
+}
+
+// TestScratchCopies: a scratch memory holds the source's words and no dirty
+// set, whether fresh or reused from a released one of the same part, and
+// writes to it leave the source as it was.
+func TestScratchCopies(t *testing.T) {
+	for _, p := range []*Part{xcv50(), device.MustByName("XCV100")} {
+		m := New(p)
+		for i := range m.data {
+			m.data[i] = uint32(i)*0x9E3779B9 + 1
+		}
+		want := m.Clone()
+		for round := 0; round < 3; round++ {
+			s := m.Scratch()
+			if s.Part != p || !s.Equal(m) || s.Tracking() {
+				t.Fatalf("%s round %d: scratch is not an untracked copy", p.Name, round)
+			}
+			s.StartTracking()
+			if err := s.ClearBits(p.FirstFAR(), p.TotalFrames(), 0, p.FrameBits()); err != nil {
+				t.Fatal(err)
+			}
+			if !m.Equal(want) {
+				t.Fatalf("%s round %d: a write to the scratch reached the source", p.Name, round)
+			}
+			s.Release()
+		}
+	}
+}
+
+// TestScratchConcurrent: concurrent users of one part's free list each get
+// storage of their own (run under -race).
+func TestScratchConcurrent(t *testing.T) {
+	p := xcv50()
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			src := New(p)
+			for i := range src.data {
+				src.data[i] = uint32(g)
+			}
+			for k := 0; k < 50; k++ {
+				s := src.Scratch()
+				s.data[k] = ^uint32(g)
+				runtime.Gosched()
+				if s.data[k] != ^uint32(g) || s.data[k+1] != uint32(g) {
+					errs <- fmt.Errorf("goroutine %d: scratch shared with another user", g)
+					return
+				}
+				s.Release()
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
 	}
 }
 

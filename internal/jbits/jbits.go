@@ -123,17 +123,15 @@ func (j *JBits) GetPadMode(pad device.Pad, ctl int) (bool, error) {
 }
 
 // ClearRegion blanks every CLB in the region. The region's rows own one bit
-// range in each frame of its columns, so it clears that range frame by
-// frame rather than bit by bit.
+// range in each frame of its columns, and its columns' frames are one run in
+// device order, so it clears that range over the run rather than bit by bit.
 func (j *JBits) ClearRegion(rg frames.Region) error {
 	if !rg.Valid(j.Part) {
 		return fmt.Errorf("jbits: region %v invalid for %s", rg, j.Part.Name)
 	}
 	lo, hi := j.Part.CLBRowBits(rg.R1, rg.R2)
-	for _, f := range rg.FARs(j.Part) {
-		j.Mem.ClearBits(f, lo, hi)
-	}
-	return nil
+	start := device.MakeFAR(device.BlockCLB, j.Part.CLBMajor(rg.C1), 0)
+	return j.Mem.ClearBits(start, rg.Cols()*device.FramesCLBCol, lo, hi)
 }
 
 // ActivePIPs enumerates the PIPs of tile (row, col) whose configuration bit

@@ -129,17 +129,19 @@ func (b *Board) Totals() (downloads, bytes int, modelTime time.Duration) {
 // reconfiguration (the rest of the device keeps its state). It is the
 // context-free form of DownloadCtx, for callers that hold a concrete board.
 //
-// The download is transactional: the stream applies into a staging clone of
+// The download is transactional: the stream applies into a staging copy of
 // the configuration memory, which replaces the live memory only if every
 // packet decoded and applied cleanly. On error the device keeps its exact
 // pre-download state (counted by the xhwif.rollbacks metric), unlike real
 // hardware, where an aborted SelectMAP transfer leaves frames half-written
 // and forces a full reconfiguration — the recovery path ReliableHWIF exists
-// to avoid.
+// to avoid. The staging copy is scratch storage (frames.Memory.Scratch): a
+// rejected one goes back to the free list, and so does the memory an
+// accepted one replaces, since nothing outside the board holds it.
 func (b *Board) Download(bs []byte) (DownloadStats, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	staging := b.mem.Clone()
+	staging := b.mem.Scratch()
 	stats, err := bitstream.Apply(staging, bs)
 	ds := DownloadStats{
 		Bytes:         len(bs),
@@ -149,9 +151,11 @@ func (b *Board) Download(bs []byte) (DownloadStats, error) {
 		Attempts:      1,
 	}
 	if err != nil {
+		staging.Release()
 		mRollbacks.Inc()
 		return ds, fmt.Errorf("xhwif: download failed (device state rolled back): %w", err)
 	}
+	b.mem.Release()
 	b.mem = staging
 	if stats.Started {
 		b.running = true
