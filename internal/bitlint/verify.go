@@ -20,12 +20,12 @@ import (
 const maxDiffReported = 4
 
 // lintOnly lists error codes that are deliberately stricter than the port VM:
-// the device scans past pre-sync junk and treats a sync-less stream as a
-// no-op, but a tool that emits one has a bug, so bitlint errors anyway. These
-// codes are excluded from the port-acceptance differential.
+// the device treats a sync-less stream as a no-op, but a tool that emits one
+// has a bug, so bitlint errors anyway. These codes are excluded from the
+// port-acceptance differential. (Junk before the sync word is not among
+// them: the port refuses it too.)
 var lintOnly = map[string]bool{
-	"no-sync":          true,
-	"junk-before-sync": true,
+	"no-sync": true,
 }
 
 // portVisibleErrors counts the error findings the port VM is expected to

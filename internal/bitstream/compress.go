@@ -28,7 +28,8 @@ const mfwrThreshold = 3
 
 // WritePartialCompressed serialises the frame runs as a compressed partial
 // bitstream. Decoding requires a port that implements RegMFWR (this
-// package's Port does); WritePartial remains the baseline-compatible form.
+// package's port model does); WritePartial remains the baseline-compatible
+// form.
 func WritePartialCompressed(mem *frames.Memory, runs []FrameRun) ([]byte, error) {
 	if len(runs) == 0 {
 		return nil, fmt.Errorf("bitstream: compressed partial with no frames")

@@ -76,3 +76,61 @@ func FuzzApply(f *testing.F) {
 		}
 	})
 }
+
+// FuzzExecuteReadback runs arbitrary bytes as a readback request against a
+// seeded XCV50 memory. No input may panic or change the memory, accepted or
+// refused, and an accepted request returns exactly the words its FDRO reads
+// ask for, as Inspect lists them.
+func FuzzExecuteReadback(f *testing.F) {
+	mem := seedMemory("XCV50", 98)
+	p := mem.Part
+	for _, runs := range [][]FrameRun{
+		{{Start: p.FirstFAR(), N: 1}},
+		{{Start: device.MakeFAR(0, 2, 0), N: 2}, {Start: device.MakeFAR(1, 0, 0), N: 4}},
+		{{Start: p.FirstFAR(), N: p.TotalFrames()}},
+	} {
+		req, err := WriteReadbackRequest(p, runs)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(req)
+		f.Add(req[:len(req)-12])                               // cut before DESYNCH
+		f.Add(append(streamOf(0xDEADBEEF), req...))            // junk before sync
+		f.Add(append(append([]byte(nil), req...), req[4:]...)) // re-synced second request
+	}
+	// Broken requests: a two-word FAR write, and frames written before
+	// the read.
+	far, fw := uint32(device.MakeFAR(0, 2, 0)), p.FrameWords()
+	read := []uint32{type1Header(OpWrite, RegCMD, 1), CmdRCFG, type1Header(OpRead, RegFDRO, 2*fw),
+		type1Header(OpWrite, RegCMD, 1), CmdDESYNCH}
+	f.Add(streamOf(append([]uint32{DummyWord, SyncWord, type1Header(OpWrite, RegFAR, 2), far, far}, read...)...))
+	frame := append([]uint32{DummyWord, SyncWord, type1Header(OpWrite, RegFAR, 1), far,
+		type1Header(OpWrite, RegCMD, 1), CmdWCFG, type1Header(OpWrite, RegFDRI, 2*fw)}, make([]uint32, 2*fw)...)
+	f.Add(streamOf(append(frame, read...)...))
+	f.Add(WriteFull(mem))
+	f.Add([]byte{})
+
+	want := mem.Clone()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		out, err := ExecuteReadback(mem, data)
+		if !mem.Equal(want) {
+			t.Fatalf("readback request (err %v) changed configuration memory", err)
+		}
+		if err != nil {
+			return
+		}
+		pis, err := Inspect(data)
+		if err != nil {
+			t.Fatalf("accepted request does not inspect: %v", err)
+		}
+		asked := 0
+		for _, pi := range pis {
+			if pi.Op == OpRead && pi.Reg == RegFDRO {
+				asked += pi.Count
+			}
+		}
+		if len(out) != asked {
+			t.Fatalf("request read %d words, its FDRO reads ask for %d", len(out), asked)
+		}
+	})
+}

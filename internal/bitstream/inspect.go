@@ -8,12 +8,9 @@ import (
 // PacketInfo summarises one decoded packet for inspection tools.
 type PacketInfo struct {
 	Offset int // word offset of the header
-	Type   int
-	Op     int
-	Reg    int
-	Count  int
-	// First holds the first data word (e.g. the CMD code or FAR value) for
-	// short packets.
+	Header
+	// First holds a write's first data word (e.g. the CMD code or FAR
+	// value).
 	First uint32
 }
 
@@ -31,54 +28,21 @@ func (pi PacketInfo) String() string {
 	return s
 }
 
-// Inspect decodes a bitstream without applying it and returns the packet
-// list. It tolerates unknown registers (it only summarises).
+// Inspect frames a bitstream as the configuration port does, without
+// executing it, and returns the packet list: on error, the packets framed
+// before the fault. It tolerates what only a register machine would refuse
+// (unknown registers, bad counts, reserved opcodes); it only summarises.
 func Inspect(bs []byte) ([]PacketInfo, error) {
-	words, err := BytesToWords(bs)
-	if err != nil {
-		return nil, err
-	}
 	var out []PacketInfo
-	synced := false
-	lastReg := -1
-	i := 0
-	for i < len(words) {
-		w := words[i]
-		if !synced {
-			if w == SyncWord {
-				synced = true
-			}
-			i++
-			continue
-		}
-		h, err := DecodeHeader(w, lastReg)
-		if err != nil {
-			return out, fmt.Errorf("at word %d: %w", i, err)
-		}
-		pi := PacketInfo{Offset: i, Type: h.Type, Op: h.Op, Reg: h.Reg, Count: h.Count}
-		if h.Type == PacketType1 {
-			lastReg = h.Reg
-		}
-		i++
-		if h.Op == OpWrite {
-			if i+h.Count > len(words) {
-				return out, fmt.Errorf("at word %d: truncated packet (%d payload words missing)",
-					pi.Offset, i+h.Count-len(words))
-			}
-			if h.Count >= 1 {
-				pi.First = words[i]
-			}
-			if h.Reg == RegCMD && h.Count == 1 && words[i] == CmdDESYNCH {
-				// As on the device, a re-sync starts with no register
-				// selected.
-				synced = false
-				lastReg = -1
-			}
-			i += h.Count
+	err := walk(bs, func(off int, h Header, data []uint32) error {
+		pi := PacketInfo{Offset: off, Header: h}
+		if len(data) > 0 {
+			pi.First = data[0]
 		}
 		out = append(out, pi)
-	}
-	return out, nil
+		return nil
+	})
+	return out, err
 }
 
 // Dump renders a human-readable packet listing.

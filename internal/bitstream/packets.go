@@ -10,7 +10,10 @@
 // writer and the port.
 package bitstream
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // SyncWord marks the start of packet processing, as on the real device.
 const SyncWord = 0xAA995566
@@ -149,4 +152,70 @@ func DecodeHeader(w uint32, prevReg int) (Header, error) {
 	default:
 		return Header{}, fmt.Errorf("bitstream: bad packet header %#08x (type %d)", w, typ)
 	}
+}
+
+// walk frames a configuration stream into packets as the device's
+// configuration logic does and hands each one to visit: the header's word
+// offset, the header, and a write's payload. Before the first sync word only
+// dummy words may appear; after a DESYNCH command every word is ignored until
+// the next sync word, and the register select a type-2 header inherits is
+// forgotten. The first error, the walk's or visit's, ends the walk.
+//
+// The words are decoded into a pooled buffer: Apply runs on every simulated
+// download, where a fresh multi-hundred-KiB buffer per call would dominate
+// allocation. visit must not retain the payload slices it is handed.
+func walk(bs []byte, visit func(off int, h Header, data []uint32) error) error {
+	if len(bs)%4 != 0 {
+		return fmt.Errorf("bitstream: length %d not a multiple of 4", len(bs))
+	}
+	slot := wordsPool.Get().(*[]uint32)
+	words := *slot
+	if cap(words) < len(bs)/4 {
+		words = make([]uint32, len(bs)/4)
+	} else {
+		words = words[:len(bs)/4]
+	}
+	defer func() {
+		*slot = words[:0]
+		wordsPool.Put(slot)
+	}()
+	for i := range words {
+		words[i] = binary.BigEndian.Uint32(bs[4*i:])
+	}
+
+	synced, desynced := false, false
+	lastReg := -1
+	for i := 0; i < len(words); i++ {
+		w := words[i]
+		if !synced {
+			if w == SyncWord {
+				synced, desynced = true, false
+			} else if w != DummyWord && !desynced {
+				return fmt.Errorf("bitstream: word %#08x before sync (offset %d)", w, i)
+			}
+			continue
+		}
+		h, err := DecodeHeader(w, lastReg)
+		if err != nil {
+			return fmt.Errorf("%w (offset %d)", err, i)
+		}
+		if h.Type == PacketType1 {
+			lastReg = h.Reg
+		}
+		var data []uint32
+		if h.Op == OpWrite {
+			if missing := i + 1 + h.Count - len(words); missing > 0 {
+				return fmt.Errorf("bitstream: truncated packet at offset %d (%d payload words missing)", i, missing)
+			}
+			data = words[i+1 : i+1+h.Count]
+		}
+		if err := visit(i, h, data); err != nil {
+			return err
+		}
+		i += len(data)
+		if h.Reg == RegCMD && len(data) == 1 && data[0] == CmdDESYNCH {
+			synced, desynced, lastReg = false, true, -1
+		}
+	}
+	return nil
 }

@@ -1,32 +1,27 @@
 package bitstream
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"repro/internal/device"
 	"repro/internal/frames"
 )
 
-// Port is the configuration-port virtual machine: it consumes bitstream
-// words exactly as the device's configuration logic does and applies frame
-// writes to a configuration memory. It is the engine behind the simulated
-// board (internal/xhwif) and behind offline bitstream application.
-type Port struct {
-	Mem   *frames.Memory
-	Stats Stats
+// port is the configuration-port virtual machine: it executes the packets
+// walk frames exactly as the device's configuration logic does. The data
+// direction is fixed by the entry point, as SelectMAP's read/write pin fixes
+// it: a download (Apply) writes frames into mem and refuses every read
+// packet; a readback (ExecuteReadback) answers FDRO reads into out and
+// refuses frame writes, so it never changes mem.
+type port struct {
+	mem      *frames.Memory
+	readback bool
+	stats    Stats
+	out      []uint32
 
-	synced   bool
-	desynced bool // saw DESYNCH: trailing pad words are ignored until re-sync
-	started  bool
-	crc      uint16
-	cmd      uint32
-	far      device.FAR
-	lastReg  int
-	ctl      uint32
-	mask     uint32
-	cor      uint32
-	flr      uint32
+	crc uint16
+	cmd uint32
+	far device.FAR
 	// lastFrame holds the most recently committed FDRI frame, the payload
 	// MFWR replicates.
 	lastFrame []uint32
@@ -34,100 +29,43 @@ type Port struct {
 
 // Stats accumulates what a bitstream did when applied.
 type Stats struct {
-	Words         int // total words consumed
 	Packets       int // packets processed after sync
 	FramesWritten int // frames committed to configuration memory
 	CRCChecks     int // successful CRC register comparisons
 	Started       bool
 }
 
-// NewPort returns a port writing into mem.
-func NewPort(mem *frames.Memory) *Port {
-	return &Port{Mem: mem, lastReg: -1}
-}
-
 // Apply decodes and applies a complete bitstream to mem, returning the
 // port statistics. mem is modified in place; on error it may be partially
-// written (as on real hardware). The decoded-word buffer is recycled via
-// the package word pool: Apply sits on the project-initialisation and
-// simulated-download hot paths, where a fresh multi-hundred-KiB decode
-// buffer per call would dominate allocation.
+// written (as on real hardware).
 func Apply(mem *frames.Memory, bs []byte) (Stats, error) {
-	if len(bs)%4 != 0 {
-		return Stats{}, fmt.Errorf("bitstream: length %d not a multiple of 4", len(bs))
-	}
-	slot := wordsPool.Get().(*[]uint32)
-	words := *slot
-	if cap(words) < len(bs)/4 {
-		words = make([]uint32, len(bs)/4)
-	} else {
-		words = words[:len(bs)/4]
-	}
-	for i := range words {
-		words[i] = binary.BigEndian.Uint32(bs[4*i:])
-	}
-	p := NewPort(mem)
-	err := p.Feed(words) // Feed does not retain words: frames are copied out
-	*slot = words[:0]
-	wordsPool.Put(slot)
-	if err != nil {
-		return p.Stats, err
-	}
-	return p.Stats, nil
+	pt := port{mem: mem}
+	err := walk(bs, pt.packet)
+	return pt.stats, err
 }
 
-// Feed consumes bitstream words.
-func (pt *Port) Feed(words []uint32) error {
-	i := 0
-	for i < len(words) {
-		w := words[i]
-		pt.Stats.Words++
-		if !pt.synced {
-			i++
-			if w == SyncWord {
-				pt.synced = true
-				pt.desynced = false
-			} else if w != DummyWord && !pt.desynced {
-				return fmt.Errorf("bitstream: word %#08x before sync (offset %d)", w, i-1)
-			}
-			continue
-		}
-		h, err := DecodeHeader(w, pt.lastReg)
-		if err != nil {
-			return err
-		}
-		i++
-		pt.Stats.Packets++
-		if h.Type == PacketType1 {
-			pt.lastReg = h.Reg
-		}
-		switch h.Op {
-		case OpNOP:
-			continue
-		case OpRead:
+// packet executes one packet the walk framed.
+func (pt *port) packet(_ int, h Header, data []uint32) error {
+	pt.stats.Packets++
+	switch h.Op {
+	case OpNOP:
+		return nil
+	case OpRead:
+		if !pt.readback {
 			return fmt.Errorf("bitstream: read packets are not part of download streams")
-		case OpWrite:
-			if i+h.Count > len(words) {
-				return fmt.Errorf("bitstream: truncated packet (%d words missing)", i+h.Count-len(words))
-			}
-			if h.Type == PacketType1 && h.Count == 0 {
-				// Register select for a following type-2 packet.
-				continue
-			}
-			data := words[i : i+h.Count]
-			i += h.Count
-			pt.Stats.Words += h.Count
-			if err := pt.writeReg(h.Reg, data); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("bitstream: reserved opcode %d", h.Op)
 		}
+		return pt.read(h)
+	case OpWrite:
+		if h.Type == PacketType1 && h.Count == 0 {
+			// Register select for a following type-2 packet.
+			return nil
+		}
+		return pt.writeReg(h.Reg, data)
 	}
-	return nil
+	return fmt.Errorf("bitstream: reserved opcode %d", h.Op)
 }
 
-func (pt *Port) writeReg(reg int, data []uint32) error {
+func (pt *port) writeReg(reg int, data []uint32) error {
 	if reg != RegCRC {
 		pt.crc = crcFold(pt.crc, reg, data)
 	}
@@ -140,7 +78,7 @@ func (pt *Port) writeReg(reg int, data []uint32) error {
 			return fmt.Errorf("bitstream: CRC mismatch (device %#04x, stream %#04x)", pt.crc, data[0])
 		}
 		pt.crc = 0
-		pt.Stats.CRCChecks++
+		pt.stats.CRCChecks++
 
 	case RegCMD:
 		if len(data) != 1 {
@@ -151,12 +89,7 @@ func (pt *Port) writeReg(reg int, data []uint32) error {
 		case CmdRCRC:
 			pt.crc = 0
 		case CmdSTART:
-			pt.started = true
-			pt.Stats.Started = true
-		case CmdDESYNCH:
-			pt.synced = false
-			pt.desynced = true
-			pt.lastReg = -1
+			pt.stats.Started = true
 		}
 
 	case RegFAR:
@@ -164,8 +97,8 @@ func (pt *Port) writeReg(reg int, data []uint32) error {
 			return fmt.Errorf("bitstream: FAR write of %d words", len(data))
 		}
 		f := device.FAR(data[0])
-		if !pt.Mem.Part.ValidFAR(f) {
-			return fmt.Errorf("bitstream: FAR %v invalid for %s", f, pt.Mem.Part.Name)
+		if !pt.mem.Part.ValidFAR(f) {
+			return fmt.Errorf("bitstream: FAR %v invalid for %s", f, pt.mem.Part.Name)
 		}
 		pt.far = f
 
@@ -173,18 +106,23 @@ func (pt *Port) writeReg(reg int, data []uint32) error {
 		if len(data) != 1 {
 			return fmt.Errorf("bitstream: FLR write of %d words", len(data))
 		}
-		pt.flr = data[0]
-		if want := uint32(pt.Mem.Part.FrameWords() - 1); pt.flr != want {
+		if want := uint32(pt.mem.Part.FrameWords() - 1); data[0] != want {
 			return fmt.Errorf("bitstream: FLR %d does not match %s (want %d) — bitstream for a different part?",
-				pt.flr, pt.Mem.Part.Name, want)
+				data[0], pt.mem.Part.Name, want)
 		}
 
 	case RegFDRI:
+		if pt.readback {
+			return fmt.Errorf("bitstream: FDRI write in a readback request")
+		}
 		return pt.writeFrames(data)
 
 	case RegMFWR:
 		// Multiple frame write: commit the last FDRI-committed frame to an
 		// explicitly addressed FAR (the compressed-bitstream extension).
+		if pt.readback {
+			return fmt.Errorf("bitstream: MFWR write in a readback request")
+		}
 		if len(data) != 1 {
 			return fmt.Errorf("bitstream: MFWR write of %d words", len(data))
 		}
@@ -195,28 +133,17 @@ func (pt *Port) writeReg(reg int, data []uint32) error {
 			return fmt.Errorf("bitstream: MFWR before any FDRI frame")
 		}
 		f := device.FAR(data[0])
-		if !pt.Mem.Part.ValidFAR(f) {
+		if !pt.mem.Part.ValidFAR(f) {
 			return fmt.Errorf("bitstream: MFWR to invalid %v", f)
 		}
-		if err := pt.Mem.SetFrame(f, pt.lastFrame); err != nil {
+		if err := pt.mem.SetFrame(f, pt.lastFrame); err != nil {
 			return err
 		}
-		pt.Stats.FramesWritten++
+		pt.stats.FramesWritten++
 
-	case RegCTL:
-		if len(data) == 1 {
-			pt.ctl = (pt.ctl &^ pt.mask) | (data[0] & pt.mask)
-		}
-	case RegMASK:
-		if len(data) == 1 {
-			pt.mask = data[0]
-		}
-	case RegCOR:
-		if len(data) == 1 {
-			pt.cor = data[0]
-		}
-	case RegLOUT:
-		// legacy daisy-chain output: ignored
+	case RegCTL, RegMASK, RegCOR, RegLOUT:
+		// Control, options and the legacy daisy-chain output: accepted and
+		// folded into the CRC, with no effect on configuration memory.
 	default:
 		return fmt.Errorf("bitstream: write to unknown register %d", reg)
 	}
@@ -229,11 +156,11 @@ func (pt *Port) writeReg(reg int, data []uint32) error {
 // committed in one write; a run that passes the last frame is rejected
 // before any of its frames is written. The FAR is left on the run's last
 // frame.
-func (pt *Port) writeFrames(data []uint32) error {
+func (pt *port) writeFrames(data []uint32) error {
 	if pt.cmd != CmdWCFG {
 		return fmt.Errorf("bitstream: FDRI write without WCFG (cmd=%s)", CmdName(pt.cmd))
 	}
-	p := pt.Mem.Part
+	p := pt.mem.Part
 	fw := p.FrameWords()
 	if len(data)%fw != 0 {
 		return fmt.Errorf("bitstream: FDRI payload %d words, not a multiple of frame length %d", len(data), fw)
@@ -242,11 +169,41 @@ func (pt *Port) writeFrames(data []uint32) error {
 	if nf < 2 {
 		return fmt.Errorf("bitstream: FDRI payload of %d frame(s); need at least data+pad", nf)
 	}
-	if err := pt.Mem.SetFrames(pt.far, data[:(nf-1)*fw]); err != nil {
+	if err := pt.mem.SetFrames(pt.far, data[:(nf-1)*fw]); err != nil {
 		return fmt.Errorf("bitstream: FDRI frame write: %w", err)
 	}
-	pt.Stats.FramesWritten += nf - 1
+	pt.stats.FramesWritten += nf - 1
 	pt.far = p.MustFARAt(p.FrameIndex(pt.far) + nf - 2)
 	pt.lastFrame = append(pt.lastFrame[:0], data[(nf-2)*fw:(nf-1)*fw]...)
+	return nil
+}
+
+// read answers an FDRO read the way the device shifts readback data out:
+// one pipeline pad frame, then the run of frames from the FAR, which is left
+// on the run's last frame (mirroring the write path's trailing pad).
+func (pt *port) read(h Header) error {
+	if h.Type == PacketType1 && h.Count == 0 {
+		// Register select for a following type-2 read.
+		return nil
+	}
+	if h.Reg != RegFDRO {
+		return fmt.Errorf("bitstream: read of register %s unsupported", RegName(h.Reg))
+	}
+	if pt.cmd != CmdRCFG {
+		return fmt.Errorf("bitstream: FDRO read without RCFG")
+	}
+	p := pt.mem.Part
+	fw := p.FrameWords()
+	if h.Count%fw != 0 || h.Count < 2*fw {
+		return fmt.Errorf("bitstream: FDRO read of %d words (frame length %d)", h.Count, fw)
+	}
+	n := h.Count/fw - 1
+	data, err := pt.mem.Frames(pt.far, n)
+	if err != nil {
+		return fmt.Errorf("bitstream: readback past end of device: %w", err)
+	}
+	pt.out = append(pt.out, make([]uint32, fw)...)
+	pt.out = append(pt.out, data...)
+	pt.far = p.MustFARAt(p.FrameIndex(pt.far) + n - 1)
 	return nil
 }

@@ -45,91 +45,16 @@ func WriteReadbackRequest(p *device.Part, runs []FrameRun) ([]byte, error) {
 }
 
 // ExecuteReadback runs a readback request against a configuration memory and
-// returns the raw read words (pads included), as the device would shift out.
+// returns the raw read words (pads included), as the device would shift
+// them out. The request runs on the configuration port in its read
+// direction: it is framed and checked as a download is, any frame write
+// (FDRI or MFWR) is refused, and mem is never written.
 func ExecuteReadback(mem *frames.Memory, request []byte) ([]uint32, error) {
-	words, err := BytesToWords(request)
-	if err != nil {
+	pt := port{mem: mem, readback: true}
+	if err := walk(request, pt.packet); err != nil {
 		return nil, err
 	}
-	p := mem.Part
-	fw := p.FrameWords()
-	var out []uint32
-	synced := false
-	lastReg := -1
-	var far device.FAR
-	var cmd uint32
-	i := 0
-	for i < len(words) {
-		w := words[i]
-		if !synced {
-			i++
-			if w == SyncWord {
-				synced = true
-			}
-			continue
-		}
-		h, err := DecodeHeader(w, lastReg)
-		if err != nil {
-			return nil, err
-		}
-		if h.Type == PacketType1 {
-			lastReg = h.Reg
-		}
-		i++
-		switch h.Op {
-		case OpNOP:
-		case OpWrite:
-			if i+h.Count > len(words) {
-				return nil, fmt.Errorf("bitstream: truncated readback request (%d payload words missing)",
-					i+h.Count-len(words))
-			}
-			data := words[i : i+h.Count]
-			i += h.Count
-			switch h.Reg {
-			case RegFAR:
-				if len(data) == 1 {
-					f := device.FAR(data[0])
-					if !p.ValidFAR(f) {
-						return nil, fmt.Errorf("bitstream: readback FAR %v invalid", f)
-					}
-					far = f
-				}
-			case RegCMD:
-				if len(data) == 1 {
-					cmd = data[0]
-					if cmd == CmdDESYNCH {
-						synced = false
-						lastReg = -1
-					}
-				}
-			}
-		case OpRead:
-			if h.Type == PacketType1 && h.Count == 0 {
-				// Register select for a following type-2 read.
-				continue
-			}
-			if h.Reg != RegFDRO {
-				return nil, fmt.Errorf("bitstream: read of register %s unsupported", RegName(h.Reg))
-			}
-			if cmd != CmdRCFG {
-				return nil, fmt.Errorf("bitstream: FDRO read without RCFG")
-			}
-			if h.Count%fw != 0 || h.Count < 2*fw {
-				return nil, fmt.Errorf("bitstream: FDRO read of %d words (frame length %d)", h.Count, fw)
-			}
-			// Pipeline pad frame first, then the run of payload frames
-			// from the FAR, which is left on the run's last frame.
-			n := h.Count/fw - 1
-			data, err := mem.Frames(far, n)
-			if err != nil {
-				return nil, fmt.Errorf("bitstream: readback past end of device: %w", err)
-			}
-			out = append(out, make([]uint32, fw)...)
-			out = append(out, data...)
-			far = p.MustFARAt(p.FrameIndex(far) + n - 1)
-		}
-	}
-	return out, nil
+	return pt.out, nil
 }
 
 // ParseReadback splits raw readback words into per-run frame payloads,
@@ -154,18 +79,4 @@ func ParseReadback(p *device.Part, runs []FrameRun, raw []uint32) ([][]uint32, e
 		return nil, fmt.Errorf("bitstream: %d trailing readback words", len(raw)-off)
 	}
 	return out, nil
-}
-
-// ReadbackFrames is the convenience path: request, execute and parse in one
-// call, returning the frames of each requested run as one slice.
-func ReadbackFrames(mem *frames.Memory, runs []FrameRun) ([][]uint32, error) {
-	req, err := WriteReadbackRequest(mem.Part, runs)
-	if err != nil {
-		return nil, err
-	}
-	raw, err := ExecuteReadback(mem, req)
-	if err != nil {
-		return nil, err
-	}
-	return ParseReadback(mem.Part, runs, raw)
 }

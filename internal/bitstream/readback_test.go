@@ -8,12 +8,26 @@ import (
 	"repro/internal/frames"
 )
 
+// readbackFrames requests, executes and parses a readback in one call,
+// returning the frames of each requested run as one slice.
+func readbackFrames(mem *frames.Memory, runs []FrameRun) ([][]uint32, error) {
+	req, err := WriteReadbackRequest(mem.Part, runs)
+	if err != nil {
+		return nil, err
+	}
+	raw, err := ExecuteReadback(mem, req)
+	if err != nil {
+		return nil, err
+	}
+	return ParseReadback(mem.Part, runs, raw)
+}
+
 func TestReadbackRoundTrip(t *testing.T) {
 	mem := randomMemory(t, "XCV50", 11)
 	p := mem.Part
 	rg := frames.Region{R1: 0, C1: 3, R2: p.Rows - 1, C2: 7}
 	runs := RunsForFARs(p, rg.FARs(p))
-	got, err := ReadbackFrames(mem, runs)
+	got, err := readbackFrames(mem, runs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +60,7 @@ func TestReadbackMultipleRuns(t *testing.T) {
 	f1 := device.MakeFAR(device.BlockCLB, 2, 5)
 	f2 := device.MakeFAR(device.BlockCLB, 9, 40)
 	runs := []FrameRun{{Start: f1, N: 1}, {Start: f2, N: 1}}
-	got, err := ReadbackFrames(mem, runs)
+	got, err := readbackFrames(mem, runs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,14 +108,14 @@ func TestExecuteReadbackRejectsGarbage(t *testing.T) {
 	if _, err := ExecuteReadback(mem, []byte{1, 2, 3}); err == nil {
 		t.Fatal("misaligned request accepted")
 	}
-	// A write bitstream is a valid packet stream with no reads: should
-	// execute and return no data.
-	out, err := ExecuteReadback(mem, WriteFull(mem))
-	if err != nil {
-		t.Fatal(err)
+	// A full bitstream writes frames, which a readback request may not:
+	// it is refused, and the memory it would have written stays as it was.
+	src := randomMemory(t, "XCV50", 14)
+	if _, err := ExecuteReadback(mem, WriteFull(src)); err == nil {
+		t.Fatal("a frame-writing stream executed as a readback request")
 	}
-	if len(out) != 0 {
-		t.Fatal("write stream produced readback data")
+	if !mem.Equal(frames.New(mem.Part)) {
+		t.Fatal("a refused readback request wrote configuration memory")
 	}
 }
 
@@ -151,7 +165,7 @@ func TestReadbackEveryColumn(t *testing.T) {
 
 	checkRun := func(t *testing.T, run FrameRun) {
 		t.Helper()
-		got, err := ReadbackFrames(mem, []FrameRun{run})
+		got, err := readbackFrames(mem, []FrameRun{run})
 		if err != nil {
 			t.Fatalf("run %v N=%d: %v", run.Start, run.N, err)
 		}

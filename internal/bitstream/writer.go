@@ -319,15 +319,3 @@ func wordsToBytes(words []uint32) []byte {
 	}
 	return out
 }
-
-// BytesToWords converts a bitstream byte slice to big-endian words.
-func BytesToWords(bs []byte) ([]uint32, error) {
-	if len(bs)%4 != 0 {
-		return nil, fmt.Errorf("bitstream: length %d not a multiple of 4", len(bs))
-	}
-	words := make([]uint32, len(bs)/4)
-	for i := range words {
-		words[i] = binary.BigEndian.Uint32(bs[4*i:])
-	}
-	return words, nil
-}

@@ -15,7 +15,10 @@ import (
 	"repro/internal/flow"
 	"repro/internal/frames"
 	"repro/internal/jbits"
+	"repro/internal/netlist"
 	"repro/internal/parallel"
+	"repro/internal/phys"
+	"repro/internal/xdl"
 	"repro/internal/xhwif"
 )
 
@@ -261,6 +264,108 @@ func TestAddModuleRejectsGarbage(t *testing.T) {
 	}
 	if _, err := proj.AddModule("v", variant.XDL, `NET "x" LOC = "P_L999";`); err == nil {
 		t.Fatal("invalid UCF accepted")
+	}
+}
+
+// TestAddModuleRejectsIllegalRoutes gives AddModule a variant's XDL with one
+// PIP added: one from a node of the net's own tree into a wire another net
+// drives, or routing the net's source never reaches. Each must
+// be refused before it reaches configuration memory, naming the net.
+func TestAddModuleRejectsIllegalRoutes(t *testing.T) {
+	base, variant := setup(t)
+	proj, err := NewProject(base.Bitstream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// tree returns the nodes net n's route reaches.
+	tree := func(t *testing.T, d *phys.Design, n *netlist.Net) []device.NodeID {
+		src, err := d.SourceNode(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes := []device.NodeID{src}
+		for _, pip := range d.Routes[n].PIPs {
+			nodes = append(nodes, pip.Dst)
+		}
+		return nodes
+	}
+	cases := []struct {
+		name string
+		// add puts one PIP on a net's route and returns the net.
+		add func(t *testing.T, d *phys.Design) *netlist.Net
+	}{
+		{"wire driven by two nets", func(t *testing.T, d *phys.Design) *netlist.Net {
+			owner := map[device.NodeID]*netlist.Net{}
+			for n, r := range d.Routes {
+				for _, pip := range r.PIPs {
+					owner[pip.Dst] = n
+				}
+			}
+			g := device.NewGraph(d.Part)
+			for _, n := range d.Netlist.Nets {
+				if n.IsClock || d.Routes[n] == nil {
+					continue
+				}
+				for _, v := range tree(t, d, n) {
+					for _, pip := range g.From(v) {
+						if m := owner[pip.Dst]; m != nil && m != n && !m.IsClock {
+							d.Routes[n].PIPs = append(d.Routes[n].PIPs, pip)
+							return n
+						}
+					}
+				}
+			}
+			t.Fatal("no net is one PIP away from a wire another net drives")
+			return nil
+		}},
+		{"orphan PIP", func(t *testing.T, d *phys.Design) *netlist.Net {
+			for _, n := range d.Netlist.Nets {
+				if n.IsClock || d.Routes[n] == nil || len(d.Routes[n].PIPs) == 0 {
+					continue
+				}
+				in := map[device.NodeID]bool{}
+				for _, v := range tree(t, d, n) {
+					in[v] = true
+				}
+				for _, m := range d.Netlist.Nets {
+					if m == n || d.Routes[m] == nil {
+						continue
+					}
+					for _, pip := range d.Routes[m].PIPs {
+						if !in[pip.Src] && !in[pip.Dst] {
+							d.Routes[n].PIPs = append(d.Routes[n].PIPs, pip)
+							return n
+						}
+					}
+				}
+			}
+			t.Fatal("no PIP lies outside a routed net's tree")
+			return nil
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			d, err := xdl.Load(variant.XDL)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := tc.add(t, d)
+			text, err := xdl.Emit(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = proj.AddModule("v", text, variant.UCF)
+			if err == nil {
+				t.Fatal("AddModule accepted illegal routing")
+			}
+			if !strings.Contains(err.Error(), fmt.Sprintf("%q", n.Name)) {
+				t.Fatalf("error %q does not name net %q", err, n.Name)
+			}
+			t.Log(err)
+		})
+	}
+	if _, err := proj.AddModule("v", variant.XDL, variant.UCF); err != nil {
+		t.Fatalf("the unedited variant is refused: %v", err)
 	}
 }
 

@@ -68,9 +68,14 @@ func NewProjectForPart(part *device.Part, base *frames.Memory) (*Project, error)
 
 // AddModule parses a sub-module variant's XDL and UCF texts (the outputs of
 // the variant's own CAD run, paper Phase 2) into a module after containment
-// analysis.
+// analysis. The module's routes must be legal (phys.Design.CheckRoutes):
+// XDL text comes from outside, and a wire driven by two nets must not reach
+// configuration memory.
 func (p *Project) AddModule(name, xdlText, ucfText string) (*Module, error) {
 	design, err := xdl.Load(xdlText)
+	if err == nil {
+		err = design.CheckRoutes()
+	}
 	if err != nil {
 		return nil, fmt.Errorf("core: module %s: %w", name, err)
 	}

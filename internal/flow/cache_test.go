@@ -11,6 +11,7 @@ import (
 	"repro/internal/designs"
 	"repro/internal/device"
 	"repro/internal/frames"
+	"repro/internal/ncd"
 	"repro/internal/parallel"
 	"repro/internal/phys"
 	"repro/internal/ucf"
@@ -289,10 +290,11 @@ func TestCacheDistinguishesBuilds(t *testing.T) {
 }
 
 // TestUnusableStageEntriesRecompute plants valid-container disk entries
-// holding another design's NCD under a build's real place and route keys.
-// The cached build must reject them at bind time and recompute, ending
-// byte-identical to the uncached build, and the bad entries must not be
-// served again from memory or disk.
+// holding another design's NCD under a build's real place and route keys,
+// and a route entry of the build's own design with two nets' PIPs swapped,
+// which binds but fails the route check. The cached build must reject them
+// at decode time and recompute, ending byte-identical to the uncached build,
+// and the bad entries must not be served again from memory or disk.
 func TestUnusableStageEntriesRecompute(t *testing.T) {
 	ctx := context.Background()
 	p := device.MustByName("XCV50")
@@ -314,15 +316,43 @@ func TestUnusableStageEntriesRecompute(t *testing.T) {
 		t.Fatal(err)
 	}
 	otherNCD := ncdOf(t, other)
+	fl, err := ncd.UnmarshalFlat(ncdOf(t, plain))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var routedNets []int
+	for i, n := range fl.Nets {
+		if len(n.PIPs) > 0 {
+			routedNets = append(routedNets, i)
+		}
+	}
+	a, b := &fl.Nets[routedNets[0]], &fl.Nets[routedNets[1]]
+	a.PIPs, b.PIPs = b.PIPs, a.PIPs
+	swappedNCD, err := ncd.MarshalFlat(fl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bindNCD(swappedNCD, p, nl); err != nil {
+		t.Fatalf("the swapped routing does not bind: %v", err)
+	}
 	// Implement without constraints routes unconfined ("none").
 	kPlace := PlaceKey(p, nl, nil, opts)
 	keys := map[string]cache.Key{"place": kPlace, "route": RouteKey(kPlace, "none")}
 
-	for _, planted := range [][]string{{"place"}, {"route"}, {"place", "route"}} {
+	for _, tc := range []struct {
+		planted []string
+		ncd     []byte
+	}{
+		{[]string{"place"}, otherNCD},
+		{[]string{"route"}, otherNCD},
+		{[]string{"place", "route"}, otherNCD},
+		{[]string{"route"}, swappedNCD},
+	} {
+		planted, bad := tc.planted, tc.ncd
 		dir := t.TempDir()
 		seed := cache.New(cache.Options{Dir: dir})
 		for _, stage := range planted {
-			seed.GetOrCompute(ctx, stage, keys[stage], func() ([]byte, error) { return otherNCD, nil })
+			seed.GetOrCompute(ctx, stage, keys[stage], func() ([]byte, error) { return bad, nil })
 		}
 		// A fresh cache over the same directory reads the entries from disk.
 		c := cache.New(cache.Options{Dir: dir})
@@ -336,7 +366,7 @@ func TestUnusableStageEntriesRecompute(t *testing.T) {
 		for _, probe := range []*cache.Cache{c, cache.New(cache.Options{Dir: dir})} {
 			for _, stage := range planted {
 				v, _, _ := probe.GetOrCompute(ctx, stage, keys[stage], func() ([]byte, error) { return nil, nil })
-				if bytes.Equal(v, otherNCD) {
+				if bytes.Equal(v, bad) {
 					t.Errorf("planted %v: the bad %s entry is still served", planted, stage)
 				}
 			}

@@ -82,8 +82,13 @@ var stages = [numStages]stage{
 		key:     func(r *runner) cache.Key { return RouteKey(r.keys[sPlace], r.regionFP) },
 		compute: routeStage,
 		encode:  func(r *runner) ([]byte, error) { return ncd.Marshal(r.pd) },
+		// A cached routing must pass the check a computed one passes: the
+		// bitgen and emit entries served under its key never rerun bitgen's.
 		decode: func(r *runner, data []byte) error {
 			pd, err := bindNCD(data, r.part, r.nl)
+			if err == nil {
+				err = pd.CheckRoutes()
+			}
 			if err != nil {
 				return err
 			}

@@ -354,16 +354,20 @@ func TestBuildBodyIsAFunctionOfTheRequest(t *testing.T) {
 // server and checks the overflow request is rejected immediately with 429 +
 // Retry-After, then succeeds once capacity frees up.
 func TestAdmissionShedsDeterministically(t *testing.T) {
-	buildFixture(t)
+	f := buildFixture(t)
 	reg := obs.NewRegistry()
 	srv, ts := newTestServer(t, jpgd.Config{
 		Registry: reg,
 		Serve:    jpgd.ServeOptions{MaxInflight: 1, Queue: -1},
 	})
 
+	// The injected latency holds the only admission slot while the
+	// overflow request arrives, however slowly its client runs.
 	slow := make(chan result, 1)
-	go func() { slow <- post(ts.URL, "/v1/build", buildBody(t, 11), nil) }()
-	waitFor(t, "slow build to hold the admission slot", func() bool {
+	go func() {
+		slow <- post(ts.URL, "/v1/generate", generateBody(t, f, &jpgd.DownloadRequest{Faults: "latency=1s"}), nil)
+	}()
+	waitFor(t, "the slow request to hold the admission slot", func() bool {
 		return srv.ServeStats().Inflight == 1
 	})
 
@@ -385,7 +389,7 @@ func TestAdmissionShedsDeterministically(t *testing.T) {
 	}
 
 	if r := <-slow; r.err != nil || r.status != http.StatusOK {
-		t.Fatalf("slow build: %v status %d", r.err, r.status)
+		t.Fatalf("slow request: %v status %d", r.err, r.status)
 	}
 	// Capacity is free again: the same request is now admitted.
 	if r := post(ts.URL, "/v1/build", buildBody(t, 12), nil); r.status != http.StatusOK {
@@ -398,24 +402,25 @@ func TestAdmissionShedsDeterministically(t *testing.T) {
 // requests — not just directly executing handlers — while shedding new
 // arrivals.
 func TestDrainWaitsForQueuedAndCoalesced(t *testing.T) {
-	buildFixture(t)
+	f := buildFixture(t)
 	reg := obs.NewRegistry()
 	srv, ts := newTestServer(t, jpgd.Config{
 		Registry: reg,
 		Serve:    jpgd.ServeOptions{MaxInflight: 1, Queue: 8},
 	})
 
-	// A: executing leader (holds the only slot).
-	leaderBody := buildBody(t, 21)
+	// A: executing leader, whose injected latency holds the only slot while
+	// B and C arrive.
+	leaderBody := generateBody(t, f, &jpgd.DownloadRequest{Faults: "latency=1s"})
 	resA := make(chan result, 1)
-	go func() { resA <- post(ts.URL, "/v1/build", leaderBody, nil) }()
+	go func() { resA <- post(ts.URL, "/v1/generate", leaderBody, nil) }()
 	waitFor(t, "leader to be admitted", func() bool {
 		return srv.ServeStats().Inflight == 1
 	})
 
 	// B: identical request — a coalesced follower of A.
 	resB := make(chan result, 1)
-	go func() { resB <- post(ts.URL, "/v1/build", leaderBody, nil) }()
+	go func() { resB <- post(ts.URL, "/v1/generate", leaderBody, nil) }()
 	// C: distinct request — queued behind A's slot.
 	resC := make(chan result, 1)
 	go func() { resC <- post(ts.URL, "/v1/build", buildBody(t, 22), nil) }()

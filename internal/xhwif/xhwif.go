@@ -46,7 +46,8 @@ type HWIF interface {
 	// verify-after-write can check just the frames a download touched.
 	ReadbackFrames(fars []device.FAR) ([][]uint32, error)
 	// ExecuteReadback runs a readback packet request (bitstream.
-	// WriteReadbackRequest) and returns the raw read words.
+	// WriteReadbackRequest) and returns the raw read words. A request
+	// that writes frames (FDRI or MFWR) is refused and changes nothing.
 	ExecuteReadback(request []byte) ([]uint32, error)
 }
 
@@ -217,7 +218,9 @@ func (b *Board) ReadbackFrames(fars []device.FAR) ([][]uint32, error) {
 
 // ExecuteReadback runs a readback packet request (bitstream.
 // WriteReadbackRequest) against the device and returns the raw read words,
-// as the SelectMAP port would shift them out.
+// as the SelectMAP port would shift them out. The port runs in its read
+// direction: a request that writes frames is refused, so a readback never
+// changes the configuration memory.
 func (b *Board) ExecuteReadback(request []byte) ([]uint32, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
