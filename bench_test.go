@@ -393,15 +393,29 @@ func BenchmarkGraphBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkXDLRoundTrip measures the XDL emit+parse path JPG depends on.
+// BenchmarkXDLRoundTrip measures both halves of the XDL path JPG depends
+// on, over one variant: emit (the flow's XDL stage) and load (the parse
+// AddModule starts with).
 func BenchmarkXDLRoundTrip(b *testing.B) {
 	_, variant := sharedBase(b)
-	b.SetBytes(int64(len(variant.XDL)))
-	for i := 0; i < b.N; i++ {
-		if _, err := xdl.Load(variant.XDL); err != nil {
-			b.Fatal(err)
+	b.Run("emit", func(b *testing.B) {
+		b.SetBytes(int64(len(variant.XDL)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := xdl.Emit(variant.Phys); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
+	})
+	b.Run("load", func(b *testing.B) {
+		b.SetBytes(int64(len(variant.XDL)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := xdl.Load(variant.XDL); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkE7_Granularity runs the column-region vs diff-minimal partial

@@ -394,6 +394,42 @@ func TestDescribeNode(t *testing.T) {
 	}
 }
 
+// TestFindPIPEveryCatalogPIP holds FindPIP's binary search to the graph's
+// layout: every PIP leaving a node is stored in row-major tile order, and
+// FindPIP returns exactly that PIP, while the same endpoints asked of
+// another tile, or another destination asked of the same tile, miss.
+func TestFindPIPEveryCatalogPIP(t *testing.T) {
+	for _, name := range []string{"XCV50", "XCV300"} {
+		p := MustByName(name)
+		g := NewGraph(p)
+		checked := 0
+		for n := NodeID(0); int(n) < p.NumNodes(); n++ {
+			from := g.From(n)
+			for i, pip := range from {
+				if i > 0 {
+					prev := from[i-1]
+					if prev.Row > pip.Row || (prev.Row == pip.Row && prev.Col > pip.Col) {
+						t.Fatalf("%s: PIPs from %s out of tile order at %d", name, p.NodeName(n), i)
+					}
+				}
+				if got, ok := g.FindPIP(pip.Row, pip.Col, pip.Src, pip.Dst); !ok || got != pip {
+					t.Fatalf("%s: FindPIP(%s) = %+v, %v", name, p.pipString(pip), got, ok)
+				}
+				if _, ok := g.FindPIP(pip.Row, (pip.Col+1)%p.Cols, pip.Src, pip.Dst); ok {
+					t.Fatalf("%s: %s found in the next tile", name, p.pipString(pip))
+				}
+				if _, ok := g.FindPIP(pip.Row, pip.Col, pip.Src, pip.Src); ok {
+					t.Fatalf("%s: PIP from %s to itself found", name, p.NodeName(pip.Src))
+				}
+				checked++
+			}
+		}
+		if checked != g.NumPIPs() {
+			t.Fatalf("%s: checked %d of %d PIPs", name, checked, g.NumPIPs())
+		}
+	}
+}
+
 func TestGraphFindPIP(t *testing.T) {
 	p := MustByName("XCV50")
 	g := NewGraph(p)

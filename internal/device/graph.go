@@ -103,11 +103,25 @@ func (g *Graph) From(n NodeID) []PIP {
 	return g.pips[g.start[n]:g.start[n+1]]
 }
 
-// FindPIP looks up a PIP by owning tile and endpoints using the prebuilt
-// adjacency, so no tile catalog is rebuilt per lookup.
+// FindPIP looks up a PIP by owning tile and endpoints. buildGraph fills
+// From(src) in row-major tile order, so a binary search finds the tile's
+// PIPs and only those are compared: a global line has a tap in every tile.
 func (g *Graph) FindPIP(row, col int, src, dst NodeID) (PIP, bool) {
-	for _, pip := range g.From(src) {
-		if pip.Dst == dst && pip.Row == row && pip.Col == col {
+	from := g.From(src)
+	lo, hi := 0, len(from)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if p := &from[m]; p.Row < row || (p.Row == row && p.Col < col) {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	for _, pip := range from[lo:] {
+		if pip.Row != row || pip.Col != col {
+			break
+		}
+		if pip.Dst == dst {
 			return pip, true
 		}
 	}
@@ -218,4 +232,13 @@ func ParseTileName(s string) (row, col int, err error) {
 }
 
 // TileName renders 0-based (row, col) as "R{row+1}C{col+1}".
-func TileName(row, col int) string { return fmt.Sprintf("R%dC%d", row+1, col+1) }
+func TileName(row, col int) string {
+	var buf [24]byte
+	return string(AppendTileName(buf[:0], row, col))
+}
+
+// AppendTileName appends TileName(row, col) to b.
+func AppendTileName(b []byte, row, col int) []byte {
+	b = strconv.AppendInt(append(b, 'R'), int64(row+1), 10)
+	return strconv.AppendInt(append(b, 'C'), int64(col+1), 10)
+}

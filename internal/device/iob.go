@@ -33,7 +33,11 @@ type Pad struct {
 }
 
 // Name returns the canonical pad name, e.g. "P_L3" (1-based index).
-func (pd Pad) Name() string { return fmt.Sprintf("P_%s%d", edgeNames[pd.Edge], pd.Index+1) }
+func (pd Pad) Name() string { return string(pd.appendName(nil)) }
+
+func (pd Pad) appendName(b []byte) []byte {
+	return strconv.AppendInt(append(append(b, "P_"...), edgeNames[pd.Edge]...), int64(pd.Index+1), 10)
+}
 
 // ParsePad parses a name produced by Pad.Name.
 func ParsePad(name string) (Pad, error) {

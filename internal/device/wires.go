@@ -1,6 +1,9 @@
 package device
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Routing resources are modelled as an island-style graph. Every CLB tile
 // owns a fixed set of wires; additional device-level nodes cover long lines,
@@ -97,26 +100,37 @@ func InPinWire(slice, k int) int { return WireInPinBase + slice*InPinsPerSlice +
 // WireName returns the canonical name of a per-tile wire index, e.g. "OUT3",
 // "E5", "HN1", "S1_G4".
 func WireName(w int) string {
-	switch {
-	case w >= WireOutBase && w < WireOutBase+NumOutsPerTile:
-		return fmt.Sprintf("OUT%d", w-WireOutBase)
-	case w >= WireSingleBase && w < WireHexBase:
-		i := w - WireSingleBase
-		return fmt.Sprintf("%s%d", dirNames[i/SinglesPerDir], i%SinglesPerDir)
-	case w >= WireHexBase && w < WireInPinBase:
-		i := w - WireHexBase
-		return fmt.Sprintf("H%s%d", dirNames[i/HexesPerDir], i%HexesPerDir)
-	case w >= WireInPinBase && w < WiresPerTile:
-		i := w - WireInPinBase
-		return fmt.Sprintf("S%d_%s", i/InPinsPerSlice, inPinNames[i%InPinsPerSlice])
+	if w >= 0 && w < WiresPerTile {
+		return wireNames[w]
 	}
 	return fmt.Sprintf("W?%d", w)
 }
 
+// wireNames holds every per-tile wire's name, so node names are appended
+// without formatting.
+var wireNames = func() (names [WiresPerTile]string) {
+	for w := range names {
+		switch {
+		case w < WireSingleBase:
+			names[w] = fmt.Sprintf("OUT%d", w-WireOutBase)
+		case w < WireHexBase:
+			i := w - WireSingleBase
+			names[w] = fmt.Sprintf("%s%d", dirNames[i/SinglesPerDir], i%SinglesPerDir)
+		case w < WireInPinBase:
+			i := w - WireHexBase
+			names[w] = fmt.Sprintf("H%s%d", dirNames[i/HexesPerDir], i%HexesPerDir)
+		default:
+			i := w - WireInPinBase
+			names[w] = fmt.Sprintf("S%d_%s", i/InPinsPerSlice, inPinNames[i%InPinsPerSlice])
+		}
+	}
+	return names
+}()
+
 var wireByName = func() map[string]int {
 	m := make(map[string]int, WiresPerTile)
-	for w := 0; w < WiresPerTile; w++ {
-		m[WireName(w)] = w
+	for w, name := range wireNames {
+		m[name] = w
 	}
 	return m
 }()
@@ -182,31 +196,42 @@ func (p *Part) NumNodes() int { return p.padBase() + p.NumPads()*2 }
 //	global:   "GLB0"
 //	pad:      "P_L3.I" / "P_T12.O"
 func (p *Part) NodeName(n NodeID) string {
+	var buf [32]byte
+	return string(p.AppendNodeName(buf[:0], n, -1, -1))
+}
+
+// AppendNodeName appends NodeName(n) to b, except that a wire of tile
+// (row, col) is written tile-relative ("E2", not "R3C23.E2"), as an XDL pip
+// statement anchored at that tile names it. Pass row -1 for NodeName's form.
+func (p *Part) AppendNodeName(b []byte, n NodeID, row, col int) []byte {
 	in := int(n)
 	switch {
 	case in < 0:
-		return fmt.Sprintf("N?%d", in)
 	case in < p.rowLongBase():
 		t, w := in/WiresPerTile, in%WiresPerTile
-		return fmt.Sprintf("R%dC%d.%s", t/p.Cols+1, t%p.Cols+1, WireName(w))
+		if r, c := t/p.Cols, t%p.Cols; r != row || c != col {
+			b = append(AppendTileName(b, r, c), '.')
+		}
+		return append(b, wireNames[w]...)
 	case in < p.colLongBase():
 		i := in - p.rowLongBase()
-		return fmt.Sprintf("ROW%d.HL%d", i/NumLongPerRow+1, i%NumLongPerRow)
+		b = strconv.AppendInt(append(b, "ROW"...), int64(i/NumLongPerRow+1), 10)
+		return strconv.AppendInt(append(b, ".HL"...), int64(i%NumLongPerRow), 10)
 	case in < p.globalBase():
 		i := in - p.colLongBase()
-		return fmt.Sprintf("COL%d.VL%d", i/NumLongPerCol+1, i%NumLongPerCol)
+		b = strconv.AppendInt(append(b, "COL"...), int64(i/NumLongPerCol+1), 10)
+		return strconv.AppendInt(append(b, ".VL"...), int64(i%NumLongPerCol), 10)
 	case in < p.padBase():
-		return fmt.Sprintf("GLB%d", in-p.globalBase())
+		return strconv.AppendInt(append(b, "GLB"...), int64(in-p.globalBase()), 10)
 	case in < p.NumNodes():
 		i := in - p.padBase()
-		pad := p.padAt(i / 2)
-		side := "I"
+		side := ".I"
 		if i%2 == 1 {
-			side = "O"
+			side = ".O"
 		}
-		return fmt.Sprintf("%s.%s", pad.Name(), side)
+		return append(p.padAt(i/2).appendName(b), side...)
 	}
-	return fmt.Sprintf("N?%d", in)
+	return strconv.AppendInt(append(b, "N?"...), int64(in), 10)
 }
 
 // NodeTile returns the tile that owns a tile-wire node, or ok=false for

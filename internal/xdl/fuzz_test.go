@@ -89,7 +89,8 @@ func TestParseNeverPanicsOnMutations(t *testing.T) {
 
 // FuzzLoad extends the mutation test to coverage-guided input: XDL text, as
 // a /v1/generate request carries it, either fails to load or loads into a
-// design that passes the placement check. It never panics.
+// design that passes the placement check and emits text that loads to a
+// design emitting the same bytes. It never panics.
 func FuzzLoad(f *testing.F) {
 	f.Add(counterXDL(f))
 	f.Fuzz(func(t *testing.T, text string) {
@@ -99,6 +100,17 @@ func FuzzLoad(f *testing.F) {
 		}
 		if err := loaded.CheckPlacement(); err != nil {
 			t.Fatalf("loaded design fails placement check: %v", err)
+		}
+		emitted, err := Emit(loaded)
+		if err != nil {
+			t.Fatalf("loaded design does not emit: %v", err)
+		}
+		again, err := Load(emitted)
+		if err != nil {
+			t.Fatalf("emitted design does not load: %v", err)
+		}
+		if text2, err := Emit(again); err != nil || text2 != emitted {
+			t.Fatalf("emit, load, emit changed the text (%v)", err)
 		}
 	})
 }
